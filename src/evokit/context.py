@@ -3,13 +3,16 @@
 System prompts, task statements, and skill metadata are pinned and always
 survive; dialogue is either summarized through a model call or dropped by a
 sliding window once the running total crosses the compression threshold.
+Each message's token estimate is computed once, when the message is built;
+the manager keeps its pinned and unpinned totals incrementally, so a turn
+below the threshold costs the same however long the history has grown.
 One instance belongs to one agent: single writer, movable between threads,
 never mutated concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import EvokitError
@@ -36,14 +39,16 @@ class ContextEntry:
     message: ChatMessage
     kind: str = "dialogue"
     pinned: bool = False
-    tokens: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ENTRY_KINDS:
             raise InvariantViolation(f"unknown entry kind: {self.kind!r}")
         if self.kind in ("system", "task") and not self.pinned:
             raise InvariantViolation(f"{self.kind} entries must be pinned")
-        object.__setattr__(self, "tokens", estimate_tokens(self.message.content))
+
+    @property
+    def tokens(self) -> int:
+        return self.message.tokens
 
 
 @dataclass(frozen=True)
@@ -75,16 +80,22 @@ class ContextManager:
     def __init__(self) -> None:
         self._entries: list[ContextEntry] = []
         self._compressions = 0
+        self._pinned_tokens = 0
+        self._unpinned_tokens = 0
 
     def append(self, entry: ContextEntry) -> None:
         self._entries.append(entry)
+        if entry.pinned:
+            self._pinned_tokens += entry.tokens
+        else:
+            self._unpinned_tokens += entry.tokens
 
     def entries(self) -> tuple[ContextEntry, ...]:
         return tuple(self._entries)
 
     @property
     def total_tokens(self) -> int:
-        return sum(e.tokens for e in self._entries)
+        return self._pinned_tokens + self._unpinned_tokens
 
     def usage(self) -> dict[str, int]:
         return {
@@ -96,28 +107,37 @@ class ContextManager:
     def render(self, budget: ContextBudget) -> list[ChatMessage]:
         """Pinned entries plus the largest recent unpinned suffix that fits.
 
-        Chronological order is preserved. Raises PinnedOverflow when the
-        pinned entries alone exceed the budget — nothing below this layer can
-        shrink those.
+        Chronological order is preserved. The suffix never opens with a tool
+        message whose assistant call was cut off: such leading observations
+        are dropped too, as _compression_span keeps call and observation
+        together. Raises PinnedOverflow when the pinned entries alone exceed
+        the budget — nothing below this layer can shrink those.
         """
-        pinned_total = sum(e.tokens for e in self._entries if e.pinned)
-        if pinned_total > budget.max_tokens:
+        entries = self._entries
+        if self._pinned_tokens > budget.max_tokens:
             raise PinnedOverflow(
-                f"pinned entries use {pinned_total} tokens, budget is {budget.max_tokens}"
+                f"pinned entries use {self._pinned_tokens} tokens, budget is {budget.max_tokens}"
             )
-        unpinned = [i for i, e in enumerate(self._entries) if not e.pinned]
-        keep: set[int] = set()
-        remaining = budget.max_tokens - pinned_total
-        for i in reversed(unpinned):
-            cost = self._entries[i].tokens
-            if cost > remaining:
-                break
-            keep.add(i)
-            remaining -= cost
-        return [
-            e.message
-            for i, e in enumerate(self._entries)
-            if e.pinned or i in keep
+        remaining = budget.max_tokens - self._pinned_tokens
+        if self._unpinned_tokens <= remaining:
+            return [e.message for e in entries]
+        # Walk back to the first unpinned entry that does not fit; everything
+        # after it survives, and before it only the pinned entries do.
+        cut = len(entries)
+        while cut:
+            entry = entries[cut - 1]
+            if not entry.pinned:
+                if entry.tokens > remaining:
+                    break
+                remaining -= entry.tokens
+            cut -= 1
+        # Skipping a pinned entry keeps it: the prefix below holds it.
+        while cut < len(entries) and (
+            entries[cut].pinned or entries[cut].message.role == "tool"
+        ):
+            cut += 1
+        return [e.message for e in entries[:cut] if e.pinned] + [
+            e.message for e in entries[cut:]
         ]
 
     def maybe_compress(
@@ -153,6 +173,8 @@ class ContextManager:
         kept = [e for i, e in enumerate(self._entries) if i not in removed]
         kept[insert_at:insert_at] = replacement
         self._entries = kept
+        # The span and its replacement are unpinned, so the pinned total holds.
+        self._unpinned_tokens = sum(e.tokens for e in kept if not e.pinned)
         self._compressions += 1
         return CompressionEvent(
             replaced_count=len(span),
@@ -174,7 +196,7 @@ class ContextManager:
         unpinned = [i for i, e in enumerate(self._entries) if not e.pinned]
         if not unpinned:
             return None
-        total = sum(self._entries[i].tokens for i in unpinned)
+        total = self._unpinned_tokens
         if total == 0:
             return None
         span: list[int] = []

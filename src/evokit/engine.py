@@ -14,7 +14,7 @@ import random
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 from .context import ContextBudget, ContextEntry, ContextManager, PinnedOverflow
 from .errors import EvokitError
@@ -30,6 +30,8 @@ from .skills import SkillIndex, discover, render_metadata
 from .tools import Action, InvokeLimits, Observation, ToolRegistry
 
 OUTCOME_STATUSES = ("answered", "max_turns", "budget_exhausted", "timeout", "error")
+
+_FAILED = object()  # _with_retry's result when both attempts failed
 
 
 class ConfigError(EvokitError):
@@ -220,24 +222,38 @@ class AgentRun:
         self.outcome = AgentOutcome(status, answer, self._completed_turns, self._usage)
         return self.outcome
 
+    def _with_retry(self, phase: str, call: Callable[[], Any]) -> Any:
+        """Run a provider-backed call, retrying once on ProviderError.
+
+        Every failure is recorded as an ``error`` event; the first carries
+        ``"retrying": true``. Returns _FAILED when the retry fails too.
+        """
+        try:
+            return call()
+        except ProviderError as exc:
+            self._record(
+                "error", {"error": str(exc), "phase": phase, "retrying": True}, turn=self.turn
+            )
+        try:
+            return call()
+        except ProviderError as exc:
+            self._record("error", {"error": str(exc), "phase": phase}, turn=self.turn)
+            return _FAILED
+
     def _complete(self, phase: str) -> ChatResponse | None:
         """One model call with a single retry; both failures end the run."""
         messages = self.context.render(self.spec.budget)
         descriptors = [self.services.tools.get(t) for t in sorted(self.spec.tool_names)]
-        for attempt in (1, 2):
-            try:
-                response = self.services.gateway.complete(
-                    self.spec.llm_profile, messages, [d for d in descriptors if d]
-                )
-                self._usage = self._usage + response.usage
-                return response
-            except ProviderError as exc:
-                if attempt == 2:
-                    self._record(
-                        "error", {"error": str(exc), "phase": phase}, turn=self.turn
-                    )
-                    return None
-        return None
+        response = self._with_retry(
+            phase,
+            lambda: self.services.gateway.complete(
+                self.spec.llm_profile, messages, [d for d in descriptors if d]
+            ),
+        )
+        if response is _FAILED:
+            return None
+        self._usage = self._usage + response.usage
+        return response
 
     def _invoke_limits(self) -> InvokeLimits:
         base = self.services.limits
@@ -360,20 +376,15 @@ class AgentRun:
         return response.content
 
     def _compress(self) -> None:
-        budget = self.spec.budget
-        for attempt in (1, 2):
-            try:
-                event = self.context.maybe_compress(
-                    budget, self.services.gateway, self.spec.llm_profile
-                )
-                break
-            except ProviderError as exc:
-                if attempt == 2:
-                    self._record(
-                        "error", {"error": str(exc), "phase": "compression"}, turn=self.turn
-                    )
-                    self._finish("error")
-                    return
+        event = self._with_retry(
+            "compression",
+            lambda: self.context.maybe_compress(
+                self.spec.budget, self.services.gateway, self.spec.llm_profile
+            ),
+        )
+        if event is _FAILED:
+            self._finish("error")
+            return
         if event is None:
             return
         if event.usage is not None:

@@ -13,7 +13,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -90,10 +90,13 @@ class TokenUsage:
 
 @dataclass(frozen=True)
 class ChatMessage:
+    """One chat turn; ``tokens`` is its content's estimate, computed once here."""
+
     role: str
     content: str
     tool_calls: tuple[Action, ...] = ()
     tool_call_id: str | None = None
+    tokens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
@@ -102,6 +105,7 @@ class ChatMessage:
             raise ValueError("tool messages must carry a tool_call_id")
         if self.role != "assistant" and self.tool_calls:
             raise ValueError("only assistant messages may carry tool calls")
+        object.__setattr__(self, "tokens", estimate_tokens(self.content))
 
 
 @dataclass(frozen=True)
@@ -230,9 +234,13 @@ def scripted_step(script: Script, messages: Sequence[ChatMessage]) -> ChatRespon
     non-assistant message, which is how echo scripts are written.
     """
     target = _last_non_assistant(messages)
-    position = min(
-        sum(1 for m in messages if m.role == "assistant"), len(script.entries) - 1
-    )
+    prompt = 0
+    assistants = 0
+    for m in messages:
+        prompt += m.tokens
+        if m.role == "assistant":
+            assistants += 1
+    position = min(assistants, len(script.entries) - 1)
     selected = None
     for entry in script.entries[position:]:
         if entry.match is None or entry.match.search(target):
@@ -246,7 +254,6 @@ def scripted_step(script: Script, messages: Sequence[ChatMessage]) -> ChatRespon
         Action(id=f"call-{position}-{k}", tool=name, arguments=dict(args))
         for k, (name, args) in enumerate(selected.tool_calls)
     )
-    prompt = sum(estimate_tokens(m.content) for m in messages)
     completion = estimate_tokens(content) + sum(
         estimate_tokens(json.dumps(a.arguments, sort_keys=True)) for a in actions
     )

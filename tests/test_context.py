@@ -11,6 +11,7 @@ from evokit.context import (
     PinnedOverflow,
 )
 from evokit.gateway import ChatMessage, LlmGateway, ModelProfile, ProviderError
+from evokit.tools import Action
 from helpers import scripted_gateway
 
 
@@ -44,6 +45,8 @@ def test_system_entries_must_be_pinned() -> None:
 def test_tokens_match_estimator() -> None:
     entry = _entry("abcdefgh")
     assert entry.tokens == 2
+    assert entry.message.tokens == 2
+    assert "tokens" not in repr(entry.message)
 
 
 def test_fresh_context_usage() -> None:
@@ -99,19 +102,131 @@ def test_render_pinned_overflow() -> None:
         manager.render(ContextBudget(max_tokens=5))
 
 
+def _call_pair(call_id: str, rng) -> list[ContextEntry]:
+    """An assistant message with one or two calls, then their observations."""
+    ids = [f"{call_id}-{k}" for k in range(rng.randrange(1, 3))]
+    calls = tuple(Action(i, "exec", {}) for i in ids)
+    call = ChatMessage("assistant", "a" * rng.randrange(1, 40), tool_calls=calls)
+    return [ContextEntry(call)] + [
+        ContextEntry(ChatMessage("tool", "o" * rng.randrange(1, 40), tool_call_id=i)) for i in ids
+    ]
+
+
+def _assert_no_orphaned_tool(messages: list[ChatMessage]) -> None:
+    called: set[str] = set()
+    for m in messages:
+        called.update(a.id for a in m.tool_calls)
+        if m.role == "tool":
+            assert m.tool_call_id in called, [x.role for x in messages]
+
+
 def test_render_never_exceeds_budget_fuzz() -> None:
     import random
 
     rng = random.Random(99)
-    for _ in range(200):
+    for n in range(200):
         manager = ContextManager()
         manager.append(_entry("sys", pinned=True, kind="system", role="system"))
-        for _ in range(rng.randrange(0, 20)):
-            manager.append(_entry("w" * rng.randrange(1, 40)))
+        for k in range(rng.randrange(0, 20)):
+            if rng.random() < 0.3:
+                for entry in _call_pair(f"c{n}-{k}", rng):
+                    manager.append(entry)
+            else:
+                manager.append(_entry("w" * rng.randrange(1, 40)))
         budget = ContextBudget(max_tokens=rng.randrange(5, 50))
         messages = manager.render(budget)
         total = sum((len(m.content) + 3) // 4 for m in messages)
         assert total <= budget.max_tokens
+        _assert_no_orphaned_tool(messages)
+
+
+def test_render_drops_orphaned_tool_message() -> None:
+    manager = _manager_with(
+        [
+            _entry("s" * 8, pinned=True, kind="system", role="system"),
+            _entry("u" * 40),
+            ContextEntry(
+                ChatMessage("assistant", "a" * 80, tool_calls=(Action("c1", "exec", {}),))
+            ),
+            ContextEntry(ChatMessage("tool", "t" * 60, tool_call_id="c1")),
+        ]
+    )
+    # The observation fits the budget but its call does not: both go.
+    assert [m.role for m in manager.render(ContextBudget(max_tokens=30))] == ["system"]
+    assert [m.role for m in manager.render(ContextBudget(max_tokens=40))] == [
+        "system",
+        "assistant",
+        "tool",
+    ]
+
+
+def _reference_render(entries: tuple[ContextEntry, ...], budget: ContextBudget) -> list[ChatMessage]:
+    """The original index-set render, plus dropping orphaned observations."""
+
+    def cost(e: ContextEntry) -> int:
+        return (len(e.message.content) + 3) // 4
+
+    pinned_total = sum(cost(e) for e in entries if e.pinned)
+    if pinned_total > budget.max_tokens:
+        raise PinnedOverflow("reference")
+    unpinned = [i for i, e in enumerate(entries) if not e.pinned]
+    keep: set[int] = set()
+    remaining = budget.max_tokens - pinned_total
+    for i in reversed(unpinned):
+        if cost(entries[i]) > remaining:
+            break
+        keep.add(i)
+        remaining -= cost(entries[i])
+    if len(keep) < len(unpinned):
+        for i in sorted(keep):
+            if entries[i].message.role != "tool":
+                break
+            keep.discard(i)
+    return [e.message for i, e in enumerate(entries) if e.pinned or i in keep]
+
+
+def test_running_totals_and_render_match_reference_fuzz(tmp_path) -> None:
+    import random
+
+    gateway = scripted_gateway(
+        tmp_path, summarizer=[{"content": "S" * 6}, {"content": "summary " * 30}]
+    )
+    rng = random.Random(4242)
+    for n in range(150):
+        manager = ContextManager()
+        manager.append(_entry("sys prompt", pinned=True, kind="system", role="system"))
+        strategy = rng.choice(["summarize", "sliding_window"])
+        for k in range(rng.randrange(5, 60)):
+            roll = rng.random()
+            if roll < 0.45:
+                role = rng.choice(["user", "assistant"])
+                manager.append(_entry("w" * rng.randrange(0, 50), role=role))
+            elif roll < 0.65:
+                for entry in _call_pair(f"c{n}-{k}", rng):
+                    manager.append(entry)
+            elif roll < 0.7:
+                manager.append(_entry("note " * rng.randrange(1, 4), pinned=True, kind="task"))
+            elif roll < 0.85:
+                budget = ContextBudget(
+                    max_tokens=rng.randrange(20, 120),
+                    compress_at=rng.uniform(0.3, 1.0),
+                    strategy=strategy,
+                )
+                event = manager.maybe_compress(budget, gateway, "summarizer")
+                if event is not None:
+                    assert event.before_tokens > event.after_tokens == manager.total_tokens
+            else:
+                budget = ContextBudget(max_tokens=rng.randrange(5, 150))
+                try:
+                    expected = _reference_render(manager.entries(), budget)
+                except PinnedOverflow:
+                    with pytest.raises(PinnedOverflow):
+                        manager.render(budget)
+                else:
+                    assert manager.render(budget) == expected
+            entries = manager.entries()
+            assert all(e.tokens == (len(e.message.content) + 3) // 4 for e in entries)
+            assert manager.total_tokens == sum(e.tokens for e in entries)
 
 
 # -- compression -------------------------------------------------------------------

@@ -166,27 +166,61 @@ def test_unknown_tool_is_config_error(tmp_path) -> None:
 
 
 class _FlakyGateway:
-    """Delegates to a real gateway after failing the first N complete() calls."""
+    """Delegates to a real gateway, failing N complete() calls after the first `after`."""
 
-    def __init__(self, inner: LlmGateway, failures: int):
+    def __init__(self, inner: LlmGateway, failures: int, after: int = 0):
         self._inner = inner
         self._failures = failures
+        self._after = after
 
     def has_profile(self, name: str) -> bool:
         return self._inner.has_profile(name)
 
     def complete(self, profile_name, messages, tools=()):
-        if self._failures > 0:
+        if self._after > 0:
+            self._after -= 1
+        elif self._failures > 0:
             self._failures -= 1
             raise ProviderError("synthetic outage")
         return self._inner.complete(profile_name, messages, tools)
 
 
+def _events(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _errors(events: list[dict]) -> list[tuple[str, bool | None]]:
+    return [
+        (e["payload"]["phase"], e["payload"].get("retrying")) for e in events if e["kind"] == "error"
+    ]
+
+
 def test_provider_error_retried_once(tmp_path) -> None:
+    recorder_path = tmp_path / "trace.jsonl"
+    recorder = TrajectoryRecorder(recorder_path, "run-1")
     gateway = _FlakyGateway(scripted_gateway(tmp_path, m=[{"content": "FINAL: ok"}]), failures=1)
-    services = make_services(tmp_path, gateway)
+    services = make_services(tmp_path, gateway, recorder=recorder)
     outcome = run("task", _spec("m"), services)
+    recorder.close()
     assert outcome.status == "answered"
+    # The first failure is recorded, not swallowed.
+    assert _errors(_events(recorder_path)) == [("turn", True)]
+
+
+def test_compression_retry_is_recorded(tmp_path) -> None:
+    recorder_path = tmp_path / "trace.jsonl"
+    recorder = TrajectoryRecorder(recorder_path, "run-1")
+    # Call 1 is turn 1; call 2, the first summarizer call, fails once.
+    gateway = _FlakyGateway(
+        scripted_gateway(tmp_path, m=[{"content": "w" * 80}]), failures=1, after=1
+    )
+    spec = _spec("m", max_turns=2, budget=ContextBudget(max_tokens=40, compress_at=0.5))
+    outcome = run("task", spec, make_services(tmp_path, gateway, recorder=recorder))
+    recorder.close()
+    assert outcome.status == "max_turns"
+    events = _events(recorder_path)
+    assert _errors(events) == [("compression", True)]
+    assert any(e["kind"] == "compression" for e in events)
 
 
 def test_provider_error_twice_ends_in_error(tmp_path) -> None:
@@ -200,6 +234,7 @@ def test_provider_error_twice_ends_in_error(tmp_path) -> None:
     assert outcome.final_answer is None
     events = [json.loads(line) for line in recorder_path.read_text().splitlines()]
     assert any(e["kind"] == "error" and "outage" in e["payload"]["error"] for e in events)
+    assert _errors(events) == [("turn", True), ("turn", None)]
 
 
 def test_budget_exhausted_when_pinned_overflow(tmp_path) -> None:
@@ -259,3 +294,34 @@ def test_pinned_notes_are_injected(tmp_path) -> None:
     assert notes[0].pinned and notes[0].kind == "task"
     rendered = [m.content for m in state.context.render(ContextBudget(max_tokens=500))]
     assert rendered.index("remember: wisdom-token") < rendered.index("the task")
+
+
+def test_token_estimates_grow_linearly_with_turns(tmp_path, monkeypatch) -> None:
+    """Each message is estimated once: no per-turn rescan of the history."""
+    import evokit.context
+    import evokit.gateway
+
+    real = evokit.gateway.estimate_tokens
+    calls = 0
+
+    def counting(text: str) -> int:
+        nonlocal calls
+        calls += 1
+        return real(text)
+
+    monkeypatch.setattr(evokit.gateway, "estimate_tokens", counting)
+    monkeypatch.setattr(evokit.context, "estimate_tokens", counting)
+    gateway = scripted_gateway(tmp_path, m=[{"content": "still working on it"}])
+    services = make_services(tmp_path, gateway)
+    counts = {}
+    for turns in (50, 200):
+        calls = 0
+        spec = _spec(
+            "m", max_turns=turns, critique_every=5, budget=ContextBudget(max_tokens=10**6)
+        )
+        assert run("task", spec, services).turns == turns
+        counts[turns] = calls
+    # Linear: the calls per turn stay flat. A rescan of the history every
+    # turn would make them about four times as many at 200 turns as at 50.
+    assert counts[50] > 0
+    assert counts[200] / 200 <= 1.25 * counts[50] / 50, counts
