@@ -44,7 +44,7 @@ from .gateway import (
     load_script,
     scripted_step,
 )
-from .mcp import McpClient, McpEndpoint, McpProtocolError, McpTransportError, mcp_invoke, mcp_list
+from .mcp import McpClient, McpEndpoint, McpProtocolError, McpTransportError
 from .skills import SkillIndex, SkillManifest, discover, load_body, render_metadata
 from .tools import (
     Action,
@@ -56,7 +56,6 @@ from .tools import (
     Observation,
     ToolDescriptor,
     ToolRegistry,
-    render_tool_schemas,
 )
 
 __version__ = "0.1.0"

@@ -11,22 +11,13 @@ from __future__ import annotations
 import json
 import subprocess
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any
 
 import requests
 
 from .errors import EvokitError
-from .tools import (
-    Action,
-    Execution,
-    InvokeLimits,
-    Observation,
-    ToolDescriptor,
-    ToolRegistry,
-    truncate_output,
-)
+from .tools import ToolDescriptor, ToolRegistry
 
 MCP_TRANSPORTS = ("http", "stdio")
 
@@ -156,30 +147,6 @@ class McpClient:
             if isinstance(item, dict) and item.get("type") == "text"
         ]
         return "\n".join(parts)
-
-
-def mcp_list(endpoint: McpEndpoint, session: requests.Session | None = None) -> list[ToolDescriptor]:
-    return McpClient(endpoint, session=session).list_tools()
-
-
-def mcp_invoke(
-    client: McpClient, action: Action, limits: InvokeLimits = InvokeLimits()
-) -> tuple[Execution, Observation]:
-    """Call a remote tool, materializing any failure in the returned pair."""
-    started_at = time.time()
-    t0 = time.monotonic()
-    try:
-        content = client.call_tool(action.tool, action.arguments)
-        status = "ok"
-    except EvokitError as exc:
-        content = str(exc)
-        status = "failed"
-    duration_ms = int((time.monotonic() - t0) * 1000)
-    text, truncated = truncate_output(content, limits.output_cap_chars)
-    return (
-        Execution(action.id, started_at, duration_ms, status),
-        Observation(action.id, text, truncated, status != "ok"),
-    )
 
 
 def register_mcp_tools(registry: ToolRegistry, client: McpClient) -> list[str]:

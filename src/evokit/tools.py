@@ -7,6 +7,9 @@ materialize inside the pair so an agent loop can observe them and keep going.
 
 from __future__ import annotations
 
+import os
+import queue
+import signal
 import subprocess
 import threading
 import time
@@ -35,8 +38,9 @@ BUILTIN_TOOL_NAMES = (
     "web_search",
 )
 
-# Hard ceiling for exec subprocesses so an abandoned invocation thread cannot
-# leave a child running forever after the registry-level timeout fires.
+# Hard ceiling for exec subprocesses so a worker abandoned by the registry-level
+# timeout cannot leave a child running forever: at this limit the command's
+# whole process group is killed.
 _EXEC_HARD_TIMEOUT_S = 600
 
 
@@ -187,32 +191,55 @@ class ToolRegistry:
         return execution, observation
 
 
+# Inboxes of parked tool workers, shared by every registry in the process so
+# that registries built per experiment leave no threads behind.
+_idle_inboxes: list[queue.SimpleQueue] = []
+_idle_lock = threading.Lock()
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """Worker loop: run each handler sent to ``inbox``, then park again."""
+    while True:
+        handler, arguments, outbox = inbox.get()
+        try:
+            result = ("ok", handler(arguments))
+        except Exception as exc:  # noqa: BLE001 — materialized in the pair
+            result = ("failed", exc)
+        except BaseException as exc:
+            outbox.put(("failed", exc))
+            raise  # this worker ends here and is never parked again
+        # Park before answering, so a caller that invokes again right after
+        # this answer finds the same worker idle.
+        with _idle_lock:
+            _idle_inboxes.append(inbox)
+        outbox.put(result)
+
+
 def _call_with_timeout(
     handler: ToolHandler, arguments: dict[str, Any], timeout_ms: int
 ) -> tuple[str, str]:
-    """Run a handler on its own thread so a stalled tool cannot stall the loop."""
-    box: dict[str, Any] = {}
+    """Run a handler on a reused worker thread so a stalled tool cannot stall the loop.
 
-    def target() -> None:
-        try:
-            box["value"] = handler(arguments)
-        except BaseException as exc:  # noqa: BLE001 — materialized in the pair
-            box["error"] = exc
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(max(timeout_ms, 1) / 1000.0)
-    if worker.is_alive():
+    Each call takes an idle parked worker, or starts one when none is idle,
+    so there is no cap that could queue a healthy call behind stalled ones.
+    A call that times out abandons its worker: the worker keeps running the
+    handler and is parked again only once the handler returns, and that late
+    result goes to an outbox nobody reads, so it is discarded.
+    """
+    with _idle_lock:
+        inbox = _idle_inboxes.pop() if _idle_inboxes else None
+    if inbox is None:
+        inbox = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
+    outbox: queue.SimpleQueue = queue.SimpleQueue()
+    inbox.put((handler, arguments, outbox))
+    try:
+        status, value = outbox.get(timeout=max(timeout_ms, 1) / 1000.0)
+    except queue.Empty:
         return "timeout", f"tool timed out after {timeout_ms} ms"
-    if "error" in box:
-        return "failed", f"tool error: {box['error']}"
-    value = box.get("value", "")
+    if status == "failed":
+        return "failed", f"tool error: {value}"
     return "ok", value if isinstance(value, str) else str(value)
-
-
-def render_tool_schemas(registry: ToolRegistry) -> list[dict[str, Any]]:
-    """All registered tools in wire form, order-stable by name."""
-    return [descriptor_wire_form(d) for d in registry.descriptors()]
 
 
 class ToolExecutionError(EvokitError):
@@ -297,15 +324,26 @@ def builtin_tool_set(
         return f"wrote {len(content)} chars to {args['path']}"
 
     def run_command(args: dict[str, Any]) -> str:
-        proc = subprocess.run(
+        # A session of its own makes the shell a process-group leader, so the
+        # hard timeout kills the commands it started along with it.
+        with subprocess.Popen(
             str(args["cmd"]),
             shell=True,
             cwd=workspace,
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-            timeout=_EXEC_HARD_TIMEOUT_S,
-        )
-        output = proc.stdout + (proc.stderr if proc.stderr else "")
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=_EXEC_HARD_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                raise ToolExecutionError(
+                    f"command killed after {_EXEC_HARD_TIMEOUT_S} s"
+                ) from None
+        output = stdout + (stderr if stderr else "")
         if proc.returncode != 0:
             raise ToolExecutionError(f"command exited with {proc.returncode}: {output.strip()}")
         return output

@@ -7,8 +7,6 @@ from evokit.mcp import (
     McpEndpoint,
     McpProtocolError,
     McpTransportError,
-    mcp_invoke,
-    mcp_list,
     register_mcp_tools,
 )
 from evokit.mcp_stub import StubMcpServer, call_stub_tool
@@ -27,7 +25,7 @@ def _client(server: StubMcpServer, alias: str = "stub") -> McpClient:
 
 
 def test_list_tools_converts_descriptors(stub_server) -> None:
-    descriptors = mcp_list(McpEndpoint(alias="stub", endpoint=stub_server.url))
+    descriptors = McpClient(McpEndpoint(alias="stub", endpoint=stub_server.url)).list_tools()
     names = sorted(d.name for d in descriptors)
     assert names == ["add", "exec", "lookup"]
     assert all(d.source == "mcp" for d in descriptors)
@@ -75,8 +73,9 @@ def test_remote_validation_error_becomes_failed_pair(tmp_path, stub_server) -> N
 
 
 def test_mcp_invoke_direct(stub_server) -> None:
-    client = _client(stub_server)
-    execution, observation = mcp_invoke(client, Action("a1", "lookup", {"key": "pi"}))
+    registry = ToolRegistry()
+    register_mcp_tools(registry, _client(stub_server))
+    execution, observation = registry.invoke(Action("a1", "lookup", {"key": "pi"}))
     assert execution.status == "ok"
     assert observation.content == "3.14159"
     assert observation.content == call_stub_tool("lookup", {"key": "pi"})
@@ -84,10 +83,10 @@ def test_mcp_invoke_direct(stub_server) -> None:
 
 def test_endpoint_down_mid_call_fails_in_pair() -> None:
     server = StubMcpServer().start()
-    client = _client(server)
-    assert len(client.list_tools()) == 3
+    registry = ToolRegistry()
+    assert len(register_mcp_tools(registry, _client(server))) == 3
     server.stop()
-    execution, observation = mcp_invoke(client, Action("a1", "add", {"a": 1, "b": 1}))
+    execution, observation = registry.invoke(Action("a1", "add", {"a": 1, "b": 1}))
     assert execution.status == "failed"
     assert observation.is_error
 

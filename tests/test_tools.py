@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import queue
 import random
 import string
+import sys
+import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from evokit import tools
 from evokit.tools import (
     Action,
     DuplicateTool,
@@ -16,8 +21,8 @@ from evokit.tools import (
     ToolDescriptor,
     ToolRegistry,
     TRUNCATION_MARKER,
+    descriptor_wire_form,
     install_builtin_tools,
-    render_tool_schemas,
     truncate_output,
 )
 
@@ -105,10 +110,126 @@ def test_handler_exception_is_captured(registry) -> None:
     assert "kapow" in observation.content
 
 
+def test_handler_exit_is_captured_and_ends_its_worker(monkeypatch) -> None:
+    ended = queue.SimpleQueue()
+    monkeypatch.setattr(threading, "excepthook", ended.put)
+    registry = ToolRegistry()
+    registry.register_tool(_descriptor("quit"), lambda args: sys.exit(3))
+    execution, observation = registry.invoke(Action("a1", "quit", {}))
+    assert execution.status == "failed"
+    assert observation.content == "tool error: 3"
+    assert ended.get(timeout=5).exc_type is SystemExit
+
+
 def test_exec_nonzero_exit_fails(registry) -> None:
     execution, observation = registry.invoke(Action("a1", "exec", {"cmd": "false"}))
     assert execution.status == "failed"
     assert observation.is_error
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def test_exec_hard_timeout_kills_the_whole_command(registry, tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(tools, "_EXEC_HARD_TIMEOUT_S", 0.3)
+    execution, observation = registry.invoke(
+        Action("a1", "exec", {"cmd": "sleep 30 & echo $! > pid; wait"})
+    )
+    assert execution.status == "failed"
+    assert observation.is_error
+    assert "killed" in observation.content
+    pid = int((tmp_path / "workspace" / "pid").read_text())
+    deadline = time.monotonic() + 2.0
+    while not _gone_or_zombie(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert _gone_or_zombie(pid)
+
+
+# -- worker threads -------------------------------------------------------------
+
+
+def test_calls_reuse_parked_workers() -> None:
+    registry = ToolRegistry()
+    # Kernel thread ids, unlike get_ident(), are not reused by the next thread.
+    registry.register_tool(_descriptor("ident"), lambda args: str(threading.get_native_id()))
+    before = threading.active_count()
+    idents = set()
+    for i in range(500):
+        execution, observation = registry.invoke(Action(f"a{i}", "ident", {}))
+        assert execution.status == "ok"
+        idents.add(observation.content)
+    # A second worker may serve calls if a handler abandoned by an earlier
+    # timeout returns meanwhile and is parked.
+    assert len(idents) <= 2
+    assert threading.active_count() <= before + 1
+
+
+def test_stalled_handler_is_isolated() -> None:
+    release = threading.Event()
+    returned = threading.Event()
+
+    def stall(args):
+        release.wait(10)
+        returned.set()
+        return "late result"
+
+    registry = ToolRegistry()
+    registry.register_tool(_descriptor("stall"), stall)
+    registry.register_tool(_descriptor("noop"), lambda args: "noop result")
+    registry.register_tool(_descriptor("echo"), lambda args: args["value"])
+
+    execution, observation = registry.invoke(
+        Action("s", "stall", {}), InvokeLimits(timeout_ms=50)
+    )
+    assert execution.status == "timeout"
+    assert "timed out after 50 ms" in observation.content
+
+    t0 = time.monotonic()
+    execution, observation = registry.invoke(Action("n", "noop", {}))
+    assert execution.status == "ok"
+    assert observation.content == "noop result"
+    assert time.monotonic() - t0 < 1.0
+
+    release.set()
+    assert returned.wait(5)
+    contents = []
+    for i in range(20):
+        contents.append(registry.invoke(Action(f"n{i}", "noop", {}))[1].content)
+
+    mismatches = []
+
+    def echo_many(value: str) -> None:
+        for i in range(50):
+            execution, observation = registry.invoke(
+                Action(f"{value}-{i}", "echo", {"value": value})
+            )
+            contents.append(observation.content)
+            if execution.status != "ok" or observation.content != value:
+                mismatches.append((value, execution.status, observation.content))
+
+    threads = [threading.Thread(target=echo_many, args=(f"v{k}",)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    # Every worker is parked at most once, or two calls could share one.
+    with tools._idle_lock:
+        parked = [id(inbox) for inbox in tools._idle_inboxes]
+    assert len(parked) == len(set(parked))
+    assert len(contents) == 20 + 8 * 50
+    assert "late result" not in contents
 
 
 # -- truncation ---------------------------------------------------------------
@@ -188,20 +309,24 @@ def test_file_escape_is_rejected(registry) -> None:
 # -- wire schemas ------------------------------------------------------------------
 
 
+def _wire_forms(registry: ToolRegistry) -> list[dict]:
+    return [descriptor_wire_form(d) for d in registry.descriptors()]
+
+
 def test_render_schemas_empty() -> None:
-    assert render_tool_schemas(ToolRegistry()) == []
+    assert _wire_forms(ToolRegistry()) == []
 
 
 def test_render_schemas_sorted_by_name() -> None:
     registry = ToolRegistry()
     registry.register_tool(_descriptor("bravo"), lambda a: "")
     registry.register_tool(_descriptor("alpha"), lambda a: "")
-    names = [w["function"]["name"] for w in render_tool_schemas(registry)]
+    names = [w["function"]["name"] for w in _wire_forms(registry)]
     assert names == ["alpha", "bravo"]
 
 
 def test_file_read_schema_shape(registry) -> None:
-    wire = [w for w in render_tool_schemas(registry) if w["function"]["name"] == "file_read"]
+    wire = [w for w in _wire_forms(registry) if w["function"]["name"] == "file_read"]
     assert len(wire) == 1
     parameters = wire[0]["function"]["parameters"]
     assert parameters["required"] == ["path"]
