@@ -23,7 +23,6 @@ from .engine import (
     RunServices,
     SteppedAfterTermination,
     TurnRecord,
-    check_termination,
     parse_final,
     run,
 )

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, Sequence
 
@@ -113,15 +115,19 @@ class RunServices:
     deadline: float | None = None
     rng: random.Random | None = None
     limits: InvokeLimits = field(default_factory=InvokeLimits)
+    _invocations: Counter = field(default_factory=Counter, init=False, repr=False)
+    _invocations_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.monotonic() >= self.deadline
 
-
-@dataclass(frozen=True)
-class TerminationDecision:
-    kind: str  # continue | answered | max_turns
-    answer: str | None = None
+    def next_invocation(self, slot: str | None, agent: str) -> int:
+        """Number the runs of ``agent`` in ``slot`` 1, 2, ... in the order they start."""
+        with self._invocations_lock:
+            self._invocations[(slot, agent)] += 1
+            return self._invocations[(slot, agent)]
 
 
 def parse_final(content: str, marker: str = DEFAULT_FINAL_MARKER) -> str | None:
@@ -137,22 +143,19 @@ def parse_final(content: str, marker: str = DEFAULT_FINAL_MARKER) -> str | None:
     return content[match.end() :].strip()
 
 
-def check_termination(state: "AgentRun", spec: AgentSpec) -> TerminationDecision:
-    answer = parse_final(state.last_assistant_content, spec.final_marker)
-    if answer is not None:
-        return TerminationDecision("answered", answer)
-    if state.turn >= spec.max_turns:
-        return TerminationDecision("max_turns")
-    return TerminationDecision("continue")
-
-
 class AgentRun:
-    """In-progress agent state; run() is exactly iterated step()."""
+    """In-progress agent state; run() is exactly iterated step().
+
+    ``agent`` tags this run's trajectory events as ``<spec name>#<n>``, where
+    ``n`` numbers the runs of that spec in its slot, so every invocation is a
+    conversation of its own even when a slot runs repeatedly or concurrently.
+    """
 
     def __init__(self, spec: AgentSpec, services: RunServices, slot: str | None = None):
         self.spec = spec
         self.services = services
         self.slot = slot
+        self.agent = f"{spec.name}#{services.next_invocation(slot, spec.name)}"
         self.context = ContextManager()
         self.turn = 0
         self.records: list[TurnRecord] = []
@@ -211,7 +214,7 @@ class AgentRun:
         recorder = self.services.recorder
         if recorder is not None:
             recorder.record(
-                kind, payload, slot=self.slot, agent=self.spec.name, turn=turn, usage=usage
+                kind, payload, slot=self.slot, agent=self.agent, turn=turn, usage=usage
             )
 
     @property
@@ -312,9 +315,9 @@ class AgentRun:
         self._completed_turns += 1
 
         observations = self._run_actions(response.tool_calls)
-        decision = check_termination(self, self.spec)
+        answer = parse_final(response.content, self.spec.final_marker)
         critique = None
-        if decision.kind == "continue":
+        if answer is None and self.turn < self.spec.max_turns:
             if self.turn % self.spec.critique_every == 0:
                 critique = self._critique()
                 if critique is None and self.outcome is not None:
@@ -326,9 +329,9 @@ class AgentRun:
         self.records.append(
             TurnRecord(self.turn, response, response.tool_calls, observations, critique)
         )
-        if decision.kind == "answered":
-            self._finish("answered", decision.answer)
-        elif decision.kind == "max_turns":
+        if answer is not None:
+            self._finish("answered", answer)
+        elif self.turn >= self.spec.max_turns:
             self._finish("max_turns")
 
     def _run_actions(self, actions: tuple[Action, ...]) -> tuple[Observation, ...]:

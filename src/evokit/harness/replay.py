@@ -4,8 +4,8 @@ replay() re-reads a trajectory file and checks the structural guarantees the
 recorder is supposed to provide: gap-free sequence numbers, run_start/run_end
 bracketing, every tool call paired with its observation, and per-turn usage
 summing to the run_end totals. Any single-line mutation of a valid trajectory
-trips at least one of these checks. It also reconstructs per-slot dialogue
-transcripts for auditing.
+trips at least one of these checks. It also reconstructs one dialogue
+transcript per (slot, agent) conversation for auditing.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from .base import (
     PlaygroundRegistry,
     PlaygroundResult,
     SlotConfigError,
+    fan_out,
     parse_score,
     run_slot,
     select_best,

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from ..engine import AgentOutcome, AgentRun, AgentSpec, RunServices
 from ..errors import EvokitError
 
 RESULT_STATUSES = ("ok", "partial", "failed")
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class DuplicatePlayground(EvokitError):
@@ -127,6 +131,17 @@ def run_slot(
     )
     state.run_to_end()
     return state
+
+
+def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """Run ``fn`` on every item in a thread of its own; results in input order.
+
+    Waits for every call to finish. The first exception, in input order, is
+    raised after all calls have ended.
+    """
+    with ThreadPoolExecutor(max_workers=len(items)) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+    return [future.result() for future in futures]
 
 
 def slots_by_role(slots: list[AgentSlot], role: str) -> list[AgentSlot]:

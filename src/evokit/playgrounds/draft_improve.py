@@ -2,16 +2,16 @@
 
 Phase 1 prefetches wisdom promoted by earlier runs into the drafter's pinned
 context. Phase 2 drafts solution v0. Each improvement round (twenty by
-default) runs the improver branches in parallel, scores every proposal with
-the evaluator's ``SCORE: <real>`` line, adopts the argmax (ties break to the
-lowest slot name), and promotes the round's findings to the cache. At the end
-the run's wisdom is promoted to the cross-run store for the next run to
-prefetch.
+default) runs the improver branches in parallel, and each branch has the
+evaluator score its proposal as soon as its improver answers, so the scores
+are computed concurrently too. The round adopts the argmax of the
+evaluator's ``SCORE: <real>`` lines (ties break to the lowest slot name) and
+promotes its findings to the cache. At the end the run's wisdom is promoted
+to the cross-run store for the next run to prefetch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from ..engine import RunServices
@@ -20,6 +20,7 @@ from .base import (
     InvalidParams,
     PlaygroundDefinition,
     PlaygroundResult,
+    fan_out,
     parse_score,
     run_slot,
     select_best,
@@ -70,31 +71,31 @@ def draft_and_improve(
             status = "partial"
             break
         improve_task = f"{task}\n\nCurrent solution:\n{solution}\n\nPropose an improved version."
-        with ThreadPoolExecutor(max_workers=len(improvers)) as pool:
-            futures = [
-                (slot, pool.submit(run_slot, slot, improve_task, services))
-                for slot in improvers
-            ]
-            proposals = {}
-            for slot, future in futures:
-                state = future.result()
-                outcomes[slot.slot_name] = state.outcome
-                if state.outcome.status == "answered":
-                    proposals[slot.slot_name] = state.outcome.final_answer or ""
 
-        scores = {slot.slot_name: float("-inf") for slot in improvers}
-        evaluator_failed = False
-        for name in sorted(proposals):
+        def improve_and_score(slot: AgentSlot):
+            state = run_slot(slot, improve_task, services)
+            if state.outcome.status != "answered":
+                return state, None
             evaluate_task = (
-                f"{task}\n\nCandidate solution:\n{proposals[name]}\n\n"
+                f"{task}\n\nCandidate solution:\n{state.outcome.final_answer or ''}\n\n"
                 "Reply with a line 'SCORE: <number>'."
             )
-            eval_state = run_slot(evaluator_slot, evaluate_task, services)
+            return state, run_slot(evaluator_slot, evaluate_task, services)
+
+        proposals, scores = {}, {}
+        evaluator_failed = False
+        for slot, (state, eval_state) in zip(improvers, fan_out(improve_and_score, improvers)):
+            name = slot.slot_name
+            outcomes[name] = state.outcome
+            scores[name] = float("-inf")
+            if eval_state is None:
+                continue
+            proposals[name] = state.outcome.final_answer or ""
             outcomes[evaluator.slot_name] = eval_state.outcome
             if eval_state.outcome.status == "error":
                 evaluator_failed = True
-                break
-            scores[name] = parse_score(eval_state.last_assistant_content)
+            else:
+                scores[name] = parse_score(eval_state.last_assistant_content)
         if evaluator_failed:
             status = "partial"
             break

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from ..engine import RunServices
 from .base import (
     AgentSlot,
     PlaygroundDefinition,
     PlaygroundResult,
     SlotConfigError,
+    fan_out,
     run_slot,
 )
 
@@ -30,9 +29,8 @@ def parallel_explore(
     if aggregator is None or len(explorers) < 2:
         raise SlotConfigError("parallel_explore needs >= 2 explorers plus an aggregator")
 
-    with ThreadPoolExecutor(max_workers=len(explorers)) as pool:
-        futures = {s.slot_name: pool.submit(run_slot, s, task, services) for s in explorers}
-        states = {name: future.result() for name, future in futures.items()}
+    runs = fan_out(lambda slot: run_slot(slot, task, services), explorers)
+    states = {slot.slot_name: state for slot, state in zip(explorers, runs)}
 
     outcomes = {name: state.outcome for name, state in states.items()}
     degraded = False

@@ -8,8 +8,6 @@ selector picks exactly one candidate by number, returned verbatim.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from ..engine import RunServices
 from .base import (
     AgentSlot,
@@ -17,6 +15,7 @@ from .base import (
     PlaygroundDefinition,
     PlaygroundResult,
     answer_or_note,
+    fan_out,
     run_slot,
     single_slot,
     slots_by_role,
@@ -43,14 +42,11 @@ def solve_critique_rewrite_select(
 
     outcomes = {}
     degraded = False
-    with ThreadPoolExecutor(max_workers=len(solvers)) as pool:
-        futures = [(s, pool.submit(run_slot, s, task, services)) for s in solvers]
-        candidates = []
-        for slot, future in futures:
-            state = future.result()
-            outcomes[slot.slot_name] = state.outcome
-            degraded = degraded or state.outcome.status != "answered"
-            candidates.append(answer_or_note(state))
+    candidates = []
+    for slot, state in zip(solvers, fan_out(lambda s: run_slot(s, task, services), solvers)):
+        outcomes[slot.slot_name] = state.outcome
+        degraded = degraded or state.outcome.status != "answered"
+        candidates.append(answer_or_note(state))
 
     for _ in range(n_rounds):
         for index, candidate in enumerate(candidates):

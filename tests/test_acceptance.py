@@ -435,3 +435,17 @@ def test_c11_selection_matches_bruteforce_argmax() -> None:
             else:
                 expected = sorted(n for n, s in scores.items() if s == best)[0]
             assert select_best(scores) == expected
+
+
+# -- every shipped workflow replays clean --------------------------------------------------------------------------------
+
+
+def test_golden_and_adversarial_runs_replay_complete(tmp_path) -> None:
+    manifests = [config_name for _, config_name, _ in GOLDEN_RUNS] + sorted(
+        f"configs/{path.name}" for path in (FIXTURES / "configs").glob("adversarial_*.yaml")
+    )
+    assert len(manifests) == 6
+    for index, name in enumerate(manifests):
+        record = _run_fixture_config(name, tmp_path / str(index))
+        report = replay(record.trajectory_path)
+        assert report.complete, (name, report.violations)

@@ -12,7 +12,6 @@ from evokit.engine import (
     ConfigError,
     RunServices,
     SteppedAfterTermination,
-    check_termination,
     parse_final,
     run,
 )
@@ -33,7 +32,7 @@ def _spec(profile: str, **overrides) -> AgentSpec:
     return AgentSpec(**defaults)
 
 
-# -- parse_final / check_termination ------------------------------------------------
+# -- parse_final and the step outcomes it decides -----------------------------------
 
 
 def test_parse_final_at_line_start() -> None:
@@ -49,17 +48,32 @@ def test_parse_final_custom_marker() -> None:
 
 
 def test_check_termination_decisions(tmp_path) -> None:
-    gateway = scripted_gateway(tmp_path, m=[{"content": "x"}])
+    gateway = scripted_gateway(
+        tmp_path,
+        m=[{"content": "the FINAL: answer"}, {"content": "FINAL: 42"}],
+        loop=[{"content": "the FINAL: answer"}],
+    )
     services = make_services(tmp_path, gateway)
-    spec = _spec("m", max_turns=3)
-    state = AgentRun.start("task", spec, services)
-    state._last_content = "FINAL: 42"
-    assert check_termination(state, spec).kind == "answered"
-    assert check_termination(state, spec).answer == "42"
-    state._last_content = "the FINAL: answer"
-    assert check_termination(state, spec).kind == "continue"
-    state.turn = 3
-    assert check_termination(state, spec).kind == "max_turns"
+
+    state = AgentRun.start("task", _spec("m", max_turns=3), services)
+    state.step()
+    assert state.outcome is None  # a mid-line marker does not terminate
+    state.step()
+    assert state.outcome.status == "answered"
+    assert state.outcome.final_answer == "42"
+
+    state = AgentRun.start("task", _spec("loop", max_turns=2), services)
+    state.step()
+    assert state.outcome is None
+    state.step()
+    assert state.outcome.status == "max_turns"
+    assert state.outcome.final_answer is None
+
+    # An answer on the last allowed turn is an answer, not max_turns.
+    state = AgentRun.start("task", _spec("m", max_turns=2), services)
+    state.step()
+    state.step()
+    assert (state.outcome.status, state.outcome.turns) == ("answered", 2)
 
 
 # -- run ------------------------------------------------------------------------------
@@ -271,6 +285,18 @@ def test_turn_events_match_outcome_turns(tmp_path) -> None:
     calls = [e["payload"]["id"] for e in events if e["kind"] == "tool_call"]
     observed = [e["payload"]["action_id"] for e in events if e["kind"] == "observation"]
     assert sorted(calls) == sorted(observed)
+
+
+def test_each_run_is_tagged_with_its_invocation(tmp_path) -> None:
+    recorder_path = tmp_path / "trace.jsonl"
+    recorder = TrajectoryRecorder(recorder_path, "run-1")
+    gateway = scripted_gateway(tmp_path, m=[{"content": "FINAL: ok"}])
+    services = make_services(tmp_path, gateway, recorder=recorder)
+    for slot in ("s", "s", "t", None):
+        run("task", _spec("m"), services, slot=slot)
+    recorder.close()
+    tags = [(e["slot"], e["agent"]) for e in _events(recorder_path) if e["kind"] == "turn"]
+    assert tags == [("s", "agent#1"), ("s", "agent#2"), ("t", "agent#1"), (None, "agent#1")]
 
 
 def test_usage_accumulates_turn_and_critique(tmp_path) -> None:

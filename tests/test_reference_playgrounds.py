@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from evokit.engine import AgentSpec, ConfigError
@@ -11,6 +13,7 @@ from evokit.playgrounds.research import single_agent_research
 from evokit.playgrounds.solve_critique import solve_critique_rewrite_select
 from evokit.tools import LocalCorpusFetcher
 from helpers import make_services, scripted_gateway
+from stubs import ChatCompletionsStub
 
 
 def _slot(name: str, role: str, profile: str, **overrides) -> AgentSlot:
@@ -248,6 +251,47 @@ def test_branch_failure_scores_minus_infinity(tmp_path) -> None:
     ]
     result = draft_and_improve("t", {"max_rounds": 1}, slots, services)
     assert result.final_answer == "from-b"
+
+
+def test_branches_are_scored_concurrently(tmp_path) -> None:
+    # Each evaluator request waits until the other branch's request arrives,
+    # so both proposals get a score only if their evaluations overlap.
+    barrier = threading.Barrier(2, timeout=5)
+
+    def reply(body: dict) -> dict:
+        candidate = body["messages"][-1]["content"]
+        try:
+            barrier.wait()
+            content = "SCORE: 7.0" if "\nb1" in candidate else "SCORE: 3.0"
+        except threading.BrokenBarrierError:
+            content = "scored alone"
+        return {
+            "choices": [{"message": {"content": content}, "finish_reason": "stop"}],
+            "usage": {"prompt_tokens": 5, "completion_tokens": 2},
+        }
+
+    with ChatCompletionsStub(reply=reply) as stub:
+        gateway = _di_gateway(tmp_path)
+        gateway.register_profile(
+            ModelProfile("remote", "http-openai-compatible", "judge", base_url=stub.url)
+        )
+        services = make_services(tmp_path, gateway)
+        slots = _di_slots()[:3] + [_slot("evaluator", "evaluator", "remote")]
+        result = draft_and_improve("Write a tagline.", {"max_rounds": 1}, slots, services)
+    assert len(stub.requests) == 2
+    assert (result.status, result.final_answer, result.rounds_used) == ("ok", "b1", 1)
+
+
+def test_evaluator_error_ends_the_loop_unadopted(tmp_path) -> None:
+    gateway = _di_gateway(tmp_path)
+    gateway.register_profile(
+        ModelProfile("dead", "http-openai-compatible", "m", base_url="http://127.0.0.1:9")
+    )
+    services = make_services(tmp_path, gateway)
+    slots = _di_slots()[:3] + [_slot("evaluator", "evaluator", "dead")]
+    result = draft_and_improve("Write a tagline.", {"max_rounds": 2}, slots, services)
+    assert (result.status, result.final_answer, result.rounds_used) == ("partial", "v0", 0)
+    assert result.per_slot_outcomes["evaluator"].status == "error"
 
 
 def test_round_promotions_match_rounds_used(tmp_path) -> None:
