@@ -22,9 +22,7 @@ from .engine import (
     ConfigError,
     RunServices,
     SteppedAfterTermination,
-    TurnRecord,
     parse_final,
-    run,
 )
 from .errors import EvokitError
 from .gateway import (

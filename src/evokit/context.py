@@ -53,7 +53,7 @@ class ContextEntry:
 
 @dataclass(frozen=True)
 class ContextBudget:
-    max_tokens: int
+    max_tokens: int = 8192
     compress_at: float = 0.8
     strategy: str = "summarize"
 
@@ -79,7 +79,6 @@ class CompressionEvent:
 class ContextManager:
     def __init__(self) -> None:
         self._entries: list[ContextEntry] = []
-        self._compressions = 0
         self._pinned_tokens = 0
         self._unpinned_tokens = 0
 
@@ -96,13 +95,6 @@ class ContextManager:
     @property
     def total_tokens(self) -> int:
         return self._pinned_tokens + self._unpinned_tokens
-
-    def usage(self) -> dict[str, int]:
-        return {
-            "total_tokens": self.total_tokens,
-            "entry_count": len(self._entries),
-            "compression_count": self._compressions,
-        }
 
     def render(self, budget: ContextBudget) -> list[ChatMessage]:
         """Pinned entries plus the largest recent unpinned suffix that fits.
@@ -175,7 +167,6 @@ class ContextManager:
         self._entries = kept
         # The span and its replacement are unpinned, so the pinned total holds.
         self._unpinned_tokens = sum(e.tokens for e in kept if not e.pinned)
-        self._compressions += 1
         return CompressionEvent(
             replaced_count=len(span),
             summary_tokens=replacement[0].tokens if replacement else 0,

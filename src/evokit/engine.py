@@ -10,7 +10,6 @@ is emitted to the trajectory recorder, so no fault ever vanishes silently.
 
 from __future__ import annotations
 
-import random
 import re
 import threading
 import time
@@ -29,7 +28,7 @@ from .gateway import (
 )
 from .prompts import CRITIQUE_PROMPT, DEFAULT_FINAL_MARKER
 from .skills import SkillIndex, discover, render_metadata
-from .tools import Action, InvokeLimits, Observation, ToolRegistry
+from .tools import Action, InvokeLimits, ToolRegistry
 
 OUTCOME_STATUSES = ("answered", "max_turns", "budget_exhausted", "timeout", "error")
 
@@ -68,7 +67,7 @@ class AgentSpec:
     skill_roots: tuple[str, ...] = ()
     max_turns: int = 8
     critique_every: int = 1
-    budget: ContextBudget = field(default_factory=lambda: ContextBudget(max_tokens=8192))
+    budget: ContextBudget = field(default_factory=ContextBudget)
     final_marker: str = DEFAULT_FINAL_MARKER
 
     def __post_init__(self) -> None:
@@ -78,15 +77,6 @@ class AgentSpec:
             raise ConfigError(f"{self.name}: critique_every must be >= 1")
         self.tool_names = tuple(self.tool_names)
         self.skill_roots = tuple(self.skill_roots)
-
-
-@dataclass(frozen=True)
-class TurnRecord:
-    turn: int
-    response: ChatResponse
-    actions: tuple[Action, ...]
-    observations: tuple[Observation, ...]
-    critique: str | None = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +103,6 @@ class RunServices:
     recorder: RecorderLike | None = None
     cache: Any | None = None
     deadline: float | None = None
-    rng: random.Random | None = None
     limits: InvokeLimits = field(default_factory=InvokeLimits)
     _invocations: Counter = field(default_factory=Counter, init=False, repr=False)
     _invocations_lock: threading.Lock = field(
@@ -144,7 +133,7 @@ def parse_final(content: str, marker: str = DEFAULT_FINAL_MARKER) -> str | None:
 
 
 class AgentRun:
-    """In-progress agent state; run() is exactly iterated step().
+    """In-progress agent state; run_to_end() is exactly iterated step().
 
     ``agent`` tags this run's trajectory events as ``<spec name>#<n>``, where
     ``n`` numbers the runs of that spec in its slot, so every invocation is a
@@ -158,7 +147,6 @@ class AgentRun:
         self.agent = f"{spec.name}#{services.next_invocation(slot, spec.name)}"
         self.context = ContextManager()
         self.turn = 0
-        self.records: list[TurnRecord] = []
         self.outcome: AgentOutcome | None = None
         self._usage = TokenUsage()
         self._completed_turns = 0
@@ -314,28 +302,19 @@ class AgentRun:
         )
         self._completed_turns += 1
 
-        observations = self._run_actions(response.tool_calls)
+        self._run_actions(response.tool_calls)
         answer = parse_final(response.content, self.spec.final_marker)
-        critique = None
-        if answer is None and self.turn < self.spec.max_turns:
-            if self.turn % self.spec.critique_every == 0:
-                critique = self._critique()
-                if critique is None and self.outcome is not None:
-                    return
-            self._compress()
-            if self.outcome is not None:
-                return
-
-        self.records.append(
-            TurnRecord(self.turn, response, response.tool_calls, observations, critique)
-        )
         if answer is not None:
             self._finish("answered", answer)
         elif self.turn >= self.spec.max_turns:
             self._finish("max_turns")
+        else:
+            if self.turn % self.spec.critique_every == 0:
+                self._critique()
+            if self.outcome is None:
+                self._compress()
 
-    def _run_actions(self, actions: tuple[Action, ...]) -> tuple[Observation, ...]:
-        observations = []
+    def _run_actions(self, actions: tuple[Action, ...]) -> None:
         for action in actions:
             # Recorded before execution so a crash mid-tool leaves an
             # unpaired action in the trajectory instead of silence.
@@ -362,21 +341,18 @@ class AgentRun:
                     ChatMessage("tool", observation.content, tool_call_id=action.id)
                 )
             )
-            observations.append(observation)
-        return tuple(observations)
 
-    def _critique(self) -> str | None:
+    def _critique(self) -> None:
         """Engine-injected reflection; the reply lands as a critique entry."""
         self.context.append(ContextEntry(ChatMessage("user", CRITIQUE_PROMPT)))
         response = self._complete("critique")
         if response is None:
             self._finish("error")
-            return None
+            return
         self.context.append(
             ContextEntry(ChatMessage("assistant", response.content), kind="critique")
         )
         self._record("critique", {"content": response.content}, usage=response.usage, turn=self.turn)
-        return response.content
 
     def _compress(self) -> None:
         event = self._with_retry(
@@ -411,13 +387,3 @@ class AgentRun:
             self.step()
         return self.outcome
 
-
-def run(
-    task: str,
-    spec: AgentSpec,
-    services: RunServices,
-    slot: str | None = None,
-    pinned_notes: Sequence[str] = (),
-) -> AgentOutcome:
-    """Run an agent to termination. Equivalent to iterated step()."""
-    return AgentRun.start(task, spec, services, slot=slot, pinned_notes=pinned_notes).run_to_end()

@@ -10,7 +10,7 @@ from .config import (
 )
 from .recorder import EVENT_KINDS, KEY_ORDER, RecorderClosed, TrajectoryRecorder
 from .replay import ReplayReport, TrajectoryCorrupt, mask_volatile, masked_lines, replay
-from .runner import ExperimentRecord, build_slots, cache_root_for, run_experiment
+from .runner import ExperimentRecord, cache_root_for, run_experiment
 
 __all__ = [
     "DEFAULT_MAX_WALL_SECONDS",
@@ -24,7 +24,6 @@ __all__ = [
     "TrajectoryCorrupt",
     "TrajectoryRecorder",
     "ValidationError",
-    "build_slots",
     "cache_root_for",
     "from_dict",
     "load_config",

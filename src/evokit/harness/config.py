@@ -4,20 +4,26 @@ A manifest has five top-level sections: ``experiment``, ``llm``, ``tools``,
 ``skills``, and ``playground``. Unknown keys anywhere are a ValidationError
 unless lenient mode is on, and every cross-reference (profiles named by
 slots, tool names, file paths) is resolved at load time so a run never fails
-halfway through on a typo. Relative paths resolve against the manifest's own
-directory, which keeps configs shareable.
+halfway through on a typo. Each slot is parsed straight into an AgentSlot
+holding the engine's AgentSpec and ContextBudget, so their defaults and value
+checks apply at load time too. Relative paths resolve against the manifest's
+own directory, which keeps configs shareable.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 import yaml
 
+from ..context import ContextBudget, InvariantViolation
+from ..engine import AgentSpec, ConfigError
 from ..errors import EvokitError
 from ..gateway import ModelProfile, InvalidProfile
+from ..playgrounds import AgentSlot
 from ..skills import SKILL_TOOL_NAME
 from ..tools import BUILTIN_TOOL_NAMES
 
@@ -61,30 +67,10 @@ class SkillsSection:
 
 
 @dataclass
-class BudgetConfig:
-    max_tokens: int = 8192
-    compress_at: float = 0.8
-    strategy: str = "summarize"
-
-
-@dataclass
-class SlotConfig:
-    slot_name: str
-    role: str
-    llm_profile: str
-    system_prompt: str = ""
-    tools: list[str] = field(default_factory=list)
-    max_turns: int = 8
-    critique_every: int = 1
-    final_marker: str = "FINAL:"
-    budget: BudgetConfig = field(default_factory=BudgetConfig)
-
-
-@dataclass
 class PlaygroundSection:
     name: str
     params: dict[str, Any] = field(default_factory=dict)
-    slots: list[SlotConfig] = field(default_factory=list)
+    slots: list[AgentSlot] = field(default_factory=list)
 
 
 @dataclass
@@ -101,8 +87,28 @@ class ExperimentConfig:
             "llm": {"profiles": [asdict(p) for p in self.profiles]},
             "tools": asdict(self.tools),
             "skills": asdict(self.skills),
-            "playground": asdict(self.playground),
+            "playground": {
+                "name": self.playground.name,
+                "params": copy.deepcopy(self.playground.params),
+                "slots": [_slot_to_dict(s) for s in self.playground.slots],
+            },
         }
+
+
+def _slot_to_dict(slot: AgentSlot) -> dict[str, Any]:
+    """A slot in its manifest shape and key order."""
+    spec = slot.spec
+    return {
+        "slot_name": slot.slot_name,
+        "role": slot.role,
+        "llm_profile": spec.llm_profile,
+        "system_prompt": spec.system_prompt,
+        "tools": list(spec.tool_names),
+        "max_turns": spec.max_turns,
+        "critique_every": spec.critique_every,
+        "final_marker": spec.final_marker,
+        "budget": asdict(spec.budget),
+    }
 
 
 _TOP_KEYS = {"experiment", "llm", "tools", "skills", "playground"}
@@ -113,11 +119,16 @@ _PROFILE_KEYS = {
 }
 _TOOLS_KEYS = {"builtin", "mcp", "corpus"}
 _MCP_KEYS = {"alias", "endpoint", "transport"}
-_SLOT_KEYS = {
-    "slot_name", "role", "llm_profile", "system_prompt", "tools",
-    "max_turns", "critique_every", "final_marker", "budget",
+# Optional slot keys: manifest key -> (AgentSpec field, coercion). A key the
+# manifest leaves out takes the AgentSpec/ContextBudget default.
+_SLOT_FIELDS = {
+    "tools": ("tool_names", lambda tools: tuple(str(t) for t in tools or ())),
+    "max_turns": ("max_turns", int),
+    "critique_every": ("critique_every", int),
+    "final_marker": ("final_marker", str),
 }
-_BUDGET_KEYS = {"max_tokens", "compress_at", "strategy"}
+_SLOT_KEYS = {"slot_name", "role", "llm_profile", "system_prompt", "budget", *_SLOT_FIELDS}
+_BUDGET_FIELDS = {"max_tokens": int, "compress_at": float, "strategy": str}
 _PLAYGROUND_KEYS = {"name", "params", "slots"}
 
 
@@ -259,28 +270,7 @@ def from_dict(
     slots = []
     seen_slots = set()
     for raw in pg_raw.get("slots") or []:
-        raw = _require(raw, "playground.slots entry")
-        _check_keys(raw, _SLOT_KEYS, f"slot {raw.get('slot_name')!r}", lenient)
-        for required in ("slot_name", "role", "llm_profile"):
-            if not raw.get(required):
-                raise ValidationError(f"slot entries need {required}")
-        budget_raw = _require(raw.get("budget", {}), "slot budget")
-        _check_keys(budget_raw, _BUDGET_KEYS, "slot budget", lenient)
-        slot = SlotConfig(
-            slot_name=str(raw["slot_name"]),
-            role=str(raw["role"]),
-            llm_profile=str(raw["llm_profile"]),
-            system_prompt=str(raw.get("system_prompt", "")),
-            tools=[str(t) for t in raw.get("tools") or []],
-            max_turns=int(raw.get("max_turns", 8)),
-            critique_every=int(raw.get("critique_every", 1)),
-            final_marker=str(raw.get("final_marker", "FINAL:")),
-            budget=BudgetConfig(
-                max_tokens=int(budget_raw.get("max_tokens", 8192)),
-                compress_at=float(budget_raw.get("compress_at", 0.8)),
-                strategy=str(budget_raw.get("strategy", "summarize")),
-            ),
-        )
+        slot = _parse_slot(_require(raw, "playground.slots entry"), lenient)
         if slot.slot_name in seen_slots:
             raise ValidationError(f"duplicate slot name {slot.slot_name!r}")
         seen_slots.add(slot.slot_name)
@@ -298,6 +288,31 @@ def from_dict(
     return config
 
 
+def _parse_slot(raw: dict, lenient: bool) -> AgentSlot:
+    """One slot, with its AgentSpec and ContextBudget checks run at load time."""
+    _check_keys(raw, _SLOT_KEYS, f"slot {raw.get('slot_name')!r}", lenient)
+    for required in ("slot_name", "role", "llm_profile"):
+        if not raw.get(required):
+            raise ValidationError(f"slot entries need {required}")
+    name = str(raw["slot_name"])
+    budget_raw = _require(raw.get("budget", {}), "slot budget")
+    _check_keys(budget_raw, set(_BUDGET_FIELDS), "slot budget", lenient)
+    try:
+        budget = ContextBudget(
+            **{k: coerce(budget_raw[k]) for k, coerce in _BUDGET_FIELDS.items() if k in budget_raw}
+        )
+        spec = AgentSpec(
+            name=name,
+            system_prompt=str(raw.get("system_prompt", "")),
+            llm_profile=str(raw["llm_profile"]),
+            budget=budget,
+            **{attr: coerce(raw[k]) for k, (attr, coerce) in _SLOT_FIELDS.items() if k in raw},
+        )
+    except (ConfigError, InvariantViolation, TypeError, ValueError) as exc:
+        raise ValidationError(f"slot {name!r}: {exc}") from exc
+    return AgentSlot(slot_name=name, role=str(raw["role"]), spec=spec)
+
+
 def _validate_references(config: ExperimentConfig) -> None:
     profile_names = {p.name for p in config.profiles}
     # MCP tool names are only knowable after listing the endpoint, so when
@@ -308,11 +323,11 @@ def _validate_references(config: ExperimentConfig) -> None:
     mcp_configured = bool(config.tools.mcp)
 
     for slot in config.playground.slots:
-        if slot.llm_profile not in profile_names:
+        if slot.spec.llm_profile not in profile_names:
             raise ValidationError(
-                f"slot {slot.slot_name!r} references unknown profile {slot.llm_profile!r}"
+                f"slot {slot.slot_name!r} references unknown profile {slot.spec.llm_profile!r}"
             )
-        for tool in slot.tools:
+        for tool in slot.spec.tool_names:
             if tool in known_tools or mcp_configured:
                 continue
             raise ValidationError(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -37,19 +36,6 @@ KEY_ORDER = ("seq", "ts", "run_id", "slot", "agent", "kind", "turn", "payload", 
 
 class RecorderClosed(EvokitError):
     pass
-
-
-@dataclass(frozen=True)
-class TrajectoryEvent:
-    seq: int
-    ts: float
-    run_id: str
-    slot: str | None
-    agent: str | None
-    kind: str
-    turn: int | None
-    payload: dict[str, Any]
-    usage: TokenUsage | None
 
 
 class TrajectoryRecorder:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import random
 import secrets
 import time
 from dataclasses import dataclass
@@ -22,14 +21,11 @@ from ..engine import RunServices
 from ..gateway import LlmGateway
 from ..mcp import McpClient, McpEndpoint, register_mcp_tools
 from ..playgrounds import (
-    AgentSlot,
     CognitiveCache,
     PlaygroundRegistry,
     PlaygroundResult,
     run_playground,
 )
-from ..context import ContextBudget
-from ..engine import AgentSpec
 from ..skills import discover, skill_tool
 from ..tools import LocalCorpusFetcher, ToolRegistry, install_builtin_tools
 from .config import ExperimentConfig
@@ -58,28 +54,6 @@ def _new_run_id(name: str) -> str:
     return f"{name}-{stamp}-{secrets.token_hex(3)}"
 
 
-def build_slots(config: ExperimentConfig) -> list[AgentSlot]:
-    """Fresh AgentSpec per slot: nothing mutable is shared between slots."""
-    slots = []
-    for sc in config.playground.slots:
-        spec = AgentSpec(
-            name=sc.slot_name,
-            system_prompt=sc.system_prompt,
-            llm_profile=sc.llm_profile,
-            tool_names=tuple(sc.tools),
-            max_turns=sc.max_turns,
-            critique_every=sc.critique_every,
-            budget=ContextBudget(
-                max_tokens=sc.budget.max_tokens,
-                compress_at=sc.budget.compress_at,
-                strategy=sc.budget.strategy,
-            ),
-            final_marker=sc.final_marker,
-        )
-        slots.append(AgentSlot(slot_name=sc.slot_name, role=sc.role, spec=spec))
-    return slots
-
-
 def cache_root_for(config: ExperimentConfig) -> Path:
     """EVO_HOME wins; otherwise the cache sits beside the runs it feeds."""
     env = os.environ.get("EVO_HOME")
@@ -106,12 +80,11 @@ def run_experiment(
     deadline = started + config.experiment.max_wall_seconds
     try:
         services = _build_services(config, recorder, workspace, run_id, deadline)
-        slots = build_slots(config)
         result = run_playground(
             config.playground.name,
             config.experiment.task,
             config.playground.params,
-            slots,
+            config.playground.slots,
             services,
             registry=registry,
         )
@@ -182,7 +155,6 @@ def _build_services(
         recorder=recorder,
         cache=cache,
         deadline=deadline,
-        rng=random.Random(config.experiment.seed),
     )
 
 

@@ -91,6 +91,7 @@ __all__ = [
     "PlaygroundResult",
     "SlotConfigError",
     "default_registry",
+    "fan_out",
     "install_builtin_playgrounds",
     "parse_score",
     "register",

@@ -279,9 +279,6 @@ class LocalCorpusFetcher:
             raise FetchError(f"no results for query: {query}")
         return path.read_text(encoding="utf-8")
 
-    def __call__(self, url: str) -> str:
-        return self.fetch(url)
-
 
 def _no_backend(_: str) -> str:
     raise FetchError(
@@ -300,18 +297,18 @@ def _confined(workspace: Path, raw: Any) -> Path:
 
 def builtin_tool_set(
     workspace: Path,
-    fetcher: Callable[[str], str] | None = None,
-    searcher: Callable[[str], str] | None = None,
+    fetcher: LocalCorpusFetcher | None = None,
 ) -> list[tuple[ToolDescriptor, ToolHandler]]:
     """Descriptors and handlers for the built-in tools.
 
     File tools are confined to ``workspace``; exec runs a shell command in it
-    with a hard timeout; web_fetch/web_search/pdf_extract delegate to the
-    supplied fetcher (a LocalCorpusFetcher in offline runs).
+    with a hard timeout; web_fetch/pdf_extract and web_search delegate to
+    ``fetcher.fetch`` and ``fetcher.search``, and without a fetcher they fail
+    with a "no retrieval backend" error observation.
     """
     workspace = Path(workspace)
-    fetch = fetcher or _no_backend
-    search = searcher or (fetcher.search if isinstance(fetcher, LocalCorpusFetcher) else _no_backend)
+    fetch = fetcher.fetch if fetcher else _no_backend
+    search = fetcher.search if fetcher else _no_backend
 
     def file_read(args: dict[str, Any]) -> str:
         return _confined(workspace, args["path"]).read_text(encoding="utf-8")
@@ -424,7 +421,7 @@ def install_builtin_tools(
     registry: ToolRegistry,
     workspace: Path,
     names: list[str] | None = None,
-    fetcher: Callable[[str], str] | None = None,
+    fetcher: LocalCorpusFetcher | None = None,
 ) -> None:
     wanted = set(BUILTIN_TOOL_NAMES if names is None else names)
     unknown = wanted - set(BUILTIN_TOOL_NAMES)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from evokit.cli import main
 from evokit.harness import (
     DEFAULT_MAX_WALL_SECONDS,
     ParseError,
@@ -21,7 +24,7 @@ def test_minimal_manifest_gets_defaults() -> None:
     assert config.experiment.seed == 1
     assert config.tools.builtin  # default builtin set filled in
     assert config.skills.paths == []
-    assert config.playground.slots[0].budget.max_tokens == 8192
+    assert config.playground.slots[0].spec.budget.max_tokens == 8192
 
 
 def test_default_wall_limit_is_24_hours() -> None:
@@ -134,3 +137,43 @@ def test_snapshot_round_trip_is_identical() -> None:
     rebuilt = from_dict(snapshot)
     assert rebuilt == config
     assert rebuilt.to_dict() == snapshot
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_turns": 0},
+        {"critique_every": 0},
+        {"budget": {"strategy": "bogus"}},
+        {"budget": {"compress_at": 7}},
+        {"budget": {"max_tokens": -5}},
+        {"max_turns": "many"},
+    ],
+    ids=["max_turns", "critique_every", "strategy", "compress_at", "max_tokens", "not_an_int"],
+)
+def test_invalid_slot_values_rejected_at_load(tmp_path, bad) -> None:
+    data = _min_data()
+    data["playground"]["slots"][0].update(bad)
+    with pytest.raises(ValidationError) as excinfo:
+        from_dict(data)
+    assert "slot 'w'" in str(excinfo.value)
+    path = tmp_path / "bad.yaml"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    # A run stops at load time, before it creates a run directory.
+    runs = tmp_path / "runs"
+    assert main(["run", "--config", str(path), "--out", str(runs)]) == 2
+    assert not runs.exists()
+
+
+def test_lenient_accepts_unknown_budget_key(tmp_path) -> None:
+    data = _min_data()
+    data["playground"]["slots"][0]["budget"] = {"max_tokens": 512, "mystery": 1}
+    with pytest.raises(ValidationError):
+        from_dict(data)
+    config = from_dict(data, lenient=True)
+    assert config.playground.slots[0].spec.budget.max_tokens == 512
+    path = tmp_path / "extra.yaml"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["validate", "--config", str(path), "--lenient"]) == 0

@@ -26,13 +26,14 @@ def _manager_with(entries: list[ContextEntry]) -> ContextManager:
     return manager
 
 
-# -- append and usage ------------------------------------------------------------
+# -- append and totals ------------------------------------------------------------
 
 
 def test_append_preserves_order_and_totals() -> None:
     manager = _manager_with([_entry("aaaa"), _entry("bbbb"), _entry("cccc")])
     assert [e.message.content for e in manager.entries()] == ["aaaa", "bbbb", "cccc"]
-    assert manager.usage() == {"total_tokens": 3, "entry_count": 3, "compression_count": 0}
+    assert manager.total_tokens == 3
+    assert len(manager.entries()) == 3
 
 
 def test_system_entries_must_be_pinned() -> None:
@@ -50,11 +51,9 @@ def test_tokens_match_estimator() -> None:
 
 
 def test_fresh_context_usage() -> None:
-    assert ContextManager().usage() == {
-        "total_tokens": 0,
-        "entry_count": 0,
-        "compression_count": 0,
-    }
+    manager = ContextManager()
+    assert manager.total_tokens == 0
+    assert manager.entries() == ()
 
 
 # -- render -----------------------------------------------------------------------
@@ -269,7 +268,7 @@ def test_summarize_replaces_oldest_half(tmp_path) -> None:
     # The recent half survives verbatim, in order, after the summary.
     contents = [e.message.content for e in manager.entries()]
     assert contents == ["sys!", "SUMMARY-1"] + [f"turn {i:02d}" for i in range(5, 10)]
-    assert manager.usage()["compression_count"] == 1
+    assert event.after_tokens == manager.total_tokens
 
 
 def test_sliding_window_drops_span_without_model(tmp_path) -> None:
@@ -294,10 +293,11 @@ def test_provider_error_leaves_history_unchanged() -> None:
     )
     manager = _ten_dialogue_manager()
     before = manager.entries()
+    before_tokens = manager.total_tokens
     with pytest.raises(ProviderError):
         manager.maybe_compress(ContextBudget(max_tokens=25, compress_at=0.8), gateway, "dead")
     assert manager.entries() == before
-    assert manager.usage()["compression_count"] == 0
+    assert manager.total_tokens == before_tokens
 
 
 def test_span_extends_over_tool_pair(tmp_path) -> None:

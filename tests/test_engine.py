@@ -13,10 +13,9 @@ from evokit.engine import (
     RunServices,
     SteppedAfterTermination,
     parse_final,
-    run,
 )
 from evokit.gateway import ChatMessage, LlmGateway, ModelProfile, ProviderError
-from evokit.harness import TrajectoryRecorder
+from evokit.harness import TrajectoryRecorder, masked_lines
 from helpers import FIXTURES, make_services, scripted_gateway
 
 
@@ -30,6 +29,15 @@ def _spec(profile: str, **overrides) -> AgentSpec:
     )
     defaults.update(overrides)
     return AgentSpec(**defaults)
+
+
+def _run_recorded(tmp_path, task: str, spec: AgentSpec, gateway) -> tuple[AgentRun, list[dict]]:
+    """Run to the end with a recorder; returns the run and its trajectory events."""
+    path = tmp_path / "trace.jsonl"
+    with TrajectoryRecorder(path, "run-1") as recorder:
+        state = AgentRun.start(task, spec, make_services(tmp_path, gateway, recorder=recorder))
+        state.run_to_end()
+    return state, _events(path)
 
 
 # -- parse_final and the step outcomes it decides -----------------------------------
@@ -81,7 +89,7 @@ def test_check_termination_decisions(tmp_path) -> None:
 
 def test_immediate_answer(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, m=[{"content": "FINAL: 4"}])
-    outcome = run("add 2+2", _spec("m"), make_services(tmp_path, gateway))
+    outcome = AgentRun.start("add 2+2", _spec("m"), make_services(tmp_path, gateway)).run_to_end()
     assert outcome.status == "answered"
     assert outcome.final_answer == "4"
     assert outcome.turns == 1
@@ -92,21 +100,24 @@ def test_tool_use_trace(tmp_path) -> None:
     gateway.register_profile(
         ModelProfile("m", "scripted", "s", script_path=str(FIXTURES / "scripts/tooluse.script"))
     )
-    services = make_services(tmp_path, gateway)
-    state = AgentRun.start("echo hi", _spec("m", tool_names=("exec",)), services)
-    outcome = state.run_to_end()
+    state, events = _run_recorded(tmp_path, "echo hi", _spec("m", tool_names=("exec",)), gateway)
+    outcome = state.outcome
     assert outcome.status == "answered"
     assert outcome.final_answer == "hi"
     assert outcome.turns == 2
-    first_turn = state.records[0]
-    assert len(first_turn.actions) == 1
-    assert len(first_turn.observations) == 1
-    assert first_turn.observations[0].content == "hi\n"
+    first_turn = [e for e in events if e["turn"] == 1]
+    calls = [e["payload"] for e in first_turn if e["kind"] == "tool_call"]
+    observations = [e["payload"] for e in first_turn if e["kind"] == "observation"]
+    assert len(calls) == 1
+    assert len(observations) == 1
+    assert observations[0]["action_id"] == calls[0]["id"]
+    assert observations[0]["content"] == "hi\n"
 
 
 def test_never_final_hits_max_turns(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, m=[{"content": "thinking"}])
-    outcome = run("task", _spec("m", max_turns=5), make_services(tmp_path, gateway))
+    services = make_services(tmp_path, gateway)
+    outcome = AgentRun.start("task", _spec("m", max_turns=5), services).run_to_end()
     assert outcome.status == "max_turns"
     assert outcome.turns == 5
     assert outcome.final_answer is None
@@ -130,14 +141,16 @@ def test_run_equals_iterated_step(tmp_path) -> None:
     gateway_b = scripted_gateway(tmp_path / "b", m=entries)
     spec = _spec("m", max_turns=4)
 
-    run_state = AgentRun.start("task", spec, make_services(tmp_path / "a", gateway_a))
-    run_outcome = run_state.run_to_end()
+    run_state, _ = _run_recorded(tmp_path / "a", "task", spec, gateway_a)
 
-    step_state = AgentRun.start("task", spec, make_services(tmp_path / "b", gateway_b))
-    for _ in range(3):
-        step_state.step()
-    assert step_state.outcome == run_outcome
-    assert step_state.records == run_state.records
+    step_path = tmp_path / "b" / "trace.jsonl"
+    with TrajectoryRecorder(step_path, "run-2") as recorder:
+        services = make_services(tmp_path / "b", gateway_b, recorder=recorder)
+        step_state = AgentRun.start("task", spec, services)
+        for _ in range(3):
+            step_state.step()
+    assert step_state.outcome == run_state.outcome
+    assert masked_lines(step_path) == masked_lines(tmp_path / "a" / "trace.jsonl")
 
 
 # -- critique cadence ----------------------------------------------------------------------
@@ -145,21 +158,19 @@ def test_run_equals_iterated_step(tmp_path) -> None:
 
 def test_critique_every_two_turns(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, m=[{"content": "working"}])
-    services = make_services(tmp_path, gateway)
-    state = AgentRun.start("task", _spec("m", max_turns=5, critique_every=2), services)
-    state.run_to_end()
-    critique_turns = [r.turn for r in state.records if r.critique is not None]
+    _, events = _run_recorded(tmp_path, "task", _spec("m", max_turns=5, critique_every=2), gateway)
+    critique_turns = [e["turn"] for e in events if e["kind"] == "critique"]
     assert critique_turns == [2, 4]
 
 
 def test_critique_entries_marked_in_context(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, m=[{"content": "working"}, {"content": "self-review"}])
-    services = make_services(tmp_path, gateway)
-    state = AgentRun.start("task", _spec("m", max_turns=2, critique_every=1), services)
-    state.run_to_end()
+    spec = _spec("m", max_turns=2, critique_every=1)
+    state, events = _run_recorded(tmp_path, "task", spec, gateway)
     kinds = [e.kind for e in state.context.entries()]
     assert "critique" in kinds
-    assert state.records[0].critique == "self-review"
+    critiques = [(e["turn"], e["payload"]["content"]) for e in events if e["kind"] == "critique"]
+    assert critiques == [(1, "self-review")]
 
 
 # -- faults ------------------------------------------------------------------------------------
@@ -214,7 +225,7 @@ def test_provider_error_retried_once(tmp_path) -> None:
     recorder = TrajectoryRecorder(recorder_path, "run-1")
     gateway = _FlakyGateway(scripted_gateway(tmp_path, m=[{"content": "FINAL: ok"}]), failures=1)
     services = make_services(tmp_path, gateway, recorder=recorder)
-    outcome = run("task", _spec("m"), services)
+    outcome = AgentRun.start("task", _spec("m"), services).run_to_end()
     recorder.close()
     assert outcome.status == "answered"
     # The first failure is recorded, not swallowed.
@@ -229,7 +240,8 @@ def test_compression_retry_is_recorded(tmp_path) -> None:
         scripted_gateway(tmp_path, m=[{"content": "w" * 80}]), failures=1, after=1
     )
     spec = _spec("m", max_turns=2, budget=ContextBudget(max_tokens=40, compress_at=0.5))
-    outcome = run("task", spec, make_services(tmp_path, gateway, recorder=recorder))
+    services = make_services(tmp_path, gateway, recorder=recorder)
+    outcome = AgentRun.start("task", spec, services).run_to_end()
     recorder.close()
     assert outcome.status == "max_turns"
     events = _events(recorder_path)
@@ -242,7 +254,7 @@ def test_provider_error_twice_ends_in_error(tmp_path) -> None:
     recorder = TrajectoryRecorder(recorder_path, "run-1")
     gateway = _FlakyGateway(scripted_gateway(tmp_path, m=[{"content": "FINAL: ok"}]), failures=2)
     services = make_services(tmp_path, gateway, recorder=recorder)
-    outcome = run("task", _spec("m"), services)
+    outcome = AgentRun.start("task", _spec("m"), services).run_to_end()
     recorder.close()
     assert outcome.status == "error"
     assert outcome.final_answer is None
@@ -254,7 +266,7 @@ def test_provider_error_twice_ends_in_error(tmp_path) -> None:
 def test_budget_exhausted_when_pinned_overflow(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, m=[{"content": "FINAL: ok"}])
     spec = _spec("m", system_prompt="p" * 400, budget=ContextBudget(max_tokens=10))
-    outcome = run("task", spec, make_services(tmp_path, gateway))
+    outcome = AgentRun.start("task", spec, make_services(tmp_path, gateway)).run_to_end()
     assert outcome.status == "budget_exhausted"
     assert outcome.turns == 0
 
@@ -262,7 +274,7 @@ def test_budget_exhausted_when_pinned_overflow(tmp_path) -> None:
 def test_deadline_reached_is_timeout(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, m=[{"content": "working"}])
     services = make_services(tmp_path, gateway, deadline=time.monotonic() - 1)
-    outcome = run("task", _spec("m"), services)
+    outcome = AgentRun.start("task", _spec("m"), services).run_to_end()
     assert outcome.status == "timeout"
 
 
@@ -277,7 +289,8 @@ def test_turn_events_match_outcome_turns(tmp_path) -> None:
         ModelProfile("m", "scripted", "s", script_path=str(FIXTURES / "scripts/tooluse.script"))
     )
     services = make_services(tmp_path, gateway, recorder=recorder)
-    outcome = run("echo", _spec("m", tool_names=("exec",), critique_every=1), services)
+    spec = _spec("m", tool_names=("exec",), critique_every=1)
+    outcome = AgentRun.start("echo", spec, services).run_to_end()
     recorder.close()
     events = [json.loads(line) for line in recorder_path.read_text().splitlines()]
     turn_events = [e for e in events if e["kind"] == "turn"]
@@ -293,7 +306,7 @@ def test_each_run_is_tagged_with_its_invocation(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, m=[{"content": "FINAL: ok"}])
     services = make_services(tmp_path, gateway, recorder=recorder)
     for slot in ("s", "s", "t", None):
-        run("task", _spec("m"), services, slot=slot)
+        AgentRun.start("task", _spec("m"), services, slot=slot).run_to_end()
     recorder.close()
     tags = [(e["slot"], e["agent"]) for e in _events(recorder_path) if e["kind"] == "turn"]
     assert tags == [("s", "agent#1"), ("s", "agent#2"), ("t", "agent#1"), (None, "agent#1")]
@@ -301,11 +314,14 @@ def test_each_run_is_tagged_with_its_invocation(tmp_path) -> None:
 
 def test_usage_accumulates_turn_and_critique(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, m=[{"content": "working"}, {"content": "review"}])
-    services = make_services(tmp_path, gateway)
-    state = AgentRun.start("task", _spec("m", max_turns=2, critique_every=1), services)
-    outcome = state.run_to_end()
-    per_call = [r.response.usage for r in state.records]
-    assert outcome.usage.completion_tokens > sum(u.completion_tokens for u in per_call) - 1
+    spec = _spec("m", max_turns=2, critique_every=1)
+    state, events = _run_recorded(tmp_path, "task", spec, gateway)
+    outcome = state.outcome
+    per_call = [e["usage"] for e in events if e["kind"] in ("turn", "critique")]
+    assert [e["kind"] for e in events if e["usage"]] == ["turn", "critique", "turn"]
+    assert outcome.usage.as_dict() == {
+        key: sum(u[key] for u in per_call) for key in ("prompt_tokens", "completion_tokens")
+    }
     assert outcome.usage.prompt_tokens > 0
 
 
@@ -345,7 +361,7 @@ def test_token_estimates_grow_linearly_with_turns(tmp_path, monkeypatch) -> None
         spec = _spec(
             "m", max_turns=turns, critique_every=5, budget=ContextBudget(max_tokens=10**6)
         )
-        assert run("task", spec, services).turns == turns
+        assert AgentRun.start("task", spec, services).run_to_end().turns == turns
         counts[turns] = calls
     # Linear: the calls per turn stay flat. A rescan of the history every
     # turn would make them about four times as many at 200 turns as at 50.
