@@ -13,7 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-from .engine import ConfigError
 from .errors import EvokitError
 from .harness import (
     ParseError,
@@ -24,7 +23,7 @@ from .harness import (
     run_experiment,
 )
 from .mcp import McpClient, McpEndpoint
-from .playgrounds import InvalidParams, SlotConfigError, default_registry
+from .playgrounds import default_registry
 from .skills import SKILL_TOOL_NAME, discover
 from .tools import BUILTIN_TOOL_NAMES
 
@@ -33,7 +32,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-_VALIDATION_ERRORS = (ParseError, ValidationError, ConfigError, SlotConfigError, InvalidParams)
+_VALIDATION_ERRORS = (ParseError, ValidationError)
 
 
 class _UsageError(Exception):

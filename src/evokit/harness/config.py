@@ -6,8 +6,9 @@ unless lenient mode is on, and every cross-reference (profiles named by
 slots, tool names, file paths) is resolved at load time so a run never fails
 halfway through on a typo. Each slot is parsed straight into an AgentSlot
 holding the engine's AgentSpec and ContextBudget, so their defaults and value
-checks apply at load time too. Relative paths resolve against the manifest's
-own directory, which keeps configs shareable.
+checks apply at load time too, and the playground's registered definition
+checks its slot roles and params (``check_inputs``). Relative paths resolve
+against the manifest's own directory, which keeps configs shareable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from ..context import ContextBudget, InvariantViolation
 from ..engine import AgentSpec, ConfigError
 from ..errors import EvokitError
 from ..gateway import ModelProfile, InvalidProfile
-from ..playgrounds import AgentSlot
+from ..playgrounds import (
+    TOOL_NAMES, AgentSlot, InvalidParams, PlaygroundDefinition, PlaygroundNotFound,
+    SlotConfigError, check_inputs, default_registry,
+)
 from ..skills import SKILL_TOOL_NAME
 from ..tools import BUILTIN_TOOL_NAMES
 
@@ -206,20 +210,20 @@ def from_dict(
         script_path = raw.get("script_path")
         if script_path is not None:
             script_path = _resolve(base_dir, str(script_path))
-        profile = ModelProfile(
-            name=str(raw.get("name", "")),
-            provider=str(raw.get("provider", "")),
-            model=str(raw.get("model", "")),
-            base_url=raw.get("base_url"),
-            api_key_env=raw.get("api_key_env"),
-            temperature=float(raw.get("temperature", 0.0)),
-            max_output_tokens=int(raw.get("max_output_tokens", 1024)),
-            script_path=script_path,
-        )
         try:
+            profile = ModelProfile(
+                name=str(raw.get("name", "")),
+                provider=str(raw.get("provider", "")),
+                model=str(raw.get("model", "")),
+                base_url=raw.get("base_url"),
+                api_key_env=raw.get("api_key_env"),
+                temperature=float(raw.get("temperature", 0.0)),
+                max_output_tokens=int(raw.get("max_output_tokens", 1024)),
+                script_path=script_path,
+            )
             profile.validate()
-        except InvalidProfile as exc:
-            raise ValidationError(str(exc)) from exc
+        except (InvalidProfile, TypeError, ValueError) as exc:
+            raise ValidationError(f"profile {raw.get('name')!r}: {exc}") from exc
         if profile.name in seen_profiles:
             raise ValidationError(f"duplicate profile name {profile.name!r}")
         seen_profiles.add(profile.name)
@@ -276,6 +280,11 @@ def from_dict(
         seen_slots.add(slot.slot_name)
         slots.append(slot)
     playground = PlaygroundSection(name=str(pg_raw["name"]), params=dict(params), slots=slots)
+    try:
+        definition = default_registry().get(playground.name)
+        check_inputs(definition, playground.params, slots)
+    except (PlaygroundNotFound, SlotConfigError, InvalidParams) as exc:
+        raise ValidationError(f"playground {playground.name!r}: {exc}") from exc
 
     config = ExperimentConfig(
         experiment=experiment,
@@ -284,7 +293,7 @@ def from_dict(
         skills=skills,
         playground=playground,
     )
-    _validate_references(config)
+    _validate_references(config, definition)
     return config
 
 
@@ -313,26 +322,30 @@ def _parse_slot(raw: dict, lenient: bool) -> AgentSlot:
     return AgentSlot(slot_name=name, role=str(raw["role"]), spec=spec)
 
 
-def _validate_references(config: ExperimentConfig) -> None:
+def _validate_references(
+    config: ExperimentConfig, definition: PlaygroundDefinition
+) -> None:
     profile_names = {p.name for p in config.profiles}
     # MCP tool names are only knowable after listing the endpoint, so when
     # any endpoint is configured unknown tool names are deferred to runtime.
     known_tools = set(config.tools.builtin)
     if config.skills.paths:
         known_tools.add(SKILL_TOOL_NAME)
-    mcp_configured = bool(config.tools.mcp)
-
+    tool_refs = [
+        (f"param {key!r}", tool)
+        for key, value in config.playground.params.items()
+        if definition.params_schema[key] == TOOL_NAMES
+        for tool in map(str, value)
+    ]
     for slot in config.playground.slots:
         if slot.spec.llm_profile not in profile_names:
             raise ValidationError(
                 f"slot {slot.slot_name!r} references unknown profile {slot.spec.llm_profile!r}"
             )
-        for tool in slot.spec.tool_names:
-            if tool in known_tools or mcp_configured:
-                continue
-            raise ValidationError(
-                f"slot {slot.slot_name!r} references unknown tool {tool!r}"
-            )
+        tool_refs += [(f"slot {slot.slot_name!r}", tool) for tool in slot.spec.tool_names]
+    for where, tool in tool_refs:
+        if tool not in known_tools and not config.tools.mcp:
+            raise ValidationError(f"{where} references unknown tool {tool!r}")
     for profile in config.profiles:
         if profile.provider == "scripted" and not Path(profile.script_path or "").is_file():
             raise ValidationError(

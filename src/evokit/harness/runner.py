@@ -20,12 +20,7 @@ from pathlib import Path
 from ..engine import RunServices
 from ..gateway import LlmGateway
 from ..mcp import McpClient, McpEndpoint, register_mcp_tools
-from ..playgrounds import (
-    CognitiveCache,
-    PlaygroundRegistry,
-    PlaygroundResult,
-    run_playground,
-)
+from ..playgrounds import CognitiveCache, PlaygroundResult, run_playground
 from ..skills import discover, skill_tool
 from ..tools import LocalCorpusFetcher, ToolRegistry, install_builtin_tools
 from .config import ExperimentConfig
@@ -62,10 +57,7 @@ def cache_root_for(config: ExperimentConfig) -> Path:
     return Path(config.experiment.output_dir) / "cache"
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    registry: PlaygroundRegistry | None = None,
-) -> ExperimentRecord:
+def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     run_id = _new_run_id(config.experiment.name)
     run_dir = Path(config.experiment.output_dir) / run_id
     workspace = run_dir / "workspace"
@@ -86,7 +78,6 @@ def run_experiment(
             config.playground.params,
             config.playground.slots,
             services,
-            registry=registry,
         )
         status = "timeout" if time.monotonic() >= deadline else result.status
     except Exception as exc:  # noqa: BLE001 — faults must land in the trajectory

@@ -14,11 +14,12 @@ from .base import (
     PlaygroundRegistry,
     PlaygroundResult,
     SlotConfigError,
+    TOOL_NAMES,
+    check_inputs,
     fan_out,
     parse_score,
     run_slot,
     select_best,
-    validate_params,
 )
 from .cache import CacheReadError, CognitiveCache, DoubleRunPromotion
 from . import draft_improve, parallel, planner_executor, research, sequential, solve_critique
@@ -63,18 +64,11 @@ def run_playground(
     params: dict,
     slots: list[AgentSlot],
     services: RunServices,
-    registry: PlaygroundRegistry | None = None,
 ) -> PlaygroundResult:
-    """Resolve a playground by name, validate its inputs, and execute it."""
-    definition = (registry or default_registry()).get(name)
-    checked = validate_params(definition, params)
-    for slot in slots:
-        if not services.gateway.has_profile(slot.spec.llm_profile):
-            raise SlotConfigError(
-                f"slot {slot.slot_name!r} references unknown profile "
-                f"{slot.spec.llm_profile!r}"
-            )
-    return definition.workflow(task, checked, slots, services)
+    """Resolve a playground by name, check its inputs, and execute it."""
+    definition = default_registry().get(name)
+    check_inputs(definition, params, slots)
+    return definition.workflow(task, params, slots, services)
 
 
 __all__ = [
@@ -90,6 +84,8 @@ __all__ = [
     "PlaygroundRegistry",
     "PlaygroundResult",
     "SlotConfigError",
+    "TOOL_NAMES",
+    "check_inputs",
     "default_registry",
     "fan_out",
     "install_builtin_playgrounds",
@@ -98,5 +94,4 @@ __all__ = [
     "run_playground",
     "run_slot",
     "select_best",
-    "validate_params",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -64,12 +65,25 @@ class PlaygroundResult:
 WorkflowFn = Callable[[str, dict, list[AgentSlot], RunServices], PlaygroundResult]
 
 
+# The params_schema rule of a list of tool names, checked like a slot's tools.
+TOOL_NAMES = (list, "tools")
+
+
 @dataclass(frozen=True)
 class PlaygroundDefinition:
+    """A workflow plus, as data, the slots and params it accepts.
+
+    ``slot_roles`` maps each role to the (min, max) number of its slots, max
+    None for no bound; other roles are rejected. ``params_schema`` maps each
+    param to its type, to ``(int, role)`` for a count capped by that role's
+    slots, or to ``TOOL_NAMES``. Int params are >= 1, list params non-empty.
+    An empty table constrains nothing; ``check_inputs`` applies the rules.
+    """
+
     name: str
     workflow: WorkflowFn
-    params_schema: dict[str, type] = field(default_factory=dict)
-    slot_roles: tuple[str, ...] = ()
+    params_schema: dict[str, type | tuple[type, str]] = field(default_factory=dict)
+    slot_roles: dict[str, tuple[int, int | None]] = field(default_factory=dict)
 
 
 class PlaygroundRegistry:
@@ -95,25 +109,39 @@ class PlaygroundRegistry:
         return sorted(self._definitions)
 
 
-def validate_params(definition: PlaygroundDefinition, params: Mapping) -> dict:
-    """Reject unknown or mis-typed params; missing ones fall to workflow defaults."""
-    unknown = set(params) - set(definition.params_schema)
-    if unknown:
-        raise InvalidParams(f"{definition.name}: unknown params {sorted(unknown)}")
-    for key, expected in definition.params_schema.items():
-        if key not in params:
-            continue
-        value = params[key]
-        ok = isinstance(value, expected) and not (
-            expected in (int, float) and isinstance(value, bool)
-        )
-        if expected is float and isinstance(value, int) and not isinstance(value, bool):
-            ok = True
-        if not ok:
-            raise InvalidParams(
-                f"{definition.name}: param {key!r} must be {expected.__name__}"
+def check_inputs(
+    definition: PlaygroundDefinition, params: Mapping, slots: Sequence[AgentSlot]
+) -> None:
+    """Reject slots and params that the definition does not accept.
+
+    Raises SlotConfigError for a slot's role or a role's slot count and
+    InvalidParams for a param, naming the slot, role or param at fault.
+    """
+    roles = definition.slot_roles
+    counts = Counter(slot.role for slot in slots)
+    for slot in slots:
+        if roles and slot.role not in roles:
+            raise SlotConfigError(
+                f"slot {slot.slot_name!r} has role {slot.role!r}, not one of {sorted(roles)}"
             )
-    return dict(params)
+    for role, (low, high) in roles.items():
+        if counts[role] < low or (high is not None and counts[role] > high):
+            allowed = f"{low}" if low == high else f"{low} to {high or 'any'}"
+            raise SlotConfigError(f"found {counts[role]} {role!r} slots, allowed {allowed}")
+    for key, value in params.items():
+        if key not in definition.params_schema:
+            raise InvalidParams(f"unknown param {key!r}")
+        rule = definition.params_schema[key]
+        expected, cap_role = rule if isinstance(rule, tuple) else (rule, None)
+        types = (int, float) if expected is float else expected
+        if not isinstance(value, types) or (isinstance(value, bool) and expected is not bool):
+            raise InvalidParams(f"param {key!r} must be {expected.__name__}")
+        if expected is int and value < 1:
+            raise InvalidParams(f"param {key!r} must be >= 1")
+        if expected is list and not value:
+            raise InvalidParams(f"param {key!r} must be non-empty")
+        if expected is int and cap_role and value > counts[cap_role]:
+            raise InvalidParams(f"param {key!r} exceeds the {counts[cap_role]} {cap_role!r} slots")
 
 
 # -- helpers used by the built-in workflows -----------------------------------

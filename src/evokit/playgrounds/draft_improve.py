@@ -17,7 +17,6 @@ from dataclasses import replace
 from ..engine import RunServices
 from .base import (
     AgentSlot,
-    InvalidParams,
     PlaygroundDefinition,
     PlaygroundResult,
     fan_out,
@@ -38,12 +37,7 @@ def draft_and_improve(
     improvers = slots_by_role(slots, "improver")
     evaluator = single_slot(slots, "evaluator")
     max_rounds = params.get("max_rounds", DEFAULT_MAX_ROUNDS)
-    branches = params.get("branches", len(improvers))
-    if max_rounds < 1:
-        raise InvalidParams("max_rounds must be >= 1")
-    if branches < 1 or branches > len(improvers):
-        raise InvalidParams(f"branches must be in 1..{len(improvers)}")
-    improvers = improvers[:branches]
+    improvers = improvers[: params.get("branches", len(improvers))]
     evaluator_slot = AgentSlot(
         evaluator.slot_name, evaluator.role, replace(evaluator.spec, max_turns=1)
     )
@@ -123,6 +117,6 @@ def draft_and_improve(
 DEFINITION = PlaygroundDefinition(
     name="draft_and_improve",
     workflow=draft_and_improve,
-    params_schema={"max_rounds": int, "branches": int},
-    slot_roles=("drafter", "improver", "evaluator"),
+    params_schema={"max_rounds": int, "branches": (int, "improver")},
+    slot_roles={"drafter": (1, 1), "improver": (1, None), "evaluator": (1, 1)},
 )

@@ -7,27 +7,19 @@ from .base import (
     AgentSlot,
     PlaygroundDefinition,
     PlaygroundResult,
-    SlotConfigError,
     fan_out,
     run_slot,
+    single_slot,
+    slots_by_role,
 )
 
 
 def parallel_explore(
     task: str, params: dict, slots: list[AgentSlot], services: RunServices
 ) -> PlaygroundResult:
-    aggregator_name = params.get("aggregator")
-    if aggregator_name is None:
-        named = [s for s in slots if s.slot_name == "aggregator"]
-        aggregator = named[0] if named else slots[-1] if slots else None
-    else:
-        matches = [s for s in slots if s.slot_name == aggregator_name]
-        if not matches:
-            raise SlotConfigError(f"no slot named {aggregator_name!r} to aggregate")
-        aggregator = matches[0]
-    explorers = [s for s in slots if aggregator is None or s.slot_name != aggregator.slot_name]
-    if aggregator is None or len(explorers) < 2:
-        raise SlotConfigError("parallel_explore needs >= 2 explorers plus an aggregator")
+    del params
+    aggregator = single_slot(slots, "aggregator")
+    explorers = slots_by_role(slots, "explorer")
 
     runs = fan_out(lambda slot: run_slot(slot, task, services), explorers)
     states = {slot.slot_name: state for slot, state in zip(explorers, runs)}
@@ -55,6 +47,5 @@ def parallel_explore(
 DEFINITION = PlaygroundDefinition(
     name="parallel_explore",
     workflow=parallel_explore,
-    params_schema={"aggregator": str},
-    slot_roles=("explorer", "aggregator"),
+    slot_roles={"explorer": (2, None), "aggregator": (1, 1)},
 )

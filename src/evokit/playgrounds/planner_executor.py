@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..engine import RunServices
-from .base import (
-    AgentSlot,
-    InvalidParams,
-    PlaygroundDefinition,
-    PlaygroundResult,
-    run_slot,
-    single_slot,
-)
+from .base import AgentSlot, PlaygroundDefinition, PlaygroundResult, run_slot, single_slot
 
 DEFAULT_MAX_ROUNDS = 10
 
@@ -29,8 +22,6 @@ def planner_executor(
     planner = single_slot(slots, "planner")
     executor = single_slot(slots, "executor")
     max_rounds = params.get("max_rounds", DEFAULT_MAX_ROUNDS)
-    if max_rounds < 1:
-        raise InvalidParams("max_rounds must be >= 1")
 
     # The planner emits exactly one message per round; its spec is copied so
     # the configured slot is never mutated.
@@ -80,5 +71,5 @@ DEFINITION = PlaygroundDefinition(
     name="planner_executor",
     workflow=planner_executor,
     params_schema={"max_rounds": int},
-    slot_roles=("planner", "executor"),
+    slot_roles={"planner": (1, 1), "executor": (1, 1)},
 )

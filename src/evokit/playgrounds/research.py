@@ -9,22 +9,25 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..engine import ConfigError, RunServices
+from ..engine import RunServices
 from ..prompts import RESEARCH_PROMPT
-from .base import AgentSlot, PlaygroundDefinition, PlaygroundResult, single_slot, run_slot
+from .base import (
+    TOOL_NAMES,
+    AgentSlot,
+    PlaygroundDefinition,
+    PlaygroundResult,
+    run_slot,
+    single_slot,
+)
 
 
 def single_agent_research(
     task: str, params: dict, slots: list[AgentSlot], services: RunServices
 ) -> PlaygroundResult:
     researcher = single_slot(slots, "researcher")
-    tool_pack = params.get("tool_pack")
-    if not tool_pack:
-        raise ConfigError("single_agent_research needs a non-empty tool_pack")
-
     spec = replace(
         researcher.spec,
-        tool_names=tuple(tool_pack),
+        tool_names=tuple(params.get("tool_pack", researcher.spec.tool_names)),
         system_prompt=researcher.spec.system_prompt or RESEARCH_PROMPT,
     )
     state = run_slot(AgentSlot(researcher.slot_name, researcher.role, spec), task, services)
@@ -44,6 +47,6 @@ def single_agent_research(
 DEFINITION = PlaygroundDefinition(
     name="single_agent_research",
     workflow=single_agent_research,
-    params_schema={"tool_pack": list},
-    slot_roles=("researcher",),
+    params_schema={"tool_pack": TOOL_NAMES},
+    slot_roles={"researcher": (1, 1)},
 )

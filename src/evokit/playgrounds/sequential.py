@@ -3,21 +3,13 @@
 from __future__ import annotations
 
 from ..engine import RunServices
-from .base import (
-    AgentSlot,
-    PlaygroundDefinition,
-    PlaygroundResult,
-    SlotConfigError,
-    run_slot,
-)
+from .base import AgentSlot, PlaygroundDefinition, PlaygroundResult, run_slot
 
 
 def sequential_handoff(
     task: str, params: dict, slots: list[AgentSlot], services: RunServices
 ) -> PlaygroundResult:
     del params
-    if not slots:
-        raise SlotConfigError("sequential_handoff needs at least one slot")
     outcomes = {}
     answer = ""
     current_task = task
@@ -37,5 +29,5 @@ def sequential_handoff(
 DEFINITION = PlaygroundDefinition(
     name="sequential_handoff",
     workflow=sequential_handoff,
-    slot_roles=("worker",),
+    slot_roles={"worker": (1, None)},
 )

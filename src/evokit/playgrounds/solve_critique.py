@@ -11,7 +11,6 @@ from __future__ import annotations
 from ..engine import RunServices
 from .base import (
     AgentSlot,
-    InvalidParams,
     PlaygroundDefinition,
     PlaygroundResult,
     answer_or_note,
@@ -33,12 +32,7 @@ def solve_critique_rewrite_select(
     selector = single_slot(slots, "selector")
 
     n_rounds = params.get("n_rounds", 1)
-    n_solvers = params.get("n_solvers", len(solvers))
-    if n_rounds < 1:
-        raise InvalidParams("n_rounds must be >= 1")
-    if n_solvers < 1 or n_solvers > len(solvers):
-        raise InvalidParams(f"n_solvers must be in 1..{len(solvers)}")
-    solvers = solvers[:n_solvers]
+    solvers = solvers[: params.get("n_solvers", len(solvers))]
 
     outcomes = {}
     degraded = False
@@ -98,6 +92,6 @@ def _parse_choice(answer: str | None, count: int) -> int | None:
 DEFINITION = PlaygroundDefinition(
     name="solve_critique_rewrite_select",
     workflow=solve_critique_rewrite_select,
-    params_schema={"n_solvers": int, "n_rounds": int},
-    slot_roles=("solver", "critic", "rewriter", "selector"),
+    params_schema={"n_solvers": (int, "solver"), "n_rounds": int},
+    slot_roles={"solver": (1, None), "critic": (1, 1), "rewriter": (1, 1), "selector": (1, 1)},
 )

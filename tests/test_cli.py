@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from evokit.cli import main
+from evokit.harness import load_config
 from evokit.mcp_stub import StubMcpServer
 from helpers import FIXTURES
 
@@ -74,13 +77,87 @@ def test_replay_missing_file() -> None:
 
 
 def test_run_error_status_exits_3(tmp_path, capsys, monkeypatch) -> None:
+    # A valid manifest whose model endpoint refuses connections fails at runtime.
     monkeypatch.delenv("EVO_HOME", raising=False)
     text = (FIXTURES / "configs/min.yaml").read_text(encoding="utf-8")
-    text = text.replace("name: sequential_handoff", "name: not_a_playground")
-    text = text.replace("../scripts", str(FIXTURES / "scripts"))
+    text = text.replace(
+        "provider: scripted, model: scripted-v1, script_path: ../scripts/min_worker.script",
+        'provider: http-openai-compatible, model: m, base_url: "http://127.0.0.1:9/v1"',
+    )
     bad = tmp_path / "bad.yaml"
     bad.write_text(text, encoding="utf-8")
+    assert main(["validate", "--config", str(bad)]) == 0
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 3
+    assert "status=failed" in capsys.readouterr().err
+
+
+def _params(**params):
+    return lambda manifest: manifest["playground"]["params"].update(params)
+
+
+def _profile(**values):
+    return lambda manifest: manifest["llm"]["profiles"][0].update(values)
+
+
+def _rename_playground(manifest) -> None:
+    manifest["playground"]["name"] = "not_a_playground"
+
+
+def _drop_critic(manifest) -> None:
+    slots = manifest["playground"]["slots"]
+    slots[:] = [slot for slot in slots if slot["role"] != "critic"]
+
+
+def _misspell_drafter(manifest) -> None:
+    manifest["playground"]["slots"][0]["role"] = "drafterr"
+
+
+BAD_MANIFESTS = [
+    # (golden manifest, edit, text the error message must contain)
+    ("planner_executor", _rename_playground, "not_a_playground"),
+    ("solve_critique", _drop_critic, "'critic'"),
+    ("draft_improve", _misspell_drafter, "'drafterr'"),
+    ("planner_executor", _params(bogus=1), "bogus"),
+    ("planner_executor", _params(max_rounds="ten"), "max_rounds"),
+    ("draft_improve", _params(max_rounds=0), "max_rounds"),
+    ("draft_improve", _params(branches=5), "branches"),
+    ("solve_critique", _params(n_solvers=9), "n_solvers"),
+    ("research", _params(tool_pack=[]), "tool_pack"),
+    ("research", _params(tool_pack=["nope"]), "'nope'"),
+    ("research", _profile(temperature="hot"), "researcher-m"),
+    ("research", _profile(max_output_tokens="many"), "researcher-m"),
+]
+
+
+@pytest.mark.parametrize(
+    "golden,edit,named",
+    BAD_MANIFESTS,
+    ids=[
+        "unknown_playground", "no_critic", "role_typo", "unknown_param",
+        "max_rounds_ten", "max_rounds_zero", "branches_over_improvers",
+        "n_solvers_over_solvers", "empty_tool_pack", "unknown_tool_pack_tool",
+        "temperature_hot", "max_output_tokens_many",
+    ],
+)
+def test_bad_manifest_rejected_at_load(tmp_path, capsys, golden, edit, named) -> None:
+    manifest = load_config(FIXTURES / f"golden/{golden}.yaml").to_dict()
+    edit(manifest)
+    path = tmp_path / "bad.yaml"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+    runs = tmp_path / "runs"
+    assert main(["run", "--config", str(path), "--out", str(runs)]) == 2
+    assert named in capsys.readouterr().err
+    assert not runs.exists()
+
+
+def test_golden_and_adversarial_manifests_validate(capsys) -> None:
+    manifests = sorted((FIXTURES / "golden").glob("*.yaml"))
+    manifests += sorted((FIXTURES / "configs").glob("adversarial_*.yaml"))
+    assert len(manifests) == 6
+    for manifest in manifests:
+        assert main(["validate", "--config", str(manifest)]) == 0, manifest
 
 
 def test_mcp_probe_lists_stub_tools(capsys) -> None:

@@ -104,6 +104,13 @@ def test_mcp_defers_tool_name_validation() -> None:
     data["playground"]["slots"][0]["tools"] = ["stub.add"]
     config = from_dict(data)
     assert config.tools.mcp[0].alias == "stub"
+    # A tool_pack is a list of tool names, checked the same way.
+    data["playground"].update(name="single_agent_research", params={"tool_pack": ["stub.add"]})
+    data["playground"]["slots"][0]["role"] = "researcher"
+    assert from_dict(data).playground.params == {"tool_pack": ["stub.add"]}
+    del data["tools"]
+    with pytest.raises(ValidationError, match="param 'tool_pack' references unknown tool"):
+        from_dict(data)
 
 
 def test_duplicate_names_rejected() -> None:

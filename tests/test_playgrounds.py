@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from evokit.engine import AgentSpec
+from evokit.engine import AgentSpec, ConfigError
 from evokit.gateway import ModelProfile
 from evokit.playgrounds import (
     AgentSlot,
@@ -13,10 +13,10 @@ from evokit.playgrounds import (
     PlaygroundRegistry,
     PlaygroundResult,
     SlotConfigError,
+    check_inputs,
     default_registry,
     install_builtin_playgrounds,
     run_playground,
-    validate_params,
 )
 from evokit.playgrounds.parallel import parallel_explore
 from evokit.playgrounds.sequential import sequential_handoff
@@ -67,6 +67,8 @@ def test_register_and_duplicate() -> None:
     assert registry.names() == ["seq"]
     with pytest.raises(DuplicatePlayground):
         registry.register(definition)
+    # Without a role table or a params schema any slots and no params pass.
+    check_inputs(definition, {}, [_slot("x", "any-role", "m"), _slot("y", "other", "m")])
     install_builtin_playgrounds(registry)
     assert set(BUILTIN_NAMES) <= set(registry.names())
 
@@ -82,17 +84,19 @@ def test_slot_with_missing_profile_rejected_before_model_calls(tmp_path) -> None
     gateway = scripted_gateway(tmp_path, m=[{"content": "FINAL: x"}])
     services = make_services(tmp_path, gateway)
     slots = [_slot("w", "worker", "ghost")]
-    with pytest.raises(SlotConfigError):
+    with pytest.raises(ConfigError, match="ghost"):
         run_playground("sequential_handoff", "task", {}, slots, services)
 
 
-def test_validate_params_rejects_unknown_and_mistyped() -> None:
-    definition = default_registry().get("planner_executor")
-    with pytest.raises(InvalidParams):
-        validate_params(definition, {"bogus": 1})
-    with pytest.raises(InvalidParams):
-        validate_params(definition, {"max_rounds": "ten"})
-    assert validate_params(definition, {"max_rounds": 3}) == {"max_rounds": 3}
+def test_validate_params_rejects_unknown_and_mistyped(tmp_path) -> None:
+    gateway = scripted_gateway(tmp_path, m=[{"content": "FINAL: x"}])
+    services = make_services(tmp_path, gateway)
+    slots = [_slot("planner", "planner", "m"), _slot("executor", "executor", "m")]
+    with pytest.raises(InvalidParams, match="bogus"):
+        run_playground("planner_executor", "task", {"bogus": 1}, slots, services)
+    with pytest.raises(InvalidParams, match="max_rounds"):
+        run_playground("planner_executor", "task", {"max_rounds": "ten"}, slots, services)
+    check_inputs(default_registry().get("planner_executor"), {"max_rounds": 3}, slots)
 
 
 # -- sequential handoff ------------------------------------------------------------
@@ -203,10 +207,9 @@ def test_aggregator_failure_fails_run(tmp_path) -> None:
 def test_too_few_explorers_rejected(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, e1=[{"content": "FINAL: x"}])
     services = make_services(tmp_path, gateway)
-    with pytest.raises(SlotConfigError):
-        parallel_explore(
-            "task", {}, [_slot("e1", "explorer", "e1"), _slot("agg", "aggregator", "e1")], services
-        )
+    slots = [_slot("e1", "explorer", "e1"), _slot("agg", "aggregator", "e1")]
+    with pytest.raises(SlotConfigError, match="'explorer'"):
+        run_playground("parallel_explore", "task", {}, slots, services)
 
 
 # -- slot isolation ---------------------------------------------------------------------

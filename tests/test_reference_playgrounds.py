@@ -4,9 +4,9 @@ import threading
 
 import pytest
 
-from evokit.engine import AgentSpec, ConfigError
+from evokit.engine import AgentSpec
 from evokit.gateway import ModelProfile
-from evokit.playgrounds import AgentSlot, CognitiveCache, InvalidParams
+from evokit.playgrounds import AgentSlot, CognitiveCache, InvalidParams, run_playground
 from evokit.playgrounds.draft_improve import draft_and_improve
 from evokit.playgrounds.planner_executor import planner_executor
 from evokit.playgrounds.research import single_agent_research
@@ -78,10 +78,11 @@ def test_no_issues_skips_rewrite(tmp_path) -> None:
 
 def test_zero_rounds_rejected(tmp_path) -> None:
     services = make_services(tmp_path, _scrs_gateway(tmp_path))
-    with pytest.raises(InvalidParams):
-        solve_critique_rewrite_select("t", {"n_rounds": 0}, _scrs_slots(), services)
-    with pytest.raises(InvalidParams):
-        solve_critique_rewrite_select("t", {"n_solvers": 9}, _scrs_slots(), services)
+    name = "solve_critique_rewrite_select"
+    with pytest.raises(InvalidParams, match="n_rounds"):
+        run_playground(name, "t", {"n_rounds": 0}, _scrs_slots(), services)
+    with pytest.raises(InvalidParams, match="n_solvers"):
+        run_playground(name, "t", {"n_solvers": 9}, _scrs_slots(), services)
 
 
 def test_unparseable_selector_fails(tmp_path) -> None:
@@ -166,8 +167,8 @@ def test_executor_failure_becomes_finding_and_loop_continues(tmp_path) -> None:
 def test_invalid_max_rounds(tmp_path) -> None:
     services = make_services(tmp_path, _pe_gateway(tmp_path))
     slots = [_slot("planner", "planner", "planner"), _slot("executor", "executor", "executor")]
-    with pytest.raises(InvalidParams):
-        planner_executor("t", {"max_rounds": 0}, slots, services)
+    with pytest.raises(InvalidParams, match="max_rounds"):
+        run_playground("planner_executor", "t", {"max_rounds": 0}, slots, services)
 
 
 # -- draft and improve ----------------------------------------------------------------
@@ -304,8 +305,8 @@ def test_round_promotions_match_rounds_used(tmp_path) -> None:
 
 def test_invalid_branches(tmp_path) -> None:
     services = make_services(tmp_path, _di_gateway(tmp_path))
-    with pytest.raises(InvalidParams):
-        draft_and_improve("t", {"branches": 5}, _di_slots(), services)
+    with pytest.raises(InvalidParams, match="branches"):
+        run_playground("draft_and_improve", "t", {"branches": 5}, _di_slots(), services)
 
 
 # -- single agent research ----------------------------------------------------------------
@@ -344,10 +345,9 @@ def test_research_answers_from_corpus(tmp_path) -> None:
 def test_empty_tool_pack_is_config_error(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, researcher=[{"content": "FINAL: x"}])
     services = make_services(tmp_path, gateway)
-    with pytest.raises(ConfigError):
-        single_agent_research(
-            "t", {"tool_pack": []}, [_slot("researcher", "researcher", "researcher")], services
-        )
+    slots = [_slot("researcher", "researcher", "researcher")]
+    with pytest.raises(InvalidParams, match="tool_pack"):
+        run_playground("single_agent_research", "t", {"tool_pack": []}, slots, services)
 
 
 def test_retrieval_404_keeps_run_alive(tmp_path) -> None:
