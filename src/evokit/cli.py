@@ -11,6 +11,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import EvokitError
@@ -74,12 +75,15 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config, lenient=args.lenient)
-    if args.out:
-        config.experiment.output_dir = str(Path(args.out))
-    if args.seed is not None:
-        config.experiment.seed = args.seed
-    if args.max_wall_secs is not None:
-        config.experiment.max_wall_seconds = args.max_wall_secs
+    overrides = {
+        "output_dir": str(Path(args.out)) if args.out else None,
+        "seed": args.seed,
+        "max_wall_seconds": args.max_wall_secs,
+    }
+    # replace() rebuilds the section, so an override passes the manifest's checks.
+    config.experiment = replace(
+        config.experiment, **{k: v for k, v in overrides.items() if v is not None}
+    )
     record = run_experiment(config)
     print(record.record_path)
     if record.status in ("ok", "partial"):
@@ -103,8 +107,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         if not args.config:
             raise _UsageError("list skills needs --config to locate skill paths")
         config = load_config(args.config, lenient=True)
-        index = discover(config.skills.paths) if config.skills.paths else None
-        names = index.names() if index else []
+        names = discover(config.skills.paths).names()
     for name in names:
         print(name)
     return EXIT_OK

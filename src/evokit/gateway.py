@@ -133,7 +133,12 @@ class ModelProfile:
     max_output_tokens: int = 1024
     script_path: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for key in ("name", "provider", "model", "base_url", "api_key_env", "script_path"):
+            value = getattr(self, key)
+            optional = key in ("base_url", "api_key_env", "script_path")
+            if not isinstance(value, str) and not (optional and value is None):
+                raise InvalidProfile(f"{self.name}: {key} must be a string")
         if not self.name:
             raise InvalidProfile("profile name must be non-empty")
         if self.provider not in PROVIDERS:
@@ -276,7 +281,6 @@ class LlmGateway:
         self._http_timeout = http_timeout
 
     def register_profile(self, profile: ModelProfile) -> None:
-        profile.validate()
         script = load_script(profile.script_path) if profile.provider == "scripted" else None
         with self._lock:
             if profile.name in self._profiles:

@@ -1,37 +1,42 @@
 """YAML experiment manifests: parsing, strict validation, defaults.
 
 A manifest has five top-level sections: ``experiment``, ``llm``, ``tools``,
-``skills``, and ``playground``. Unknown keys anywhere are a ValidationError
-unless lenient mode is on, and every cross-reference (profiles named by
-slots, tool names, file paths) is resolved at load time so a run never fails
-halfway through on a typo. Each slot is parsed straight into an AgentSlot
-holding the engine's AgentSpec and ContextBudget, so their defaults and value
-checks apply at load time too, and the playground's registered definition
-checks its slot roles and params (``check_inputs``). Relative paths resolve
-against the manifest's own directory, which keeps configs shareable.
+``skills``, and ``playground``. Each is built with the constructor of the
+type it configures, so its keys are that type's fields, its defaults are the
+type's defaults and its value checks are the type's own. Unknown keys are a
+ValidationError unless lenient mode is on. Slots become AgentSlots holding
+the engine's AgentSpec and ContextBudget, and the playground's registered
+definition checks its slot roles and params (``check_inputs``). Every
+cross-reference is resolved and every script and skill manifest is parsed at
+load time, so a run never fails halfway through on a typo. Relative paths
+resolve against the manifest's own directory, which keeps configs shareable.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import yaml
 
-from ..context import ContextBudget, InvariantViolation
-from ..engine import AgentSpec, ConfigError
+from ..context import ContextBudget
+from ..engine import AgentSpec
 from ..errors import EvokitError
-from ..gateway import ModelProfile, InvalidProfile
+from ..gateway import ModelProfile, ScriptParseError, load_script
+from ..mcp import McpEndpoint
 from ..playgrounds import (
     TOOL_NAMES, AgentSlot, InvalidParams, PlaygroundDefinition, PlaygroundNotFound,
     SlotConfigError, check_inputs, default_registry,
 )
-from ..skills import SKILL_TOOL_NAME
+from ..skills import SKILL_TOOL_NAME, ManifestParseError, discover
 from ..tools import BUILTIN_TOOL_NAMES
 
 DEFAULT_MAX_WALL_SECONDS = 86_400  # 24 h
+
+T = TypeVar("T")
 
 
 class ParseError(EvokitError):
@@ -42,6 +47,10 @@ class ValidationError(EvokitError):
     pass
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentSection:
     name: str
@@ -50,19 +59,31 @@ class ExperimentSection:
     max_wall_seconds: int = DEFAULT_MAX_WALL_SECONDS
     output_dir: str = "runs"
 
-
-@dataclass
-class McpServerConfig:
-    alias: str
-    endpoint: str
-    transport: str = "http"
+    def __post_init__(self) -> None:
+        for key in ("name", "task"):
+            if not getattr(self, key):
+                raise ValidationError(f"experiment.{key} is required")
+        # The run directory is <output_dir>/<name>-..., so the name must not leave it.
+        if "/" in self.name or "\\" in self.name or self.name in (".", ".."):
+            raise ValidationError(
+                f"experiment.name {self.name!r} must not contain '/' or '\\' or be '.' or '..'"
+            )
+        if not _is_int(self.seed):
+            raise ValidationError("experiment.seed must be an integer")
+        if not _is_int(self.max_wall_seconds) or self.max_wall_seconds <= 0:
+            raise ValidationError("experiment.max_wall_seconds must be a positive integer")
 
 
 @dataclass
 class ToolsSection:
     builtin: list[str] = field(default_factory=lambda: list(BUILTIN_TOOL_NAMES))
-    mcp: list[McpServerConfig] = field(default_factory=list)
+    mcp: list[McpEndpoint] = field(default_factory=list)
     corpus: str | None = None
+
+    def __post_init__(self) -> None:
+        unknown = set(self.builtin) - set(BUILTIN_TOOL_NAMES)
+        if unknown:
+            raise ValidationError(f"tools.builtin: unknown tools {sorted(unknown)}")
 
 
 @dataclass
@@ -116,24 +137,15 @@ def _slot_to_dict(slot: AgentSlot) -> dict[str, Any]:
 
 
 _TOP_KEYS = {"experiment", "llm", "tools", "skills", "playground"}
-_EXPERIMENT_KEYS = {"name", "task", "seed", "max_wall_seconds", "output_dir"}
-_PROFILE_KEYS = {
-    "name", "provider", "model", "base_url", "api_key_env",
-    "temperature", "max_output_tokens", "script_path",
-}
-_TOOLS_KEYS = {"builtin", "mcp", "corpus"}
-_MCP_KEYS = {"alias", "endpoint", "transport"}
 # Optional slot keys: manifest key -> (AgentSpec field, coercion). A key the
 # manifest leaves out takes the AgentSpec/ContextBudget default.
 _SLOT_FIELDS = {
-    "tools": ("tool_names", lambda tools: tuple(str(t) for t in tools or ())),
+    "tools": ("tool_names", lambda tools: tuple(map(str, _require_list(tools, "tools")))),
     "max_turns": ("max_turns", int),
     "critique_every": ("critique_every", int),
     "final_marker": ("final_marker", str),
 }
 _SLOT_KEYS = {"slot_name", "role", "llm_profile", "system_prompt", "budget", *_SLOT_FIELDS}
-_BUDGET_FIELDS = {"max_tokens": int, "compress_at": float, "strategy": str}
-_PLAYGROUND_KEYS = {"name", "params", "slots"}
 
 
 def _require(mapping: Any, where: str) -> dict:
@@ -142,14 +154,54 @@ def _require(mapping: Any, where: str) -> dict:
     return mapping
 
 
+def _require_list(value: Any, where: str) -> list:
+    """A manifest list; an empty (null) value is an empty list."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a list")
+    return value
+
+
 def _check_keys(mapping: dict, allowed: set[str], where: str, lenient: bool) -> None:
     unknown = set(mapping) - allowed
     if unknown and not lenient:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _resolve(base_dir: Path | None, raw: str) -> str:
-    path = Path(raw)
+def _text(value: Any) -> str | None:
+    """Manifest text: a YAML scalar such as ``2024`` reads as ``"2024"``, null stays null."""
+    return None if value is None else str(value)
+
+
+def _build(cls: type[T], raw: Any, where: str, lenient: bool, **coerce: Callable) -> T:
+    """``cls`` built from the keys the manifest sets; the type's defaults fill the rest.
+
+    The allowed keys are the fields of ``cls``, ``coerce`` maps a key to a
+    function applied to its value first, and the constructor runs the checks.
+    """
+    raw = _require(raw, where)
+    names = {f.name for f in fields(cls) if f.init}
+    _check_keys(raw, names, where, lenient)
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise ValidationError(f"{where} needs {f.name!r}")
+    try:
+        return cls(**{k: coerce[k](v) if k in coerce else v for k, v in raw.items() if k in names})
+    except ValidationError:  # from a nested section or this module's types: names its key
+        raise
+    except (EvokitError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _reject_duplicates(names: list[str], what: str) -> None:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValidationError(f"duplicate {what} name {name!r}")
+
+
+def _resolve(base_dir: Path | None, raw: Any) -> str:
+    path = Path(str(raw))
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
     return str(path)
@@ -177,112 +229,51 @@ def from_dict(
     """Build and validate a config from parsed YAML/JSON data."""
     data = _require(data, "manifest")
     _check_keys(data, _TOP_KEYS, "manifest", lenient)
+    path = partial(_resolve, base_dir)
 
-    exp_raw = _require(data.get("experiment"), "experiment")
-    _check_keys(exp_raw, _EXPERIMENT_KEYS, "experiment", lenient)
-    for required in ("name", "task"):
-        if not exp_raw.get(required):
-            raise ValidationError(f"experiment.{required} is required")
-    seed = exp_raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError("experiment.seed must be an integer")
-    max_wall = exp_raw.get("max_wall_seconds", DEFAULT_MAX_WALL_SECONDS)
-    if not isinstance(max_wall, int) or isinstance(max_wall, bool) or max_wall <= 0:
-        raise ValidationError("experiment.max_wall_seconds must be a positive integer")
-    experiment = ExperimentSection(
-        name=str(exp_raw["name"]),
-        task=str(exp_raw["task"]),
-        seed=seed,
-        max_wall_seconds=max_wall,
-        output_dir=_resolve(base_dir, str(exp_raw.get("output_dir", "runs"))),
+    def optional_path(raw: Any) -> str | None:
+        return path(raw) if raw else None
+
+    experiment = _build(
+        ExperimentSection, data.get("experiment"), "experiment", lenient,
+        name=_text, task=_text, output_dir=path,
     )
 
     llm_raw = _require(data.get("llm"), "llm")
     _check_keys(llm_raw, {"profiles"}, "llm", lenient)
-    profiles_raw = llm_raw.get("profiles") or []
-    if not isinstance(profiles_raw, list) or not profiles_raw:
-        raise ValidationError("llm.profiles must be a non-empty list")
     profiles = []
-    seen_profiles = set()
-    for raw in profiles_raw:
+    for raw in _require_list(llm_raw.get("profiles"), "llm.profiles"):
         raw = _require(raw, "llm.profiles entry")
-        _check_keys(raw, _PROFILE_KEYS, f"profile {raw.get('name')!r}", lenient)
-        script_path = raw.get("script_path")
-        if script_path is not None:
-            script_path = _resolve(base_dir, str(script_path))
-        try:
-            profile = ModelProfile(
-                name=str(raw.get("name", "")),
-                provider=str(raw.get("provider", "")),
-                model=str(raw.get("model", "")),
-                base_url=raw.get("base_url"),
-                api_key_env=raw.get("api_key_env"),
-                temperature=float(raw.get("temperature", 0.0)),
-                max_output_tokens=int(raw.get("max_output_tokens", 1024)),
-                script_path=script_path,
-            )
-            profile.validate()
-        except (InvalidProfile, TypeError, ValueError) as exc:
-            raise ValidationError(f"profile {raw.get('name')!r}: {exc}") from exc
-        if profile.name in seen_profiles:
-            raise ValidationError(f"duplicate profile name {profile.name!r}")
-        seen_profiles.add(profile.name)
-        profiles.append(profile)
+        profiles.append(_build(
+            ModelProfile, raw, f"profile {raw.get('name')!r}", lenient,
+            name=_text, provider=_text, model=_text,
+            temperature=float, max_output_tokens=int, script_path=optional_path,
+        ))
+    if not profiles:
+        raise ValidationError("llm.profiles must be a non-empty list")
+    _reject_duplicates([p.name for p in profiles], "profile")
 
-    tools_raw = _require(data.get("tools", {}), "tools")
-    _check_keys(tools_raw, _TOOLS_KEYS, "tools", lenient)
-    builtin = tools_raw.get("builtin", list(BUILTIN_TOOL_NAMES))
-    if not isinstance(builtin, list):
-        raise ValidationError("tools.builtin must be a list")
-    unknown_builtin = set(builtin) - set(BUILTIN_TOOL_NAMES)
-    if unknown_builtin:
-        raise ValidationError(f"tools.builtin: unknown tools {sorted(unknown_builtin)}")
-    mcp_servers = []
-    for raw in tools_raw.get("mcp") or []:
-        raw = _require(raw, "tools.mcp entry")
-        _check_keys(raw, _MCP_KEYS, "tools.mcp entry", lenient)
-        if not raw.get("alias") or not raw.get("endpoint"):
-            raise ValidationError("tools.mcp entries need alias and endpoint")
-        transport = raw.get("transport", "http")
-        if transport not in ("http", "stdio"):
-            raise ValidationError(f"tools.mcp: unknown transport {transport!r}")
-        mcp_servers.append(
-            McpServerConfig(alias=str(raw["alias"]), endpoint=str(raw["endpoint"]), transport=transport)
-        )
-    corpus = tools_raw.get("corpus")
-    tools = ToolsSection(
-        builtin=[str(b) for b in builtin],
-        mcp=mcp_servers,
-        corpus=_resolve(base_dir, str(corpus)) if corpus else None,
+    tools = _build(
+        ToolsSection, data.get("tools", {}), "tools", lenient,
+        builtin=lambda raw: list(map(str, _require_list(raw, "tools.builtin"))),
+        mcp=lambda raw: [
+            _build(McpEndpoint, entry, "tools.mcp entry", lenient, alias=_text, endpoint=_text)
+            for entry in _require_list(raw, "tools.mcp")
+        ],
+        corpus=optional_path,
     )
-
-    skills_raw = _require(data.get("skills", {}), "skills")
-    _check_keys(skills_raw, {"paths"}, "skills", lenient)
-    skill_paths = [_resolve(base_dir, str(p)) for p in skills_raw.get("paths") or []]
-    for skill_path in skill_paths:
-        if not Path(skill_path).is_dir():
-            raise ValidationError(f"skills path does not exist: {skill_path}")
-    skills = SkillsSection(paths=skill_paths)
-
-    pg_raw = _require(data.get("playground"), "playground")
-    _check_keys(pg_raw, _PLAYGROUND_KEYS, "playground", lenient)
-    if not pg_raw.get("name"):
-        raise ValidationError("playground.name is required")
-    params = pg_raw.get("params") or {}
-    if not isinstance(params, dict):
-        raise ValidationError("playground.params must be a mapping")
-    slots = []
-    seen_slots = set()
-    for raw in pg_raw.get("slots") or []:
-        slot = _parse_slot(_require(raw, "playground.slots entry"), lenient)
-        if slot.slot_name in seen_slots:
-            raise ValidationError(f"duplicate slot name {slot.slot_name!r}")
-        seen_slots.add(slot.slot_name)
-        slots.append(slot)
-    playground = PlaygroundSection(name=str(pg_raw["name"]), params=dict(params), slots=slots)
+    skills = _build(
+        SkillsSection, data.get("skills", {}), "skills", lenient,
+        paths=lambda raw: list(map(path, _require_list(raw, "skills.paths"))),
+    )
+    playground = _build(
+        PlaygroundSection, data.get("playground"), "playground", lenient,
+        name=_text, params=lambda raw: dict(_require(raw or {}, "playground.params")),
+        slots=lambda raw: _parse_slots(raw, lenient),
+    )
     try:
         definition = default_registry().get(playground.name)
-        check_inputs(definition, playground.params, slots)
+        check_inputs(definition, playground.params, playground.slots)
     except (PlaygroundNotFound, SlotConfigError, InvalidParams) as exc:
         raise ValidationError(f"playground {playground.name!r}: {exc}") from exc
 
@@ -297,6 +288,15 @@ def from_dict(
     return config
 
 
+def _parse_slots(raw: Any, lenient: bool) -> list[AgentSlot]:
+    slots = [
+        _parse_slot(_require(entry, "playground.slots entry"), lenient)
+        for entry in _require_list(raw, "playground.slots")
+    ]
+    _reject_duplicates([slot.slot_name for slot in slots], "slot")
+    return slots
+
+
 def _parse_slot(raw: dict, lenient: bool) -> AgentSlot:
     """One slot, with its AgentSpec and ContextBudget checks run at load time."""
     _check_keys(raw, _SLOT_KEYS, f"slot {raw.get('slot_name')!r}", lenient)
@@ -304,11 +304,10 @@ def _parse_slot(raw: dict, lenient: bool) -> AgentSlot:
         if not raw.get(required):
             raise ValidationError(f"slot entries need {required}")
     name = str(raw["slot_name"])
-    budget_raw = _require(raw.get("budget", {}), "slot budget")
-    _check_keys(budget_raw, set(_BUDGET_FIELDS), "slot budget", lenient)
     try:
-        budget = ContextBudget(
-            **{k: coerce(budget_raw[k]) for k, coerce in _BUDGET_FIELDS.items() if k in budget_raw}
+        budget = _build(
+            ContextBudget, raw.get("budget", {}), "budget", lenient,
+            max_tokens=int, compress_at=float, strategy=str,
         )
         spec = AgentSpec(
             name=name,
@@ -317,7 +316,7 @@ def _parse_slot(raw: dict, lenient: bool) -> AgentSlot:
             budget=budget,
             **{attr: coerce(raw[k]) for k, (attr, coerce) in _SLOT_FIELDS.items() if k in raw},
         )
-    except (ConfigError, InvariantViolation, TypeError, ValueError) as exc:
+    except (EvokitError, TypeError, ValueError) as exc:
         raise ValidationError(f"slot {name!r}: {exc}") from exc
     return AgentSlot(slot_name=name, role=str(raw["role"]), spec=spec)
 
@@ -346,8 +345,14 @@ def _validate_references(
     for where, tool in tool_refs:
         if tool not in known_tools and not config.tools.mcp:
             raise ValidationError(f"{where} references unknown tool {tool!r}")
+    # Parse what the runner will parse, so a malformed file fails here, not mid-run.
     for profile in config.profiles:
-        if profile.provider == "scripted" and not Path(profile.script_path or "").is_file():
-            raise ValidationError(
-                f"profile {profile.name!r} script not found: {profile.script_path}"
-            )
+        if profile.provider == "scripted":
+            try:
+                load_script(profile.script_path)
+            except ScriptParseError as exc:
+                raise ValidationError(f"profile {profile.name!r}: {exc}") from exc
+    try:
+        discover(config.skills.paths)
+    except (ManifestParseError, OSError) as exc:
+        raise ValidationError(f"skills: {exc}") from exc

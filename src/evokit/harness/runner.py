@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ..engine import RunServices
 from ..gateway import LlmGateway
-from ..mcp import McpClient, McpEndpoint, register_mcp_tools
+from ..mcp import McpClient, register_mcp_tools
 from ..playgrounds import CognitiveCache, PlaygroundResult, run_playground
 from ..skills import discover, skill_tool
 from ..tools import LocalCorpusFetcher, ToolRegistry, install_builtin_tools
@@ -131,12 +131,9 @@ def _build_services(
         skills = discover(config.skills.paths)
         tools.register_tool(*skill_tool(skills))
 
-    for server in config.tools.mcp:
-        client = McpClient(
-            McpEndpoint(alias=server.alias, endpoint=server.endpoint, transport=server.transport)
-        )
-        registered = register_mcp_tools(tools, client)
-        logger.info("mcp %s: registered %s", server.alias, registered)
+    for endpoint in config.tools.mcp:
+        registered = register_mcp_tools(tools, McpClient(endpoint))
+        logger.info("mcp %s: registered %s", endpoint.alias, registered)
 
     cache = CognitiveCache(cache_root_for(config), run_id)
     return RunServices(

@@ -41,6 +41,8 @@ class McpEndpoint:
     transport: str = "http"
 
     def __post_init__(self) -> None:
+        if not self.alias or not self.endpoint:
+            raise McpProtocolError("an MCP endpoint needs a non-empty alias and endpoint")
         if self.transport not in MCP_TRANSPORTS:
             raise McpProtocolError(f"unknown MCP transport: {self.transport!r}")
 

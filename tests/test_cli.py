@@ -112,6 +112,14 @@ def _misspell_drafter(manifest) -> None:
     manifest["playground"]["slots"][0]["role"] = "drafterr"
 
 
+def _set(section, key, value):
+    return lambda manifest: manifest[section].update({key: value})
+
+
+def _slot_tools_string(manifest) -> None:
+    manifest["playground"]["slots"][0]["tools"] = "web_search"
+
+
 BAD_MANIFESTS = [
     # (golden manifest, edit, text the error message must contain)
     ("planner_executor", _rename_playground, "not_a_playground"),
@@ -126,6 +134,15 @@ BAD_MANIFESTS = [
     ("research", _params(tool_pack=["nope"]), "'nope'"),
     ("research", _profile(temperature="hot"), "researcher-m"),
     ("research", _profile(max_output_tokens="many"), "researcher-m"),
+    ("research", _set("tools", "builtin", [[1]]), "builtin"),
+    ("research", _set("skills", "paths", 5), "skills.paths"),
+    ("research", _set("tools", "mcp", 5), "tools.mcp"),
+    ("research", _set("playground", "slots", 5), "playground.slots"),
+    ("research", _slot_tools_string, "slot 'researcher': tools must be a list"),
+    ("research", _profile(script_path=str(FIXTURES / "scripts/bad_content.script")), "content"),
+    ("research", _set("skills", "paths", [str(FIXTURES / "bad_skills")]), "front matter"),
+    ("research", _profile(api_key_env=5), "api_key_env"),
+    ("research", _set("experiment", "name", "../escaped/x"), "'../escaped/x'"),
 ]
 
 
@@ -136,7 +153,9 @@ BAD_MANIFESTS = [
         "unknown_playground", "no_critic", "role_typo", "unknown_param",
         "max_rounds_ten", "max_rounds_zero", "branches_over_improvers",
         "n_solvers_over_solvers", "empty_tool_pack", "unknown_tool_pack_tool",
-        "temperature_hot", "max_output_tokens_many",
+        "temperature_hot", "max_output_tokens_many", "builtin_nested_list",
+        "skills_paths_int", "mcp_int", "slots_int", "slot_tools_string",
+        "malformed_script", "malformed_skill", "api_key_env_int", "name_escapes_output_dir",
     ],
 )
 def test_bad_manifest_rejected_at_load(tmp_path, capsys, golden, edit, named) -> None:
@@ -149,6 +168,14 @@ def test_bad_manifest_rejected_at_load(tmp_path, capsys, golden, edit, named) ->
     runs = tmp_path / "runs"
     assert main(["run", "--config", str(path), "--out", str(runs)]) == 2
     assert named in capsys.readouterr().err
+    assert not runs.exists()
+
+
+@pytest.mark.parametrize("secs", ["0", "-5"])
+def test_max_wall_secs_override_checked(tmp_path, capsys, secs) -> None:
+    runs = tmp_path / "runs"
+    assert main(["run", "--config", MIN, "--out", str(runs), "--max-wall-secs", secs]) == 2
+    assert "max_wall_seconds" in capsys.readouterr().err
     assert not runs.exists()
 
 

@@ -110,6 +110,13 @@ def test_temperature_range_checked(tmp_path) -> None:
         )
 
 
+@pytest.mark.parametrize("key", ["model", "base_url", "api_key_env"])
+def test_profile_text_fields_checked_at_construction(key) -> None:
+    fields = {"name": "h", "provider": "http-openai-compatible", "model": "m", "base_url": "http://x/"}
+    with pytest.raises(InvalidProfile, match=key):
+        ModelProfile(**{**fields, key: 5})
+
+
 def test_unknown_profile_raises(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, mock_a=[{"content": "hi"}])
     with pytest.raises(ProfileNotFound):

@@ -46,6 +46,17 @@ def test_malformed_listing_is_protocol_error() -> None:
             client.list_tools()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"alias": "", "endpoint": "http://127.0.0.1:9/"}, {"alias": "a", "endpoint": ""},
+     {"alias": "a", "endpoint": "http://127.0.0.1:9/", "transport": "smoke"}],
+    ids=["empty_alias", "empty_endpoint", "unknown_transport"],
+)
+def test_endpoint_checked_at_construction(fields) -> None:
+    with pytest.raises(McpProtocolError):
+        McpEndpoint(**fields)
+
+
 def test_collision_prefixed_with_alias(tmp_path, stub_server) -> None:
     registry = ToolRegistry()
     install_builtin_tools(registry, tmp_path, names=["exec"])
