@@ -27,12 +27,10 @@ from .gateway import (
     TokenUsage,
 )
 from .prompts import CRITIQUE_PROMPT, DEFAULT_FINAL_MARKER
-from .skills import SkillIndex, discover, render_metadata
-from .tools import Action, InvokeLimits, ToolRegistry
+from .skills import SkillIndex, render_metadata
+from .tools import DEFAULT_TIMEOUT_MS, Action, InvokeLimits, ToolRegistry
 
 OUTCOME_STATUSES = ("answered", "max_turns", "budget_exhausted", "timeout", "error")
-
-_FAILED = object()  # _with_retry's result when both attempts failed
 
 
 class ConfigError(EvokitError):
@@ -64,7 +62,6 @@ class AgentSpec:
     system_prompt: str
     llm_profile: str
     tool_names: tuple[str, ...] = ()
-    skill_roots: tuple[str, ...] = ()
     max_turns: int = 8
     critique_every: int = 1
     budget: ContextBudget = field(default_factory=ContextBudget)
@@ -75,8 +72,11 @@ class AgentSpec:
             raise ConfigError(f"{self.name}: max_turns must be >= 1")
         if self.critique_every < 1:
             raise ConfigError(f"{self.name}: critique_every must be >= 1")
+        if not isinstance(self.system_prompt, str):
+            raise ConfigError(f"{self.name}: system_prompt must be a string")
+        if not isinstance(self.final_marker, str) or not self.final_marker:
+            raise ConfigError(f"{self.name}: final_marker must be a non-empty string")
         self.tool_names = tuple(self.tool_names)
-        self.skill_roots = tuple(self.skill_roots)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,6 @@ class RunServices:
     recorder: RecorderLike | None = None
     cache: Any | None = None
     deadline: float | None = None
-    limits: InvokeLimits = field(default_factory=InvokeLimits)
     _invocations: Counter = field(default_factory=Counter, init=False, repr=False)
     _invocations_lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False
@@ -167,18 +166,12 @@ class AgentRun:
         missing = [t for t in spec.tool_names if services.tools.get(t) is None]
         if missing:
             raise ConfigError(f"{spec.name}: unknown tools {missing}")
-        skills = services.skills
-        if spec.skill_roots:
-            try:
-                skills = discover(spec.skill_roots)
-            except (EvokitError, OSError) as exc:
-                raise ConfigError(f"{spec.name}: cannot load skills ({exc})") from exc
 
         run = cls(spec, services, slot=slot)
         run.context.append(
             ContextEntry(ChatMessage("system", spec.system_prompt), kind="system", pinned=True)
         )
-        metadata = render_metadata(skills) if skills else ""
+        metadata = render_metadata(services.skills) if services.skills else ""
         if metadata:
             run.context.append(
                 ContextEntry(ChatMessage("system", metadata), kind="system", pinned=True)
@@ -217,7 +210,8 @@ class AgentRun:
         """Run a provider-backed call, retrying once on ProviderError.
 
         Every failure is recorded as an ``error`` event; the first carries
-        ``"retrying": true``. Returns _FAILED when the retry fails too.
+        ``"retrying": true``. When the retry fails too its ProviderError
+        propagates, and step() ends the run in ``error``.
         """
         try:
             return call()
@@ -229,9 +223,9 @@ class AgentRun:
             return call()
         except ProviderError as exc:
             self._record("error", {"error": str(exc), "phase": phase}, turn=self.turn)
-            return _FAILED
+            raise
 
-    def _complete(self, phase: str) -> ChatResponse | None:
+    def _complete(self, phase: str) -> ChatResponse:
         """One model call with a single retry; both failures end the run."""
         messages = self.context.render(self.spec.budget)
         descriptors = [self.services.tools.get(t) for t in sorted(self.spec.tool_names)]
@@ -241,20 +235,14 @@ class AgentRun:
                 self.spec.llm_profile, messages, [d for d in descriptors if d]
             ),
         )
-        if response is _FAILED:
-            return None
         self._usage = self._usage + response.usage
         return response
 
     def _invoke_limits(self) -> InvokeLimits:
-        base = self.services.limits
         if self.services.deadline is None:
-            return base
+            return InvokeLimits()
         remaining_ms = int((self.services.deadline - time.monotonic()) * 1000)
-        return InvokeLimits(
-            timeout_ms=max(1, min(base.timeout_ms, remaining_ms)),
-            output_cap_chars=base.output_cap_chars,
-        )
+        return InvokeLimits(timeout_ms=max(1, min(DEFAULT_TIMEOUT_MS, remaining_ms)))
 
     # -- the loop ------------------------------------------------------------
 
@@ -270,6 +258,8 @@ class AgentRun:
             self._step_body()
         except PinnedOverflow:
             self._finish("budget_exhausted")
+        except ProviderError:  # a failed retry, already recorded by _with_retry
+            self._finish("error")
         except EvokitError as exc:
             self._record("error", {"error": str(exc), "phase": "turn"}, turn=self.turn)
             self._finish("error")
@@ -277,10 +267,6 @@ class AgentRun:
 
     def _step_body(self) -> None:
         response = self._complete("turn")
-        if response is None:
-            self._finish("error")
-            return
-
         self._last_content = response.content
         self.context.append(
             ContextEntry(
@@ -311,8 +297,7 @@ class AgentRun:
         else:
             if self.turn % self.spec.critique_every == 0:
                 self._critique()
-            if self.outcome is None:
-                self._compress()
+            self._compress()
 
     def _run_actions(self, actions: tuple[Action, ...]) -> None:
         for action in actions:
@@ -346,9 +331,6 @@ class AgentRun:
         """Engine-injected reflection; the reply lands as a critique entry."""
         self.context.append(ContextEntry(ChatMessage("user", CRITIQUE_PROMPT)))
         response = self._complete("critique")
-        if response is None:
-            self._finish("error")
-            return
         self.context.append(
             ContextEntry(ChatMessage("assistant", response.content), kind="critique")
         )
@@ -361,9 +343,6 @@ class AgentRun:
                 self.spec.budget, self.services.gateway, self.spec.llm_profile
             ),
         )
-        if event is _FAILED:
-            self._finish("error")
-            return
         if event is None:
             return
         if event.usage is not None:

@@ -25,6 +25,7 @@ from .tools import Action, ToolDescriptor, descriptor_wire_form
 ROLES = ("system", "user", "assistant", "tool")
 PROVIDERS = ("scripted", "http-openai-compatible")
 FINISH_REASONS = ("stop", "tool_call", "length")
+HTTP_TIMEOUT_S = 30.0  # per chat-completions request
 
 
 class DuplicateProfile(EvokitError):
@@ -44,7 +45,7 @@ class ScriptParseError(EvokitError):
 
 
 class ProviderError(EvokitError):
-    """Transport or HTTP failure from a model provider."""
+    """Transport or HTTP failure, or a malformed reply, from a model provider."""
 
     def __init__(self, message: str, status: int | None = None, body: str | None = None):
         detail = message
@@ -116,6 +117,8 @@ class ChatResponse:
     finish: str = "stop"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.content, str):
+            raise TypeError(f"response content must be a string, got {self.content!r}")
         if self.finish not in FINISH_REASONS:
             raise ValueError(f"unknown finish reason: {self.finish!r}")
         if (self.finish == "tool_call") != bool(self.tool_calls):
@@ -273,12 +276,11 @@ def scripted_step(script: Script, messages: Sequence[ChatMessage]) -> ChatRespon
 class LlmGateway:
     """Profile registry plus a uniform complete() across providers."""
 
-    def __init__(self, session: requests.Session | None = None, http_timeout: float = 30.0):
+    def __init__(self) -> None:
         self._profiles: dict[str, ModelProfile] = {}
         self._scripts: dict[str, Script] = {}
         self._lock = threading.Lock()
-        self._session = session or requests.Session()
-        self._http_timeout = http_timeout
+        self._session = requests.Session()
 
     def register_profile(self, profile: ModelProfile) -> None:
         script = load_script(profile.script_path) if profile.provider == "scripted" else None
@@ -338,49 +340,50 @@ class LlmGateway:
 
         url = profile.base_url.rstrip("/") + "/chat/completions"
         try:
-            response = self._session.post(
-                url, json=body, headers=headers, timeout=self._http_timeout
-            )
+            response = self._session.post(url, json=body, headers=headers, timeout=HTTP_TIMEOUT_S)
         except requests.RequestException as exc:
             raise ProviderError(f"transport failure: {exc}") from exc
         if response.status_code != 200:
             raise ProviderError("provider returned an error", response.status_code, response.text)
         try:
-            payload = response.json()
-            message = payload["choices"][0]["message"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            return _parse_reply(response.json())
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
 
-        actions = []
-        for k, call in enumerate(message.get("tool_calls") or []):
-            fn = call.get("function", {})
-            try:
-                arguments = json.loads(fn.get("arguments") or "{}")
-            except json.JSONDecodeError as exc:
-                raise ProviderError(f"malformed tool call arguments: {exc}") from exc
-            actions.append(
-                Action(id=call.get("id") or f"call-http-{k}", tool=fn.get("name", ""), arguments=arguments)
-            )
 
-        finish_reason = payload["choices"][0].get("finish_reason", "stop")
-        if actions:
-            finish = "tool_call"
-        elif finish_reason == "length":
-            finish = "length"
-        else:
-            finish = "stop"
+def _parse_reply(payload: Any) -> ChatResponse:
+    """A chat-completions payload as a ChatResponse; any malformed part raises.
 
-        usage = payload.get("usage") or {}
-        content = message.get("content") or ""
-        return ChatResponse(
-            content=content,
-            tool_calls=tuple(actions),
-            usage=TokenUsage(
-                int(usage.get("prompt_tokens", 0)),
-                int(usage.get("completion_tokens", 0)),
-            ),
-            finish=finish,
+    ``Action`` and ``ChatResponse`` check their own fields, so tool-call
+    arguments must decode to a JSON object and content must be a string.
+    """
+    choice = payload["choices"][0]
+    message = choice["message"]
+    actions = []
+    for k, call in enumerate(message.get("tool_calls") or []):
+        fn = call.get("function", {})
+        arguments = json.loads(fn.get("arguments") or "{}")
+        actions.append(
+            Action(id=call.get("id") or f"call-http-{k}", tool=fn.get("name", ""), arguments=arguments)
         )
+
+    if actions:
+        finish = "tool_call"
+    elif choice.get("finish_reason") == "length":
+        finish = "length"
+    else:
+        finish = "stop"
+
+    usage = payload.get("usage") or {}
+    return ChatResponse(
+        content=message.get("content") or "",
+        tool_calls=tuple(actions),
+        usage=TokenUsage(
+            int(usage.get("prompt_tokens", 0)),
+            int(usage.get("completion_tokens", 0)),
+        ),
+        finish=finish,
+    )
 
 
 def _wire_message(message: ChatMessage) -> dict[str, Any]:

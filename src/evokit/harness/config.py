@@ -146,6 +146,8 @@ _SLOT_FIELDS = {
     "final_marker": ("final_marker", str),
 }
 _SLOT_KEYS = {"slot_name", "role", "llm_profile", "system_prompt", "budget", *_SLOT_FIELDS}
+# Slot text keys whose null (YAML ``key:`` with no value) reads as left out.
+_NULL_IS_UNSET = ("system_prompt", "final_marker")
 
 
 def _require(mapping: Any, where: str) -> dict:
@@ -304,6 +306,7 @@ def _parse_slot(raw: dict, lenient: bool) -> AgentSlot:
         if not raw.get(required):
             raise ValidationError(f"slot entries need {required}")
     name = str(raw["slot_name"])
+    raw = {k: v for k, v in raw.items() if v is not None or k not in _NULL_IS_UNSET}
     try:
         budget = _build(
             ContextBudget, raw.get("budget", {}), "budget", lenient,

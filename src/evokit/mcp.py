@@ -48,14 +48,9 @@ class McpEndpoint:
 
 
 class McpClient:
-    def __init__(
-        self,
-        endpoint: McpEndpoint,
-        session: requests.Session | None = None,
-        timeout: float = 10.0,
-    ):
+    def __init__(self, endpoint: McpEndpoint, timeout: float = 10.0):
         self.endpoint = endpoint
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._timeout = timeout
         self._next_id = 0
         self._lock = threading.Lock()

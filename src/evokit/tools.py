@@ -91,6 +91,12 @@ class Action:
     tool: str
     arguments: dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not isinstance(self.tool, str):
+            raise TypeError(f"action id and tool must be strings: {self.id!r}, {self.tool!r}")
+        if not isinstance(self.arguments, dict):
+            raise TypeError(f"{self.tool}: arguments must be an object, got {self.arguments!r}")
+
 
 @dataclass(frozen=True)
 class Execution:

@@ -120,6 +120,10 @@ def _slot_tools_string(manifest) -> None:
     manifest["playground"]["slots"][0]["tools"] = "web_search"
 
 
+def _empty_final_marker(manifest) -> None:
+    manifest["playground"]["slots"][0]["final_marker"] = ""
+
+
 BAD_MANIFESTS = [
     # (golden manifest, edit, text the error message must contain)
     ("planner_executor", _rename_playground, "not_a_playground"),
@@ -143,6 +147,7 @@ BAD_MANIFESTS = [
     ("research", _set("skills", "paths", [str(FIXTURES / "bad_skills")]), "front matter"),
     ("research", _profile(api_key_env=5), "api_key_env"),
     ("research", _set("experiment", "name", "../escaped/x"), "'../escaped/x'"),
+    ("research", _empty_final_marker, "slot 'researcher': researcher: final_marker"),
 ]
 
 
@@ -156,6 +161,7 @@ BAD_MANIFESTS = [
         "temperature_hot", "max_output_tokens_many", "builtin_nested_list",
         "skills_paths_int", "mcp_int", "slots_int", "slot_tools_string",
         "malformed_script", "malformed_skill", "api_key_env_int", "name_escapes_output_dir",
+        "empty_final_marker",
     ],
 )
 def test_bad_manifest_rejected_at_load(tmp_path, capsys, golden, edit, named) -> None:

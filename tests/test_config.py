@@ -5,6 +5,7 @@ import json
 import pytest
 
 from evokit.cli import main
+from evokit.prompts import DEFAULT_FINAL_MARKER
 from evokit.harness import (
     DEFAULT_MAX_WALL_SECONDS,
     ParseError,
@@ -171,6 +172,14 @@ def test_invalid_slot_values_rejected_at_load(tmp_path, bad) -> None:
     runs = tmp_path / "runs"
     assert main(["run", "--config", str(path), "--out", str(runs)]) == 2
     assert not runs.exists()
+
+
+def test_null_slot_text_takes_the_default() -> None:
+    data = _min_data()
+    data["playground"]["slots"][0].update(system_prompt=None, final_marker=None)
+    spec = from_dict(data).playground.slots[0].spec
+    assert spec.system_prompt == ""
+    assert spec.final_marker == DEFAULT_FINAL_MARKER
 
 
 def test_lenient_accepts_unknown_budget_key(tmp_path) -> None:

@@ -292,8 +292,32 @@ def test_http_transport_failure_is_provider_error() -> None:
         gateway.complete("remote", [ChatMessage("user", "hi")])
 
 
-def test_http_malformed_payload_is_provider_error() -> None:
-    with ChatCompletionsStub(reply={"unexpected": True}) as stub:
+def _reply(message, usage=None) -> dict:
+    return {"choices": [{"message": message}], "usage": usage or {}}
+
+
+def _tool_call(arguments) -> dict:
+    return {"id": "c1", "function": {"name": "exec", "arguments": arguments}}
+
+
+MALFORMED_REPLIES = {
+    "no_choices": {"unexpected": True},
+    "usage_not_a_number": _reply({"content": "x"}, {"prompt_tokens": "n/a"}),
+    "usage_negative": _reply({"content": "x"}, {"prompt_tokens": -1}),
+    "message_a_string": _reply("x"),
+    "tool_call_a_string": _reply({"content": "", "tool_calls": ["exec"]}),
+    "arguments_an_object": _reply({"content": "", "tool_calls": [_tool_call({"cmd": "ls"})]}),
+    "arguments_a_list": _reply({"content": "", "tool_calls": [_tool_call("[1]")]}),
+    "content_a_number": _reply({"content": 5}),
+    "tool_call_id_an_object": _reply(
+        {"content": "", "tool_calls": [dict(_tool_call("{}"), id={"n": 1})]}
+    ),
+}
+
+
+@pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES.keys())
+def test_http_malformed_payload_is_provider_error(reply) -> None:
+    with ChatCompletionsStub(reply=reply) as stub:
         gateway = _http_gateway(stub.url)
-        with pytest.raises(ProviderError):
+        with pytest.raises(ProviderError, match="malformed provider response"):
             gateway.complete("remote", [ChatMessage("user", "hi")])

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from evokit.engine import AgentSpec, ConfigError
 from evokit.gateway import ModelProfile
+from evokit.harness import TrajectoryRecorder
 from evokit.playgrounds import (
     AgentSlot,
     DuplicatePlayground,
@@ -21,6 +24,7 @@ from evokit.playgrounds import (
 from evokit.playgrounds.parallel import parallel_explore
 from evokit.playgrounds.sequential import sequential_handoff
 from helpers import make_services, scripted_gateway
+from stubs import ChatCompletionsStub
 
 BUILTIN_NAMES = [
     "draft_and_improve",
@@ -193,6 +197,43 @@ def test_explorer_failure_becomes_note(tmp_path) -> None:
     result = parallel_explore("task", {}, slots, services)
     assert result.status == "partial"
     assert result.final_answer == "noted"
+
+
+def test_malformed_reply_is_a_retried_fault_of_one_explorer(tmp_path) -> None:
+    gateway = scripted_gateway(
+        tmp_path,
+        e1=[{"content": "FINAL: e1"}],
+        agg=[
+            {"match": "\\[e1\\] e1[\\s\\S]*\\[e2\\] failed: error", "content": "FINAL: noted"},
+            {"content": "FINAL: WRONG"},
+        ],
+    )
+    trace = tmp_path / "trace.jsonl"
+    recorder = TrajectoryRecorder(trace, "run-1")
+    services = make_services(tmp_path, gateway, recorder=recorder)
+    slots = [
+        _slot("e1", "explorer", "e1"),
+        _slot("e2", "explorer", "bad"),
+        _slot("aggregator", "aggregator", "agg"),
+    ]
+    with ChatCompletionsStub(reply={"choices": [{"message": "not an object"}]}) as stub:
+        gateway.register_profile(
+            ModelProfile("bad", "http-openai-compatible", "m", base_url=stub.url)
+        )
+        result = parallel_explore("task", {}, slots, services)
+    recorder.close()
+    assert len(stub.requests) == 2
+    assert result.status == "partial"
+    assert result.final_answer == "noted"
+    assert result.per_slot_outcomes["e2"].status == "error"
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    errors = [
+        (e["payload"]["phase"], e["payload"].get("retrying"))
+        for e in events
+        if e["kind"] == "error"
+    ]
+    assert errors == [("turn", True), ("turn", None)]
+    assert all(e["slot"] == "e2" for e in events if e["kind"] == "error")
 
 
 def test_aggregator_failure_fails_run(tmp_path) -> None:
