@@ -9,15 +9,17 @@ agent swaps backends by changing one string.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import threading
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
-
-import requests
 
 from .errors import EvokitError
 from .tools import Action, ToolDescriptor, descriptor_wire_form
@@ -280,7 +282,6 @@ class LlmGateway:
         self._profiles: dict[str, ModelProfile] = {}
         self._scripts: dict[str, Script] = {}
         self._lock = threading.Lock()
-        self._session = requests.Session()
 
     def register_profile(self, profile: ModelProfile) -> None:
         script = load_script(profile.script_path) if profile.provider == "scripted" else None
@@ -320,7 +321,7 @@ class LlmGateway:
         messages: Sequence[ChatMessage],
         tools: Sequence[ToolDescriptor],
     ) -> ChatResponse:
-        headers = {"Content-Type": "application/json"}
+        headers: dict[str, str] = {}
         if profile.api_key_env:
             key = os.environ.get(profile.api_key_env)
             if not key:
@@ -340,15 +341,46 @@ class LlmGateway:
 
         url = profile.base_url.rstrip("/") + "/chat/completions"
         try:
-            response = self._session.post(url, json=body, headers=headers, timeout=HTTP_TIMEOUT_S)
-        except requests.RequestException as exc:
+            status, reply = post_json(url, body, headers, HTTP_TIMEOUT_S)
+        except OSError as exc:
             raise ProviderError(f"transport failure: {exc}") from exc
-        if response.status_code != 200:
-            raise ProviderError("provider returned an error", response.status_code, response.text)
+        if status != 200:
+            raise ProviderError(
+                "provider returned an error", status, reply.decode("utf-8", "replace")
+            )
         try:
-            return _parse_reply(response.json())
+            return _parse_reply(json.loads(reply))
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
+
+
+def post_json(
+    url: str, payload: Any, headers: dict[str, str], timeout: float
+) -> tuple[int, bytes]:
+    """POST ``payload`` as JSON on a fresh connection; return ``(status, body)``.
+
+    Every HTTP reply is returned, non-2xx included. Every transport failure
+    raises ``OSError``: a refused, dropped or timed-out connection, a
+    protocol error, a malformed URL, a payload that is not valid JSON (NaN),
+    and any scheme but http/https, since urllib would otherwise read
+    ``file://`` and ``ftp://`` URLs. Proxies come from the environment.
+    """
+    try:
+        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+            raise OSError(f"unsupported URL scheme: {url}")
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+            headers={**headers, "Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read()
+    except (http.client.HTTPException, ValueError) as exc:
+        raise OSError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _parse_reply(payload: Any) -> ChatResponse:

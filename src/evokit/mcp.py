@@ -14,12 +14,12 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
-import requests
-
 from .errors import EvokitError
-from .tools import ToolDescriptor, ToolRegistry
+from .gateway import post_json
+from .tools import InvalidDescriptor, ToolDescriptor, ToolRegistry
 
 MCP_TRANSPORTS = ("http", "stdio")
+MCP_TIMEOUT_S = 10.0  # per JSON-RPC request, either transport
 
 
 class McpTransportError(EvokitError):
@@ -48,10 +48,8 @@ class McpEndpoint:
 
 
 class McpClient:
-    def __init__(self, endpoint: McpEndpoint, timeout: float = 10.0):
+    def __init__(self, endpoint: McpEndpoint):
         self.endpoint = endpoint
-        self._session = requests.Session()
-        self._timeout = timeout
         self._next_id = 0
         self._lock = threading.Lock()
 
@@ -68,33 +66,34 @@ class McpClient:
             "params": params,
         }
         if self.endpoint.transport == "http":
-            raw = self._rpc_http(request)
+            reply = self._rpc_http(request)
         else:
-            raw = self._rpc_stdio(request)
+            reply = self._rpc_stdio(request)
+        try:
+            raw = json.loads(reply)
+        except ValueError as exc:
+            raise McpProtocolError(f"{self.endpoint.alias}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise McpProtocolError(f"{method}: response is not a JSON object")
-        if raw.get("error") is not None:
-            error = raw["error"]
+        error = raw.get("error")
+        if error is not None:
+            if not isinstance(error, dict):
+                raise McpProtocolError(
+                    f"{self.endpoint.alias}: {method}: malformed error {error!r}"
+                )
             raise McpToolError(f"{error.get('code')}: {error.get('message')}")
         return raw.get("result")
 
-    def _rpc_http(self, request: dict[str, Any]) -> Any:
+    def _rpc_http(self, request: dict[str, Any]) -> bytes:
         try:
-            response = self._session.post(
-                self.endpoint.endpoint, json=request, timeout=self._timeout
-            )
-        except requests.RequestException as exc:
+            status, body = post_json(self.endpoint.endpoint, request, {}, MCP_TIMEOUT_S)
+        except OSError as exc:
             raise McpTransportError(f"{self.endpoint.alias}: {exc}") from exc
-        if response.status_code != 200:
-            raise McpTransportError(
-                f"{self.endpoint.alias}: HTTP {response.status_code}"
-            )
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise McpProtocolError(f"{self.endpoint.alias}: invalid JSON ({exc})") from exc
+        if status != 200:
+            raise McpTransportError(f"{self.endpoint.alias}: HTTP {status}")
+        return body
 
-    def _rpc_stdio(self, request: dict[str, Any]) -> Any:
+    def _rpc_stdio(self, request: dict[str, Any]) -> str:
         # One-shot line-delimited exchange: spawn, write one request line,
         # read one response line. Good enough for batch tooling servers.
         try:
@@ -104,17 +103,14 @@ class McpClient:
                 input=json.dumps(request) + "\n",
                 capture_output=True,
                 text=True,
-                timeout=self._timeout,
+                timeout=MCP_TIMEOUT_S,
             )
         except (OSError, subprocess.SubprocessError) as exc:
             raise McpTransportError(f"{self.endpoint.alias}: {exc}") from exc
         line = proc.stdout.strip().splitlines()
         if not line:
             raise McpTransportError(f"{self.endpoint.alias}: no response on stdout")
-        try:
-            return json.loads(line[0])
-        except json.JSONDecodeError as exc:
-            raise McpProtocolError(f"{self.endpoint.alias}: invalid JSON ({exc})") from exc
+        return line[0]
 
     def list_tools(self) -> list[ToolDescriptor]:
         result = self._rpc("tools/list", {})
@@ -122,16 +118,21 @@ class McpClient:
             raise McpProtocolError(f"{self.endpoint.alias}: malformed tools/list result")
         descriptors = []
         for raw in result["tools"]:
-            if not isinstance(raw, dict) or not raw.get("name"):
-                raise McpProtocolError(f"{self.endpoint.alias}: malformed tool entry")
-            descriptors.append(
-                ToolDescriptor(
-                    name=raw["name"],
-                    description=raw.get("description", ""),
-                    parameters=raw.get("inputSchema") or {"type": "object", "properties": {}},
-                    source="mcp",
+            if not isinstance(raw, dict):
+                raise McpProtocolError(f"{self.endpoint.alias}: malformed tool entry {raw!r}")
+            try:
+                descriptors.append(
+                    ToolDescriptor(
+                        name=raw.get("name"),
+                        description=raw.get("description", ""),
+                        parameters=raw.get("inputSchema") or {"type": "object", "properties": {}},
+                        source="mcp",
+                    )
                 )
-            )
+            except InvalidDescriptor as exc:
+                raise McpProtocolError(
+                    f"{self.endpoint.alias}: malformed tool entry ({exc})"
+                ) from exc
         return descriptors
 
     def call_tool(self, name: str, arguments: dict[str, Any]) -> str:

@@ -7,6 +7,7 @@ from .base import (
     AgentSlot,
     PlaygroundDefinition,
     PlaygroundResult,
+    answer_or_note,
     fan_out,
     run_slot,
     single_slot,
@@ -25,15 +26,8 @@ def parallel_explore(
     states = {slot.slot_name: state for slot, state in zip(explorers, runs)}
 
     outcomes = {name: state.outcome for name, state in states.items()}
-    degraded = False
-    lines = []
-    for name in sorted(states):
-        outcome = states[name].outcome
-        if outcome.status == "answered":
-            lines.append(f"[{name}] {outcome.final_answer}")
-        else:
-            degraded = True
-            lines.append(f"[{name}] failed: {outcome.status}")
+    degraded = any(outcome.status != "answered" for outcome in outcomes.values())
+    lines = [f"[{name}] {answer_or_note(states[name])}" for name in sorted(states)]
 
     aggregate_task = f"{task}\n\nCandidate answers:\n" + "\n".join(lines)
     agg_state = run_slot(aggregator, aggregate_task, services)

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..engine import RunServices
-from .base import AgentSlot, PlaygroundDefinition, PlaygroundResult, run_slot, single_slot
+from .base import (
+    AgentSlot,
+    PlaygroundDefinition,
+    PlaygroundResult,
+    answer_or_note,
+    run_slot,
+    single_slot,
+)
 
 DEFAULT_MAX_ROUNDS = 10
 
@@ -57,10 +64,7 @@ def planner_executor(
 
         executor_state = run_slot(executor, f"{task}\n\nSearch plan:\n{plan}", services)
         outcomes[executor.slot_name] = executor_state.outcome
-        if executor_state.outcome.status == "answered":
-            findings.append(executor_state.outcome.final_answer or "")
-        else:
-            findings.append(f"failed: {executor_state.outcome.status}")
+        findings.append(answer_or_note(executor_state))
 
     return PlaygroundResult(
         "\n".join(findings), "partial", outcomes, rounds_used=max_rounds

@@ -62,8 +62,10 @@ class ToolDescriptor:
     source: str = "builtin"
 
     def __post_init__(self) -> None:
-        if not self.name or not self.name.strip():
-            raise InvalidDescriptor("tool name must be non-empty")
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise InvalidDescriptor(f"tool name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.description, str):
+            raise InvalidDescriptor(f"{self.name}: description must be a string")
         if self.source not in TOOL_SOURCES:
             raise InvalidDescriptor(f"unknown tool source: {self.source!r}")
         if not isinstance(self.parameters, dict):

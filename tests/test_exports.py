@@ -1,9 +1,16 @@
-"""Each package's ``__all__`` lists exactly the public names its ``__init__`` binds."""
+"""What importing evokit binds and loads.
+
+Each package's ``__all__`` lists exactly the public names its ``__init__``
+binds, and no third-party HTTP client is loaded.
+"""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +35,16 @@ def _bound_public_names(module) -> set[str]:
 @pytest.mark.parametrize("module", [evokit.harness, evokit.playgrounds], ids=lambda m: m.__name__)
 def test_all_matches_bound_public_names(module) -> None:
     assert set(module.__all__) == _bound_public_names(module)
+
+
+def test_import_loads_no_http_client_library() -> None:
+    code = (
+        "import sys, evokit, evokit.cli, evokit.harness, evokit.mcp_stub\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('requests', 'urllib3')))"
+    )
+    src = Path(evokit.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60, cwd=src,
+    )
+    assert result.stdout.strip() == "[]"

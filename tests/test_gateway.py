@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from evokit.gateway import (
     scripted_step,
 )
 from helpers import FIXTURES, scripted_gateway, write_script
-from stubs import ChatCompletionsStub
+from stubs import DEFAULT_REPLY, ChatCompletionsStub
 
 
 # -- token estimation ---------------------------------------------------------
@@ -286,8 +287,20 @@ def test_http_provider_requires_api_key_env(monkeypatch) -> None:
         assert stub.requests[-1]["authorization"] == "Bearer secret"
 
 
-def test_http_transport_failure_is_provider_error() -> None:
-    gateway = _http_gateway("http://127.0.0.1:9")  # discard port, nothing listens
+@pytest.mark.parametrize(
+    "base_url",
+    [
+        "http://127.0.0.1:9",  # discard port, nothing listens
+        "http://127.0.0.1:abc",  # malformed port
+        "ftp://127.0.0.1:9",
+        "file://{tmp_path}",  # holds a valid reply, yet only http/https are spoken
+    ],
+    ids=["refused", "bad_port", "ftp", "file"],
+)
+def test_http_transport_failure_is_provider_error(base_url, tmp_path) -> None:
+    (tmp_path / "chat").mkdir()
+    (tmp_path / "chat" / "completions").write_text(json.dumps(DEFAULT_REPLY))
+    gateway = _http_gateway(base_url.format(tmp_path=tmp_path))
     with pytest.raises(ProviderError):
         gateway.complete("remote", [ChatMessage("user", "hi")])
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from evokit.cli import main
 from evokit.mcp import (
     McpClient,
     McpEndpoint,
@@ -34,7 +35,7 @@ def test_list_tools_converts_descriptors(stub_server) -> None:
 
 
 def test_unreachable_endpoint_is_transport_error() -> None:
-    client = McpClient(McpEndpoint(alias="down", endpoint="http://127.0.0.1:9/"), timeout=0.5)
+    client = McpClient(McpEndpoint(alias="down", endpoint="http://127.0.0.1:9/"))
     with pytest.raises(McpTransportError):
         client.list_tools()
 
@@ -44,6 +45,26 @@ def test_malformed_listing_is_protocol_error() -> None:
         client = McpClient(McpEndpoint(alias="bad", endpoint=bad.url))
         with pytest.raises(McpProtocolError):
             client.list_tools()
+
+
+@pytest.mark.parametrize(
+    ("stub", "error"),
+    [
+        ({"reply": {"jsonrpc": "2.0", "id": 1, "error": "boom"}}, McpProtocolError),
+        ({"reply": {"jsonrpc": "2.0", "id": 1, "result": {"tools": [{"name": 5}]}}},
+         McpProtocolError),
+        ({"reply": {"jsonrpc": "2.0", "id": 1,
+                    "result": {"tools": [{"name": "t", "description": 7}]}}},
+         McpProtocolError),
+        ({"status": 500}, McpTransportError),
+    ],
+    ids=["string_error", "int_name", "int_description", "http_500"],
+)
+def test_malformed_reply_fails_mcp_probe(stub, error) -> None:
+    with ChatCompletionsStub(**stub) as bad:
+        with pytest.raises(error):
+            McpClient(McpEndpoint(alias="bad", endpoint=bad.url)).list_tools()
+        assert main(["mcp-probe", "--endpoint", bad.url]) == 3
 
 
 @pytest.mark.parametrize(
