@@ -33,6 +33,7 @@ from .gateway import (
     LlmGateway,
     ModelProfile,
     ProfileNotFound,
+    Prompt,
     ProviderError,
     Script,
     ScriptParseError,

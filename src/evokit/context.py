@@ -4,8 +4,9 @@ System prompts, task statements, and skill metadata are pinned and always
 survive; dialogue is either summarized through a model call or dropped by a
 sliding window once the running total crosses the compression threshold.
 Each message's token estimate is computed once, when the message is built;
-the manager keeps its pinned and unpinned totals incrementally, so a turn
-below the threshold costs the same however long the history has grown.
+the manager keeps its pinned and unpinned totals, its message list and its
+assistant count incrementally, so a turn below the threshold costs the same
+however long the history has grown.
 One instance belongs to one agent: single writer, movable between threads,
 never mutated concurrently.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import EvokitError
-from .gateway import ChatMessage, TokenUsage, estimate_tokens
+from .gateway import ChatMessage, Prompt, TokenUsage, estimate_tokens
 from .prompts import SUMMARIZE_PROMPT
 
 if TYPE_CHECKING:
@@ -79,11 +80,18 @@ class CompressionEvent:
 class ContextManager:
     def __init__(self) -> None:
         self._entries: list[ContextEntry] = []
+        # The entries' messages, and how many are assistant messages, in step
+        # with _entries, so a render that fits copies them without a rescan.
+        self._messages: list[ChatMessage] = []
+        self._assistants = 0
         self._pinned_tokens = 0
         self._unpinned_tokens = 0
 
     def append(self, entry: ContextEntry) -> None:
         self._entries.append(entry)
+        self._messages.append(entry.message)
+        if entry.message.role == "assistant":
+            self._assistants += 1
         if entry.pinned:
             self._pinned_tokens += entry.tokens
         else:
@@ -96,8 +104,14 @@ class ContextManager:
     def total_tokens(self) -> int:
         return self._pinned_tokens + self._unpinned_tokens
 
-    def render(self, budget: ContextBudget) -> list[ChatMessage]:
+    def render(self, budget: ContextBudget) -> Prompt:
         """Pinned entries plus the largest recent unpinned suffix that fits.
+
+        When the whole history fits, the Prompt is a copy of the kept message
+        list carrying the running token total and assistant count: no Python
+        loop runs over the messages. Only the over-budget cut walks the
+        entries, and ``Prompt.of`` counts what it keeps. Every call returns a
+        new Prompt, which later appends and compressions leave unchanged.
 
         Chronological order is preserved. The suffix never opens with a tool
         message whose assistant call was cut off: such leading observations
@@ -112,7 +126,7 @@ class ContextManager:
             )
         remaining = budget.max_tokens - self._pinned_tokens
         if self._unpinned_tokens <= remaining:
-            return [e.message for e in entries]
+            return Prompt(self._messages, self.total_tokens, self._assistants)
         # Walk back to the first unpinned entry that does not fit; everything
         # after it survives, and before it only the pinned entries do.
         cut = len(entries)
@@ -128,9 +142,9 @@ class ContextManager:
             entries[cut].pinned or entries[cut].message.role == "tool"
         ):
             cut += 1
-        return [e.message for e in entries[:cut] if e.pinned] + [
-            e.message for e in entries[cut:]
-        ]
+        return Prompt.of(
+            [e.message for e in entries[:cut] if e.pinned] + [e.message for e in entries[cut:]]
+        )
 
     def maybe_compress(
         self,
@@ -165,6 +179,8 @@ class ContextManager:
         kept = [e for i, e in enumerate(self._entries) if i not in removed]
         kept[insert_at:insert_at] = replacement
         self._entries = kept
+        self._messages = [e.message for e in kept]
+        self._assistants = Prompt.of(self._messages).assistants
         # The span and its replacement are unpinned, so the pinned total holds.
         self._unpinned_tokens = sum(e.tokens for e in kept if not e.pinned)
         return CompressionEvent(

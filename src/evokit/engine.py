@@ -10,6 +10,7 @@ is emitted to the trajectory recorder, so no fault ever vanishes silently.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 import time
@@ -241,7 +242,9 @@ class AgentRun:
     def _invoke_limits(self) -> InvokeLimits:
         if self.services.deadline is None:
             return InvokeLimits()
-        remaining_ms = int((self.services.deadline - time.monotonic()) * 1000)
+        # Rounded up, so a tool cut off by the deadline returns at or after it
+        # and the next turn sees out_of_time().
+        remaining_ms = math.ceil((self.services.deadline - time.monotonic()) * 1000)
         return InvokeLimits(timeout_ms=max(1, min(DEFAULT_TIMEOUT_MS, remaining_ms)))
 
     # -- the loop ------------------------------------------------------------

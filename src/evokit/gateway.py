@@ -19,7 +19,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import EvokitError
 from .tools import Action, ToolDescriptor, descriptor_wire_form
@@ -109,6 +109,36 @@ class ChatMessage:
         if self.role != "assistant" and self.tool_calls:
             raise ValueError("only assistant messages may carry tool calls")
         object.__setattr__(self, "tokens", estimate_tokens(self.content))
+
+
+class Prompt(list):
+    """The messages of one model call, with two counts read off them.
+
+    ``tokens`` is the sum of the messages' ``ChatMessage.tokens`` and
+    ``assistants`` is how many of them are ``assistant`` messages. Both are
+    read-only: they are fixed when the prompt is built, so a Prompt must not
+    be mutated after that.
+    """
+
+    __slots__ = ("tokens", "assistants")
+
+    def __init__(self, messages: Iterable[ChatMessage], tokens: int, assistants: int) -> None:
+        super().__init__(messages)
+        self.tokens = tokens
+        self.assistants = assistants
+
+    @classmethod
+    def of(cls, messages: Sequence[ChatMessage]) -> "Prompt":
+        """``messages`` itself if it is a Prompt, else a Prompt counted once here."""
+        if isinstance(messages, Prompt):
+            return messages
+        tokens = 0
+        assistants = 0
+        for m in messages:
+            tokens += m.tokens
+            if m.role == "assistant":
+                assistants += 1
+        return cls(messages, tokens, assistants)
 
 
 @dataclass(frozen=True)
@@ -237,20 +267,20 @@ def _last_non_assistant(messages: Sequence[ChatMessage]) -> str:
 def scripted_step(script: Script, messages: Sequence[ChatMessage]) -> ChatResponse:
     """Produce the next canned response for this conversation.
 
-    Scans forward from the derived position for the first entry whose match
+    The position is the number of assistant messages in the conversation, and
+    the reported prompt tokens are the sum of its messages' tokens. Both come
+    from ``Prompt.of``: a rendered Prompt already carries them, and any other
+    message list is counted once here.
+
+    Scans forward from that position for the first entry whose match
     regex (if any) hits the last non-assistant message; entries without a
     match always hit. Falls back to the final entry when nothing matches.
     The placeholder ``{{last}}`` in entry content is replaced with the last
     non-assistant message, which is how echo scripts are written.
     """
+    prompt = Prompt.of(messages)
     target = _last_non_assistant(messages)
-    prompt = 0
-    assistants = 0
-    for m in messages:
-        prompt += m.tokens
-        if m.role == "assistant":
-            assistants += 1
-    position = min(assistants, len(script.entries) - 1)
+    position = min(prompt.assistants, len(script.entries) - 1)
     selected = None
     for entry in script.entries[position:]:
         if entry.match is None or entry.match.search(target):
@@ -270,7 +300,7 @@ def scripted_step(script: Script, messages: Sequence[ChatMessage]) -> ChatRespon
     return ChatResponse(
         content=content,
         tool_calls=actions,
-        usage=TokenUsage(prompt, completion),
+        usage=TokenUsage(prompt.tokens, completion),
         finish="tool_call" if actions else "stop",
     )
 

@@ -144,7 +144,10 @@ class McpClient:
             for item in result["content"]
             if isinstance(item, dict) and item.get("type") == "text"
         ]
-        return "\n".join(parts)
+        try:
+            return "\n".join(parts)
+        except TypeError as exc:  # a text part whose text is not a string
+            raise McpProtocolError(f"{self.endpoint.alias}: malformed tools/call result") from exc
 
 
 def register_mcp_tools(registry: ToolRegistry, client: McpClient) -> list[str]:

@@ -195,6 +195,7 @@ def test_running_totals_and_render_match_reference_fuzz(tmp_path) -> None:
         manager = ContextManager()
         manager.append(_entry("sys prompt", pinned=True, kind="system", role="system"))
         strategy = rng.choice(["summarize", "sliding_window"])
+        renders = []
         for k in range(rng.randrange(5, 60)):
             roll = rng.random()
             if roll < 0.45:
@@ -222,7 +223,14 @@ def test_running_totals_and_render_match_reference_fuzz(tmp_path) -> None:
                     with pytest.raises(PinnedOverflow):
                         manager.render(budget)
                 else:
-                    assert manager.render(budget) == expected
+                    rendered = manager.render(budget)
+                    assert rendered == expected
+                    assert rendered.tokens == sum(m.tokens for m in rendered)
+                    assert rendered.assistants == sum(m.role == "assistant" for m in rendered)
+                    renders.append((rendered, (list(rendered), rendered.tokens, rendered.assistants)))
+            # Later appends and compressions leave every earlier render as it was.
+            for rendered, snapshot in renders:
+                assert (rendered, rendered.tokens, rendered.assistants) == snapshot
             entries = manager.entries()
             assert all(e.tokens == (len(e.message.content) + 3) // 4 for e in entries)
             assert manager.total_tokens == sum(e.tokens for e in entries)

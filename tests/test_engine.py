@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from evokit.context import ContextBudget
+from evokit.context import ContextBudget, ContextEntry
 from evokit.engine import (
     AgentRun,
     AgentSpec,
@@ -14,7 +14,14 @@ from evokit.engine import (
     SteppedAfterTermination,
     parse_final,
 )
-from evokit.gateway import ChatMessage, LlmGateway, ModelProfile, ProviderError
+from evokit.gateway import (
+    ChatMessage,
+    LlmGateway,
+    ModelProfile,
+    ProviderError,
+    load_script,
+    scripted_step,
+)
 from evokit.harness import TrajectoryRecorder, masked_lines
 from helpers import FIXTURES, make_services, scripted_gateway
 
@@ -278,6 +285,20 @@ def test_deadline_reached_is_timeout(tmp_path) -> None:
     assert outcome.status == "timeout"
 
 
+def test_tool_clamped_to_deadline_ends_run_as_timeout(tmp_path) -> None:
+    """A tool call cut off by the deadline returns at or after it, never just before.
+
+    Were it to return a fraction of a millisecond early, the scripted turns
+    after it would use up max_turns before the deadline and end ``partial``.
+    """
+    stall = {"content": "", "tool_calls": [{"name": "exec", "arguments": {"cmd": "sleep 1"}}]}
+    gateway = scripted_gateway(tmp_path, m=[stall, {"content": "still waiting"}])
+    spec = _spec("m", tool_names=("exec",), max_turns=4)
+    for _ in range(5):
+        services = make_services(tmp_path, gateway, deadline=time.monotonic() + 0.05)
+        assert AgentRun.start("task", spec, services).run_to_end().status == "timeout"
+
+
 # -- trajectory completeness --------------------------------------------------------------------
 
 
@@ -367,3 +388,44 @@ def test_token_estimates_grow_linearly_with_turns(tmp_path, monkeypatch) -> None
     # turn would make them about four times as many at 200 turns as at 50.
     assert counts[50] > 0
     assert counts[200] / 200 <= 1.25 * counts[50] / 50, counts
+
+
+def test_turn_neither_rescans_nor_rebuilds_history(tmp_path, monkeypatch) -> None:
+    """Attribute reads on messages and entries per turn stay flat as history grows.
+
+    A turn that walked the history in Python (summing tokens, counting
+    assistant messages, or rebuilding the message list from the entries)
+    would read each one again every turn.
+    """
+    import evokit.engine
+
+    reads = 0
+
+    def counting(cls: type) -> type:
+        class Counting(cls):
+            def __getattribute__(self, name: str):
+                nonlocal reads
+                reads += 1
+                return super().__getattribute__(name)
+
+        return Counting
+
+    monkeypatch.setattr(evokit.engine, "ChatMessage", counting(ChatMessage))
+    monkeypatch.setattr(evokit.engine, "ContextEntry", counting(ContextEntry))
+    gateway = scripted_gateway(tmp_path, m=[{"content": "step one"}, {"content": "still working"}])
+    services = make_services(tmp_path, gateway)
+    counts = {}
+    for turns in (50, 200):
+        reads = 0
+        spec = _spec(
+            "m", max_turns=turns, critique_every=5, budget=ContextBudget(max_tokens=10**6)
+        )
+        run = AgentRun.start("task", spec, services)
+        assert run.run_to_end().turns == turns
+        counts[turns] = reads
+    assert counts[50] > 0
+    assert counts[200] / 200 <= 1.25 * counts[50] / 50, counts
+
+    rendered = run.context.render(spec.budget)
+    script = load_script(tmp_path / "scripts" / "m.script")
+    assert scripted_step(script, rendered) == scripted_step(script, list(rendered))

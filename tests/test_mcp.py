@@ -123,6 +123,23 @@ def test_endpoint_down_mid_call_fails_in_pair() -> None:
     assert observation.is_error
 
 
+def test_non_string_text_part_fails_in_pair() -> None:
+    def reply(request: dict) -> dict:
+        if request["method"] == "tools/list":
+            result = {"tools": [{"name": "t", "description": "d"}]}
+        else:
+            result = {"content": [{"type": "text", "text": 5}]}
+        return {"jsonrpc": "2.0", "id": request["id"], "result": result}
+
+    with ChatCompletionsStub(reply=reply) as bad:
+        registry = ToolRegistry()
+        register_mcp_tools(registry, McpClient(McpEndpoint(alias="bad", endpoint=bad.url)))
+        execution, observation = registry.invoke(Action("a1", "t", {}))
+    assert execution.status == "failed"
+    assert observation.is_error
+    assert "bad: malformed tools/call result" in observation.content
+
+
 def test_stdio_transport_one_shot() -> None:
     command = (
         "python3 -c 'import sys,json; r=json.loads(sys.stdin.readline()); "
