@@ -25,7 +25,7 @@ from .harness import (
 )
 from .mcp import McpClient, McpEndpoint
 from .playgrounds import default_registry
-from .skills import SKILL_TOOL_NAME, discover
+from .skills import SKILL_TOOL_NAME
 from .tools import BUILTIN_TOOL_NAMES
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         if not args.config:
             raise _UsageError("list skills needs --config to locate skill paths")
         config = load_config(args.config, lenient=True)
-        names = discover(config.skills.paths).names()
+        names = config.skills.index.names()
     for name in names:
         print(name)
     return EXIT_OK

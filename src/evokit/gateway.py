@@ -159,6 +159,13 @@ class ChatResponse:
 
 @dataclass(frozen=True)
 class ModelProfile:
+    """A named model backend; a scripted one parses its script here, once.
+
+    ``script`` is the parsed ``script_path`` (None for other providers). It
+    is not a manifest key, so it is left out of comparisons and snapshots, and
+    the gateway plays it back as it was when the profile was built.
+    """
+
     name: str
     provider: str
     model: str
@@ -167,6 +174,7 @@ class ModelProfile:
     temperature: float = 0.0
     max_output_tokens: int = 1024
     script_path: str | None = None
+    script: Script | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for key in ("name", "provider", "model", "base_url", "api_key_env", "script_path"):
@@ -186,6 +194,8 @@ class ModelProfile:
             raise InvalidProfile(f"{self.name}: scripted profiles need a script_path")
         if self.provider == "http-openai-compatible" and not self.base_url:
             raise InvalidProfile(f"{self.name}: http profiles need a base_url")
+        script = load_script(self.script_path) if self.provider == "scripted" else None
+        object.__setattr__(self, "script", script)
 
 
 @dataclass(frozen=True)
@@ -310,17 +320,13 @@ class LlmGateway:
 
     def __init__(self) -> None:
         self._profiles: dict[str, ModelProfile] = {}
-        self._scripts: dict[str, Script] = {}
         self._lock = threading.Lock()
 
     def register_profile(self, profile: ModelProfile) -> None:
-        script = load_script(profile.script_path) if profile.provider == "scripted" else None
         with self._lock:
             if profile.name in self._profiles:
                 raise DuplicateProfile(f"profile already registered: {profile.name}")
             self._profiles[profile.name] = profile
-            if script is not None:
-                self._scripts[profile.name] = script
 
     def has_profile(self, name: str) -> bool:
         return name in self._profiles
@@ -342,7 +348,7 @@ class LlmGateway:
         if messages[0].role not in ("system", "user"):
             raise ValueError("conversations must open with a system or user message")
         if profile.provider == "scripted":
-            return scripted_step(self._scripts[profile_name], messages)
+            return scripted_step(profile.script, messages)
         return self._http_complete(profile, messages, tools)
 
     def _http_complete(

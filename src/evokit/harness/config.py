@@ -7,9 +7,11 @@ type's defaults and its value checks are the type's own. Unknown keys are a
 ValidationError unless lenient mode is on. Slots become AgentSlots holding
 the engine's AgentSpec and ContextBudget, and the playground's registered
 definition checks its slot roles and params (``check_inputs``). Every
-cross-reference is resolved and every script and skill manifest is parsed at
-load time, so a run never fails halfway through on a typo. Relative paths
-resolve against the manifest's own directory, which keeps configs shareable.
+cross-reference is resolved at load time, and each script and skill manifest
+is parsed once, by the scripted ``ModelProfile`` and the ``SkillsSection``
+that name it; the run uses what load parsed, so it never fails halfway
+through on a typo or on a file edited since. Relative paths resolve against
+the manifest's own directory, which keeps configs shareable.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import yaml
 from ..context import ContextBudget
 from ..engine import AgentSpec
 from ..errors import EvokitError
-from ..gateway import ModelProfile, ScriptParseError, load_script
+from ..gateway import ModelProfile
 from ..mcp import McpEndpoint
 from ..playgrounds import (
     TOOL_NAMES, AgentSlot, InvalidParams, PlaygroundDefinition, PlaygroundNotFound,
     SlotConfigError, check_inputs, default_registry,
 )
-from ..skills import SKILL_TOOL_NAME, ManifestParseError, discover
+from ..skills import SKILL_TOOL_NAME, ManifestParseError, SkillIndex, discover
 from ..tools import BUILTIN_TOOL_NAMES
 
 DEFAULT_MAX_WALL_SECONDS = 86_400  # 24 h
@@ -88,7 +90,16 @@ class ToolsSection:
 
 @dataclass
 class SkillsSection:
+    """Skill roots; ``index`` is what discovery found there when the section was built."""
+
     paths: list[str] = field(default_factory=list)
+    index: SkillIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            self.index = discover(self.paths)
+        except (ManifestParseError, OSError) as exc:
+            raise ValidationError(f"skills: {exc}") from exc
 
 
 @dataclass
@@ -109,15 +120,20 @@ class ExperimentConfig:
     def to_dict(self) -> dict[str, Any]:
         return {
             "experiment": asdict(self.experiment),
-            "llm": {"profiles": [asdict(p) for p in self.profiles]},
+            "llm": {"profiles": [_manifest_keys(p) for p in self.profiles]},
             "tools": asdict(self.tools),
-            "skills": asdict(self.skills),
+            "skills": _manifest_keys(self.skills),
             "playground": {
                 "name": self.playground.name,
                 "params": copy.deepcopy(self.playground.params),
                 "slots": [_slot_to_dict(s) for s in self.playground.slots],
             },
         }
+
+
+def _manifest_keys(section: Any) -> dict[str, Any]:
+    """A flat section's manifest keys, without the fields its constructor derives."""
+    return {f.name: copy.deepcopy(getattr(section, f.name)) for f in fields(section) if f.init}
 
 
 def _slot_to_dict(slot: AgentSlot) -> dict[str, Any]:
@@ -183,9 +199,10 @@ def _build(cls: type[T], raw: Any, where: str, lenient: bool, **coerce: Callable
     function applied to its value first, and the constructor runs the checks.
     """
     raw = _require(raw, where)
-    names = {f.name for f in fields(cls) if f.init}
+    keys = [f for f in fields(cls) if f.init]
+    names = {f.name for f in keys}
     _check_keys(raw, names, where, lenient)
-    for f in fields(cls):
+    for f in keys:
         if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
             raise ValidationError(f"{where} needs {f.name!r}")
     try:
@@ -348,14 +365,3 @@ def _validate_references(
     for where, tool in tool_refs:
         if tool not in known_tools and not config.tools.mcp:
             raise ValidationError(f"{where} references unknown tool {tool!r}")
-    # Parse what the runner will parse, so a malformed file fails here, not mid-run.
-    for profile in config.profiles:
-        if profile.provider == "scripted":
-            try:
-                load_script(profile.script_path)
-            except ScriptParseError as exc:
-                raise ValidationError(f"profile {profile.name!r}: {exc}") from exc
-    try:
-        discover(config.skills.paths)
-    except (ManifestParseError, OSError) as exc:
-        raise ValidationError(f"skills: {exc}") from exc

@@ -14,14 +14,14 @@ import logging
 import os
 import secrets
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..engine import RunServices
 from ..gateway import LlmGateway
 from ..mcp import McpClient, register_mcp_tools
 from ..playgrounds import CognitiveCache, PlaygroundResult, run_playground
-from ..skills import discover, skill_tool
+from ..skills import skill_tool
 from ..tools import LocalCorpusFetcher, ToolRegistry, install_builtin_tools
 from .config import ExperimentConfig
 from .recorder import TrajectoryRecorder
@@ -128,7 +128,7 @@ def _build_services(
 
     skills = None
     if config.skills.paths:
-        skills = discover(config.skills.paths)
+        skills = config.skills.index
         tools.register_tool(*skill_tool(skills))
 
     for endpoint in config.tools.mcp:
@@ -147,30 +147,14 @@ def _build_services(
 
 
 def _write_record(record: ExperimentRecord) -> None:
-    result = record.result
     payload = {
         "run_id": record.run_id,
         "status": record.status,
         "wall_seconds": record.wall_seconds,
         "trajectory_path": record.trajectory_path,
         "config_snapshot": record.config_snapshot,
-        "result": None,
+        "result": asdict(record.result) if record.result is not None else None,
     }
-    if result is not None:
-        payload["result"] = {
-            "final_answer": result.final_answer,
-            "status": result.status,
-            "rounds_used": result.rounds_used,
-            "per_slot_outcomes": {
-                name: {
-                    "status": outcome.status,
-                    "final_answer": outcome.final_answer,
-                    "turns": outcome.turns,
-                    "usage": outcome.usage.as_dict(),
-                }
-                for name, outcome in sorted(result.per_slot_outcomes.items())
-            },
-        }
     Path(record.record_path).write_text(
         json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )

@@ -17,6 +17,7 @@ import os
 import re
 import threading
 from pathlib import Path
+from typing import Iterator
 
 from ..errors import EvokitError
 
@@ -56,12 +57,7 @@ class CognitiveCache:
         if not self.wisdom_dir.is_dir():
             return []
         records = []
-        entries = []
-        for path in self.wisdom_dir.iterdir():
-            match = _WISDOM_PATTERN.match(path.name)
-            if match:
-                entries.append((int(match.group(1)), path))
-        for _, path in sorted(entries, reverse=True):
+        for _, path in sorted(self._wisdom_records(), reverse=True):
             try:
                 records.append(path.read_text(encoding="utf-8"))
             except (OSError, UnicodeDecodeError) as exc:
@@ -104,10 +100,12 @@ class CognitiveCache:
                 handle.write(wisdom)
             return
 
-    def _next_sequence(self) -> int:
-        highest = 0
+    def _wisdom_records(self) -> Iterator[tuple[int, Path]]:
+        """``(seq, path)`` of every record in the cross-run store, unordered."""
         for path in self.wisdom_dir.iterdir():
             match = _WISDOM_PATTERN.match(path.name)
             if match:
-                highest = max(highest, int(match.group(1)))
-        return highest + 1
+                yield int(match.group(1)), path
+
+    def _next_sequence(self) -> int:
+        return max((seq for seq, _ in self._wisdom_records()), default=0) + 1

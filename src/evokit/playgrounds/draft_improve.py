@@ -7,7 +7,8 @@ evaluator score its proposal as soon as its improver answers, so the scores
 are computed concurrently too. The round adopts the argmax of the
 evaluator's ``SCORE: <real>`` lines (ties break to the lowest slot name) and
 promotes its findings to the cache. At the end the run's wisdom is promoted
-to the cross-run store for the next run to prefetch.
+to the cross-run store for the next run to prefetch. A drafter that does not
+answer leaves the run at best partial.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def draft_and_improve(
         return PlaygroundResult("", "failed", outcomes, rounds_used=0)
     solution = draft_state.outcome.final_answer or draft_state.last_assistant_content
 
-    status = "ok"
+    status = "ok" if draft_state.outcome.status == "answered" else "partial"
     rounds_used = 0
     for round_index in range(1, max_rounds + 1):
         if services.out_of_time():

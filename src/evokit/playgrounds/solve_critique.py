@@ -2,7 +2,8 @@
 
 Solvers draft candidates in parallel. Each round, the critic reviews every
 candidate and the rewriter revises it under that critique; a critic verdict
-of NO ISSUES skips the rewrite for that candidate. After the last round the
+of NO ISSUES skips the rewrite for that candidate. A critic that does not
+answer also skips it and marks the run partial. After the last round the
 selector picks exactly one candidate by number, returned verbatim.
 """
 
@@ -47,7 +48,10 @@ def solve_critique_rewrite_select(
             critic_task = f"{task}\n\nCandidate solution:\n{candidate}"
             critic_state = run_slot(critic, critic_task, services)
             outcomes[critic.slot_name] = critic_state.outcome
-            critique = answer_or_note(critic_state)
+            if critic_state.outcome.status != "answered":
+                degraded = True
+                continue
+            critique = critic_state.outcome.final_answer or ""
             if critique.strip() == NO_ISSUES:
                 continue
             rewrite_task = (

@@ -103,7 +103,6 @@ class Action:
 @dataclass(frozen=True)
 class Execution:
     action_id: str
-    started_at: float
     duration_ms: int
     status: str  # ok | failed | timeout
 
@@ -172,21 +171,17 @@ class ToolRegistry:
         self, action: Action, limits: InvokeLimits = InvokeLimits()
     ) -> tuple[Execution, Observation]:
         """Run one action and always return a well-formed pair."""
-        started_at = time.time()
         t0 = time.monotonic()
         entry = self._tools.get(action.tool)
         if entry is None:
-            return self._finish(
-                action, started_at, t0, "failed", f"unknown tool: {action.tool}", limits
-            )
+            return self._finish(action, t0, "failed", f"unknown tool: {action.tool}", limits)
 
         status, content = _call_with_timeout(entry[1], action.arguments, limits.timeout_ms)
-        return self._finish(action, started_at, t0, status, content, limits)
+        return self._finish(action, t0, status, content, limits)
 
     @staticmethod
     def _finish(
         action: Action,
-        started_at: float,
         t0: float,
         status: str,
         content: str,
@@ -194,7 +189,7 @@ class ToolRegistry:
     ) -> tuple[Execution, Observation]:
         duration_ms = int((time.monotonic() - t0) * 1000)
         text, truncated = truncate_output(content, limits.output_cap_chars)
-        execution = Execution(action.id, started_at, duration_ms, status)
+        execution = Execution(action.id, duration_ms, status)
         observation = Observation(action.id, text, truncated, status != "ok")
         return execution, observation
 

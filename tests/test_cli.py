@@ -48,6 +48,11 @@ def test_list_skills_requires_config(capsys) -> None:
     assert main(["list", "skills"]) == 1
 
 
+def test_list_skills_from_config(capsys) -> None:
+    assert main(["list", "skills", "--config", str(FIXTURES / "configs/skills.yaml")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["alpha", "beta", "gamma"]
+
+
 def test_usage_errors(capsys) -> None:
     assert main([]) == 1
     assert main(["run"]) == 1  # missing --config

@@ -93,6 +93,16 @@ def test_duplicate_profile_rejected(tmp_path) -> None:
         gateway.register_profile(profile)
 
 
+def test_scripted_profile_parses_its_script_when_built(tmp_path) -> None:
+    path = write_script(tmp_path, "s.script", [{"content": "first"}])
+    gateway = LlmGateway()
+    gateway.register_profile(ModelProfile("s", "scripted", "m", script_path=str(path)))
+    path.write_text("not a script", encoding="utf-8")
+    assert gateway.complete("s", [ChatMessage("user", "hi")]).content == "first"
+    with pytest.raises(ScriptParseError):
+        ModelProfile("s", "scripted", "m", script_path=str(path))
+
+
 def test_http_profile_requires_base_url() -> None:
     with pytest.raises(InvalidProfile):
         LlmGateway().register_profile(ModelProfile("h", "http-openai-compatible", "m"))

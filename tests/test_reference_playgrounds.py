@@ -12,7 +12,7 @@ from evokit.playgrounds.planner_executor import planner_executor
 from evokit.playgrounds.research import single_agent_research
 from evokit.playgrounds.solve_critique import solve_critique_rewrite_select
 from evokit.tools import LocalCorpusFetcher
-from helpers import make_services, scripted_gateway
+from helpers import FIXTURES, make_services, scripted_gateway
 from stubs import ChatCompletionsStub
 
 
@@ -26,6 +26,13 @@ def _slot(name: str, role: str, profile: str, **overrides) -> AgentSlot:
         **overrides,
     )
     return AgentSlot(slot_name=name, role=role, spec=spec)
+
+
+def _with_mute(gateway):
+    """``gateway`` plus a scripted profile ``mute`` whose agent never answers."""
+    script = str(FIXTURES / "scripts/never_final.script")
+    gateway.register_profile(ModelProfile("mute", "scripted", "m", script_path=script))
+    return gateway
 
 
 # -- solve / critique / rewrite / select ---------------------------------------
@@ -74,6 +81,17 @@ def test_no_issues_skips_rewrite(tmp_path) -> None:
     # If the rewriter had run on candidate 2 the selector would have returned
     # the rewritten text instead of the solver's original.
     assert result.final_answer == "The sum is 42."
+
+
+def test_unanswered_critique_leaves_candidate_and_degrades(tmp_path) -> None:
+    gateway = _with_mute(_scrs_gateway(tmp_path))
+    services = make_services(tmp_path, gateway)
+    slots = [*_scrs_slots()[:2], _slot("critic", "critic", "mute"), *_scrs_slots()[3:]]
+    result = solve_critique_rewrite_select("Compute the sum of 17 and 25.", {}, slots, services)
+    # No critique reached the rewriter, so candidate 2 is the solver's own text.
+    assert (result.status, result.final_answer) == ("partial", "The sum is 42.")
+    assert result.per_slot_outcomes["critic"].status == "max_turns"
+    assert "rewriter" not in result.per_slot_outcomes
 
 
 def test_zero_rounds_rejected(tmp_path) -> None:
@@ -218,6 +236,15 @@ def test_two_rounds_follow_score_argmax(tmp_path) -> None:
     result = draft_and_improve("Write a tagline.", {"max_rounds": 2}, _di_slots(), services)
     assert result.final_answer == "a2"
     assert result.rounds_used == 2
+
+
+def test_unanswered_draft_makes_run_partial(tmp_path) -> None:
+    gateway = _with_mute(_di_gateway(tmp_path))
+    services = make_services(tmp_path, gateway)
+    slots = [_slot("drafter", "drafter", "mute"), *_di_slots()[1:]]
+    result = draft_and_improve("Write a tagline.", {"max_rounds": 1}, slots, services)
+    assert result.per_slot_outcomes["drafter"].status == "max_turns"
+    assert (result.status, result.final_answer, result.rounds_used) == ("partial", "a2", 1)
 
 
 def test_tie_breaks_to_lowest_slot_name(tmp_path) -> None:
