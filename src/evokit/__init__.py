@@ -28,6 +28,7 @@ from .errors import EvokitError
 from .gateway import (
     ChatMessage,
     ChatResponse,
+    ConnectionPool,
     DuplicateProfile,
     InvalidProfile,
     LlmGateway,

@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import EvokitError
+from .gateway import ConnectionPool
 from .harness import (
     ParseError,
     TrajectoryCorrupt,
@@ -123,8 +124,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_mcp_probe(args: argparse.Namespace) -> int:
-    client = McpClient(McpEndpoint(alias=args.alias, endpoint=args.endpoint))
-    for descriptor in sorted(client.list_tools(), key=lambda d: d.name):
+    with ConnectionPool() as pool:
+        client = McpClient(McpEndpoint(alias=args.alias, endpoint=args.endpoint), pool)
+        descriptors = client.list_tools()
+    for descriptor in sorted(descriptors, key=lambda d: d.name):
         print(f"{descriptor.name}\t{descriptor.description}")
     return EXIT_OK
 

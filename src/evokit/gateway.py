@@ -9,14 +9,11 @@ agent swaps backends by changing one string.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -316,11 +313,16 @@ def scripted_step(script: Script, messages: Sequence[ChatMessage]) -> ChatRespon
 
 
 class LlmGateway:
-    """Profile registry plus a uniform complete() across providers."""
+    """Profile registry plus a uniform complete() across providers.
 
-    def __init__(self) -> None:
+    HTTP profiles post through ``pool``; without one, every request opens
+    and closes its own connection.
+    """
+
+    def __init__(self, pool: ConnectionPool | None = None) -> None:
         self._profiles: dict[str, ModelProfile] = {}
         self._lock = threading.Lock()
+        self._pool = pool
 
     def register_profile(self, profile: ModelProfile) -> None:
         with self._lock:
@@ -377,7 +379,7 @@ class LlmGateway:
 
         url = profile.base_url.rstrip("/") + "/chat/completions"
         try:
-            status, reply = post_json(url, body, headers, HTTP_TIMEOUT_S)
+            status, reply = post_json(url, body, headers, HTTP_TIMEOUT_S, self._pool)
         except OSError as exc:
             raise ProviderError(f"transport failure: {exc}") from exc
         if status != 200:
@@ -390,33 +392,183 @@ class LlmGateway:
             raise ProviderError(f"malformed provider response: {exc}") from exc
 
 
+class ConnectionPool:
+    """Kept-alive HTTP connections for ``post_json``, reused until ``close``.
+
+    Connections are keyed by scheme, host, port and proxy. A request takes an
+    idle connection for its key or opens one, and gives it back after a full
+    reply unless the server said it would close it; so the pool never holds
+    more connections than there were requests in flight at once. ``close``
+    closes the idle connections and any given back later. A run closes its
+    pool when it ends, so no connection outlives it. The proxy settings for
+    a URL are read on its first request through the pool.
+    """
+
+    def __init__(self) -> None:
+        self._idle: dict[tuple, list[Any]] = {}
+        self._routes: dict[str, tuple] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def _route(self, url: str) -> tuple:
+        route = self._routes.get(url)
+        if route is None:
+            route = self._routes[url] = _route(url)
+        return route
+
+    def _take(self, key: tuple) -> Any:
+        with self._lock:
+            idle = self._idle.get(key)
+            return idle.pop() if idle else None
+
+    def _give(self, key: tuple, connection: Any) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault(key, []).append(connection)
+                return
+        connection.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for connections in idle.values():
+            for connection in connections:
+                connection.close()
+
+    def __enter__(self) -> "ConnectionPool":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
 def post_json(
-    url: str, payload: Any, headers: dict[str, str], timeout: float
+    url: str,
+    payload: Any,
+    headers: dict[str, str],
+    timeout: float,
+    pool: ConnectionPool | None = None,
 ) -> tuple[int, bytes]:
-    """POST ``payload`` as JSON on a fresh connection; return ``(status, body)``.
+    """POST ``payload`` as JSON; return ``(status, body)``.
+
+    The request reuses an idle connection of ``pool`` or opens one; without a
+    pool its connection closes after the reply. A reused connection that
+    fails before any reply byte, because the server closed it while it was
+    idle, is retried once on a fresh connection.
 
     Every HTTP reply is returned, non-2xx included. Every transport failure
     raises ``OSError``: a refused, dropped or timed-out connection, a
     protocol error, a malformed URL, a payload that is not valid JSON (NaN),
-    and any scheme but http/https, since urllib would otherwise read
-    ``file://`` and ``ftp://`` URLs. Proxies come from the environment.
+    and any scheme but http/https. ``timeout`` applies per request. HTTPS
+    verifies against the system CA store. Proxies come from ``HTTP_PROXY``,
+    ``HTTPS_PROXY`` and ``NO_PROXY`` as ``urllib`` reads them: an http URL
+    goes to the proxy as an absolute URI, an https one through a ``CONNECT``
+    tunnel, and credentials in the proxy URL go with either.
     """
+    import http.client  # on the first request: a scripted run never loads it
+
     try:
-        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
-            raise OSError(f"unsupported URL scheme: {url}")
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload, allow_nan=False).encode("utf-8"),
-            headers={**headers, "Content-Type": "application/json"},
-        )
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        route = pool._route(url) if pool is not None else _route(url)
+        key, target, proxy_headers = route
+        headers = {
+            "User-Agent": "evokit",
+            **headers,
+            **proxy_headers,
+            "Content-Type": "application/json",
+        }
+        connection = pool._take(key) if pool is not None else None
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            with exc:
-                return exc.code, exc.read()
+            if connection is not None:
+                connection.sock.settimeout(timeout)
+                try:
+                    response = _send(connection, target, body, headers)
+                except ConnectionError:  # closed while idle: no reply byte came
+                    connection.close()
+                    connection = None
+            if connection is None:
+                connection = _connect(key, timeout)
+                response = _send(connection, target, body, headers)
+            data = response.read()
+        except BaseException:
+            if connection is not None:
+                connection.close()
+            raise
+        if pool is not None and not response.will_close:
+            pool._give(key, connection)
+        else:
+            connection.close()
+        return response.status, data
     except (http.client.HTTPException, ValueError) as exc:
         raise OSError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _route(url: str) -> tuple[tuple, str, dict[str, str]]:
+    """``(key, target, headers)`` of a request to ``url``.
+
+    ``key`` is ``(scheme, host, port, proxy)``, where ``proxy`` is None or
+    ``(scheme, host, port, authorization)``; ``target`` is the URI of the
+    request line, and ``headers`` carries the proxy's credentials when the
+    request itself goes to the proxy.
+    """
+    import urllib.request  # proxy settings, read the way urlopen reads them
+
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https"):
+        raise OSError(f"unsupported URL scheme: {url}")
+    if not parts.hostname:
+        raise OSError(f"no host in URL: {url}")
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    proxy_url = urllib.request.getproxies().get(parts.scheme)
+    if not proxy_url or urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
+        return (parts.scheme, parts.hostname, parts.port, None), target, {}
+    proxy = _parse_proxy(proxy_url)
+    key = (parts.scheme, parts.hostname, parts.port, proxy)
+    if parts.scheme == "https":  # tunnelled: the proxy sees only the CONNECT
+        return key, target, {}
+    auth = proxy[3]
+    return key, url.partition("#")[0], {"Proxy-Authorization": auth} if auth else {}
+
+
+def _parse_proxy(proxy_url: str) -> tuple[str, str, int, str | None]:
+    """``(scheme, host, port, authorization)`` of a proxy URL such as ``user:pw@host:3128``."""
+    if "://" not in proxy_url:
+        proxy_url = "http://" + proxy_url
+    parts = urllib.parse.urlsplit(proxy_url)
+    if not parts.hostname:
+        raise OSError(f"no host in proxy URL: {proxy_url}")
+    port = parts.port or (443 if parts.scheme == "https" else 80)
+    auth = None
+    if parts.username and parts.password:
+        import base64
+
+        user = urllib.parse.unquote(parts.username)
+        password = urllib.parse.unquote(parts.password)
+        auth = "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+    return parts.scheme, parts.hostname, port, auth
+
+
+def _connect(key: tuple, timeout: float) -> Any:
+    """A new, not yet connected, ``http.client`` connection for ``key``."""
+    import http.client
+
+    scheme, host, port, proxy = key
+    if proxy is None:
+        cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        return cls(host, port, timeout=timeout)
+    proxy_scheme, proxy_host, proxy_port, auth = proxy
+    if scheme == "https":
+        connection = http.client.HTTPSConnection(proxy_host, proxy_port, timeout=timeout)
+        connection.set_tunnel(host, port, {"Proxy-Authorization": auth} if auth else None)
+        return connection
+    cls = http.client.HTTPSConnection if proxy_scheme == "https" else http.client.HTTPConnection
+    return cls(proxy_host, proxy_port, timeout=timeout)
+
+
+def _send(connection: Any, target: str, body: bytes, headers: dict[str, str]) -> Any:
+    connection.request("POST", target, body, headers)
+    return connection.getresponse()
 
 
 def _parse_reply(payload: Any) -> ChatResponse:

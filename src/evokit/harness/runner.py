@@ -3,8 +3,9 @@
 Creates the run directory, snapshots the resolved config into the trajectory's
 run_start event, wires the gateway/tool/skill/cache services, enforces the
 wall-clock limit through a cooperative deadline checked at turn and round
-boundaries, and guarantees that run_end is always written — faults become
-status=error in the record, never an unrecorded abort.
+boundaries, closes the run's HTTP connections when the playground returns,
+and guarantees that run_end is always written — faults become status=error
+in the record, never an unrecorded abort.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-import secrets
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..engine import RunServices
-from ..gateway import LlmGateway
+from ..gateway import ConnectionPool, LlmGateway
 from ..mcp import McpClient, register_mcp_tools
 from ..playgrounds import CognitiveCache, PlaygroundResult, run_playground
 from ..skills import skill_tool
@@ -46,7 +46,7 @@ class ExperimentRecord:
 
 def _new_run_id(name: str) -> str:
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return f"{name}-{stamp}-{secrets.token_hex(3)}"
+    return f"{name}-{stamp}-{os.urandom(3).hex()}"
 
 
 def cache_root_for(config: ExperimentConfig) -> Path:
@@ -70,8 +70,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
 
     result: PlaygroundResult | None = None
     deadline = started + config.experiment.max_wall_seconds
+    pool = ConnectionPool()
     try:
-        services = _build_services(config, recorder, workspace, run_id, deadline)
+        services = _build_services(config, recorder, workspace, run_id, deadline, pool)
         result = run_playground(
             config.playground.name,
             config.experiment.task,
@@ -84,6 +85,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
         logger.exception("experiment %s failed", run_id)
         recorder.record("error", {"error": str(exc), "phase": "experiment"})
         status = "error"
+    finally:
+        pool.close()
 
     wall_seconds = time.monotonic() - started
     recorder.record(
@@ -117,8 +120,9 @@ def _build_services(
     workspace: Path,
     run_id: str,
     deadline: float,
+    pool: ConnectionPool,
 ) -> RunServices:
-    gateway = LlmGateway()
+    gateway = LlmGateway(pool)
     for profile in config.profiles:
         gateway.register_profile(profile)
 
@@ -132,7 +136,7 @@ def _build_services(
         tools.register_tool(*skill_tool(skills))
 
     for endpoint in config.tools.mcp:
-        registered = register_mcp_tools(tools, McpClient(endpoint))
+        registered = register_mcp_tools(tools, McpClient(endpoint, pool))
         logger.info("mcp %s: registered %s", endpoint.alias, registered)
 
     cache = CognitiveCache(cache_root_for(config), run_id)

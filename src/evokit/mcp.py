@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import EvokitError
-from .gateway import post_json
+from .gateway import ConnectionPool, post_json
 from .tools import InvalidDescriptor, ToolDescriptor, ToolRegistry
 
 MCP_TRANSPORTS = ("http", "stdio")
@@ -48,8 +48,11 @@ class McpEndpoint:
 
 
 class McpClient:
-    def __init__(self, endpoint: McpEndpoint):
+    """JSON-RPC client of one endpoint; HTTP requests go through ``pool`` if given."""
+
+    def __init__(self, endpoint: McpEndpoint, pool: ConnectionPool | None = None):
         self.endpoint = endpoint
+        self._pool = pool
         self._next_id = 0
         self._lock = threading.Lock()
 
@@ -86,7 +89,9 @@ class McpClient:
 
     def _rpc_http(self, request: dict[str, Any]) -> bytes:
         try:
-            status, body = post_json(self.endpoint.endpoint, request, {}, MCP_TIMEOUT_S)
+            status, body = post_json(
+                self.endpoint.endpoint, request, {}, MCP_TIMEOUT_S, self._pool
+            )
         except OSError as exc:
             raise McpTransportError(f"{self.endpoint.alias}: {exc}") from exc
         if status != 200:

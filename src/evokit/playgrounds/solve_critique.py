@@ -1,10 +1,12 @@
 """Four-phase refinement pipeline: solve, critique, rewrite, select.
 
-Solvers draft candidates in parallel. Each round, the critic reviews every
-candidate and the rewriter revises it under that critique; a critic verdict
-of NO ISSUES skips the rewrite for that candidate. A critic that does not
-answer also skips it and marks the run partial. After the last round the
-selector picks exactly one candidate by number, returned verbatim.
+Solvers draft candidates in parallel; a solver that does not answer
+contributes no candidate and marks the run partial, and the run fails if
+none answers. Each round, the critic reviews every candidate and the
+rewriter revises it under that critique; a critic verdict of NO ISSUES
+skips the rewrite for that candidate. A critic that does not answer also
+skips it and marks the run partial. After the last round the selector picks
+exactly one candidate by number, returned verbatim.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from .base import (
     AgentSlot,
     PlaygroundDefinition,
     PlaygroundResult,
-    answer_or_note,
     fan_out,
     run_slot,
     single_slot,
@@ -40,8 +41,12 @@ def solve_critique_rewrite_select(
     candidates = []
     for slot, state in zip(solvers, fan_out(lambda s: run_slot(s, task, services), solvers)):
         outcomes[slot.slot_name] = state.outcome
-        degraded = degraded or state.outcome.status != "answered"
-        candidates.append(answer_or_note(state))
+        if state.outcome.status == "answered":
+            candidates.append(state.outcome.final_answer or "")
+        else:
+            degraded = True
+    if not candidates:
+        return PlaygroundResult("", "failed", outcomes, rounds_used=0)
 
     for _ in range(n_rounds):
         for index, candidate in enumerate(candidates):

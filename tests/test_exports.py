@@ -48,3 +48,19 @@ def test_import_loads_no_http_client_library() -> None:
         capture_output=True, text=True, check=True, timeout=60, cwd=src,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_import_loads_no_transport_or_hashing_module() -> None:
+    # A scripted run never speaks HTTP, so the HTTP client (and the TLS and
+    # hashing modules it pulls in) loads on the first request instead.
+    code = (
+        "import sys, evokit, evokit.cli, evokit.harness, evokit.playgrounds\n"
+        "heavy = ('http.client', 'urllib.request', 'ssl', 'hashlib', 'secrets')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))"
+    )
+    src = Path(evokit.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60, cwd=src,
+    )
+    assert result.stdout.strip() == "[]"

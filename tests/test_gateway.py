@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import base64
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import evokit
 
 from evokit.gateway import (
     ChatMessage,
@@ -344,3 +351,62 @@ def test_http_malformed_payload_is_provider_error(reply) -> None:
         gateway = _http_gateway(stub.url)
         with pytest.raises(ProviderError, match="malformed provider response"):
             gateway.complete("remote", [ChatMessage("user", "hi")])
+
+
+# -- proxies ------------------------------------------------------------------------
+
+_PROXIED_CALL = """
+import sys
+from evokit.gateway import ChatMessage, LlmGateway, ModelProfile, ProviderError
+gateway = LlmGateway()
+gateway.register_profile(ModelProfile("remote", "http-openai-compatible", "m", base_url=sys.argv[1]))
+try:
+    print(gateway.complete("remote", [ChatMessage("user", "hi")]).content)
+except ProviderError as exc:
+    print(f"ProviderError: {exc}")
+"""
+
+
+def _complete_in_fresh_process(base_url: str, **proxy_env: str) -> str:
+    """One completion in a new interpreter whose only proxy settings are ``proxy_env``.
+
+    A fresh interpreter, because an HTTP client may read the proxy settings
+    once per process.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = str(Path(evokit.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _PROXIED_CALL, base_url],
+        capture_output=True, text=True, check=True, timeout=60, env={**env, **proxy_env},
+    )
+    return result.stdout.strip()
+
+
+def test_http_proxy_gets_absolute_uri_and_credentials() -> None:
+    with ChatCompletionsStub() as proxy:
+        proxy_url = proxy.url.replace("http://", "http://user:p%40ss@")
+        content = _complete_in_fresh_process("http://model.invalid/v1", HTTP_PROXY=proxy_url)
+    assert content == "stub reply"
+    [request] = proxy.requests
+    assert request["path"] == "http://model.invalid/v1/chat/completions"
+    assert request["proxy_authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_no_proxy_host_bypasses_the_proxy() -> None:
+    # The bypassed host is the local target itself, so the call needs no DNS.
+    with ChatCompletionsStub() as proxy, ChatCompletionsStub() as target:
+        content = _complete_in_fresh_process(
+            target.url + "/v1", HTTP_PROXY=proxy.url, NO_PROXY="example.org,127.0.0.1"
+        )
+    assert content == "stub reply"
+    assert proxy.requests == []
+    assert [r["path"] for r in target.requests] == ["/v1/chat/completions"]
+
+
+def test_https_through_proxy_opens_a_tunnel() -> None:
+    with ChatCompletionsStub() as proxy:
+        content = _complete_in_fresh_process("https://model.invalid/v1", HTTPS_PROXY=proxy.url)
+    assert content.startswith("ProviderError: transport failure")
+    assert [(r["method"], r["path"]) for r in proxy.requests] == [
+        ("CONNECT", "model.invalid:443")
+    ]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -18,6 +19,7 @@ from evokit.harness import (
 )
 from evokit.harness.runner import cache_root_for
 from helpers import FIXTURES
+from stubs import ChatCompletionsStub
 
 
 @pytest.fixture(autouse=True)
@@ -158,3 +160,85 @@ def test_seed_override_lands_in_snapshot(tmp_path) -> None:
     config.experiment.seed = 777
     record = run_experiment(config)
     assert record.config_snapshot["experiment"]["seed"] == 777
+
+
+# -- model connections ----------------------------------------------------------------
+
+BRANCHES = 3
+ROUNDS = 20
+# The drafter's one call, then per round each branch's improver and evaluator.
+CALLS = 1 + ROUNDS * BRANCHES * 2
+
+
+def _tagline_reply(request: dict) -> dict:
+    prompt = request["messages"][-1]["content"]
+    content = "SCORE: 5" if "SCORE:" in prompt else f"FINAL: tagline {len(prompt)}"
+    return {"choices": [{"message": {"content": content}}], "usage": {}}
+
+
+def _fanout_config(base_url: str, out_dir: Path):
+    slots = [
+        {"slot_name": name, "role": role, "llm_profile": "m", "max_turns": 1, "critique_every": 99}
+        for name, role in [
+            ("drafter", "drafter"),
+            *((f"imp-{i}", "improver") for i in range(BRANCHES)),
+            ("evaluator", "evaluator"),
+        ]
+    ]
+    return from_dict(
+        {
+            "experiment": {"name": "fanout", "task": "Write a tagline.", "output_dir": str(out_dir)},
+            "llm": {
+                "profiles": [
+                    {"name": "m", "provider": "http-openai-compatible", "model": "m",
+                     "base_url": base_url}
+                ]
+            },
+            "tools": {"builtin": []},
+            "playground": {"name": "draft_and_improve", "params": {"max_rounds": ROUNDS},
+                           "slots": slots},
+        }
+    )
+
+
+def _run_fanout(stub, out_dir: Path) -> Counter:
+    """Run the fan-out against ``stub``; return the trajectory's event kinds."""
+    record = run_experiment(_fanout_config(stub.url, out_dir))
+    assert (record.status, record.result.rounds_used) == ("ok", ROUNDS)
+    assert len(stub.requests) == CALLS
+    lines = Path(record.trajectory_path).read_text(encoding="utf-8").splitlines()
+    return Counter(json.loads(line)["kind"] for line in lines)
+
+
+def _wait_closed(stub, seconds: float = 2.0) -> int:
+    deadline = time.monotonic() + seconds
+    while stub.open_connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return stub.open_connections
+
+
+def test_run_reuses_model_connections_and_closes_them(tmp_path) -> None:
+    # A socket left for the garbage collector to close warns as it goes.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with ChatCompletionsStub(reply=_tagline_reply, keep_alive=True) as stub:
+            kinds = _run_fanout(stub, tmp_path)
+            assert stub.connections <= BRANCHES + 1
+            assert _wait_closed(stub) == 0
+    assert kinds["turn"] == CALLS
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_server_dropping_idle_connections_costs_no_error(tmp_path) -> None:
+    with ChatCompletionsStub(reply=_tagline_reply, keep_alive=True, drop_after_reply=True) as stub:
+        kinds = _run_fanout(stub, tmp_path)
+    assert (kinds["error"], kinds["turn"]) == (0, CALLS)
+    assert stub.connections == CALLS
+
+
+def test_http10_server_gets_a_connection_per_request(tmp_path) -> None:
+    with ChatCompletionsStub(reply=_tagline_reply) as stub:
+        kinds = _run_fanout(stub, tmp_path)
+        assert _wait_closed(stub) == 0
+    assert (kinds["error"], kinds["turn"]) == (0, CALLS)
+    assert stub.connections == CALLS

@@ -94,6 +94,32 @@ def test_unanswered_critique_leaves_candidate_and_degrades(tmp_path) -> None:
     assert "rewriter" not in result.per_slot_outcomes
 
 
+def test_unanswered_solver_contributes_no_candidate(tmp_path) -> None:
+    gateway = _with_mute(
+        scripted_gateway(
+            tmp_path,
+            sol2=[{"content": "FINAL: The sum is 42."}],
+            critic=[{"content": "FINAL: NO ISSUES"}],
+            rewriter=[{"content": "FINAL: unused"}],
+            selector=[{"content": "FINAL: 1"}],
+        )
+    )
+    services = make_services(tmp_path, gateway)
+    slots = [_slot("solver-1", "solver", "mute"), *_scrs_slots()[1:]]
+    result = solve_critique_rewrite_select("Compute the sum of 17 and 25.", {}, slots, services)
+    # Candidate 1 is solver-2's answer: the mute solver's failure note is no candidate.
+    assert (result.status, result.final_answer) == ("partial", "The sum is 42.")
+    assert result.per_slot_outcomes["solver-1"].status == "max_turns"
+
+
+def test_no_answered_solver_fails_with_empty_answer(tmp_path) -> None:
+    services = make_services(tmp_path, _with_mute(_scrs_gateway(tmp_path)))
+    slots = [_slot("solver-1", "solver", "mute"), *_scrs_slots()[2:]]
+    result = solve_critique_rewrite_select("t", {}, slots, services)
+    assert (result.status, result.final_answer, result.rounds_used) == ("failed", "", 0)
+    assert set(result.per_slot_outcomes) == {"solver-1"}
+
+
 def test_zero_rounds_rejected(tmp_path) -> None:
     services = make_services(tmp_path, _scrs_gateway(tmp_path))
     name = "solve_critique_rewrite_select"
