@@ -298,9 +298,12 @@ class AgentRun:
         elif self.turn >= self.spec.max_turns:
             self._finish("max_turns")
         else:
-            if self.turn % self.spec.critique_every == 0:
+            # Past the deadline, the next step() ends the run as timeout, so a
+            # critique or compression now would only delay that.
+            if self.turn % self.spec.critique_every == 0 and not self.services.out_of_time():
                 self._critique()
-            self._compress()
+            if not self.services.out_of_time():
+                self._compress()
 
     def _run_actions(self, actions: tuple[Action, ...]) -> None:
         for action in actions:

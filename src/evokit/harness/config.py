@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 import yaml
+from yaml.reader import ReaderError
 
 from ..context import ContextBudget
 from ..engine import AgentSpec
@@ -37,6 +38,18 @@ from ..skills import SKILL_TOOL_NAME, ManifestParseError, SkillIndex, discover
 from ..tools import BUILTIN_TOOL_NAMES
 
 DEFAULT_MAX_WALL_SECONDS = 86_400  # 24 h
+
+
+def _yaml_loader() -> type:
+    """libyaml's safe loader when PyYAML was built with it, else the pure-Python one.
+
+    Both resolve tags and construct with the same Python classes, so they
+    build equal data; libyaml only parses faster.
+    """
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+_LOADER = _yaml_loader()
 
 T = TypeVar("T")
 
@@ -234,12 +247,32 @@ def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
     except OSError as exc:
         raise ParseError(f"{path}: cannot read manifest ({exc})") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        location = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ParseError(f"{path}: YAML parse error{location}: {exc}") from exc
+        raise ParseError(f"{path}: YAML parse error{_location(exc, text)}: {exc}") from exc
     return from_dict(data, base_dir=path.parent, lenient=lenient)
+
+
+def _location(exc: yaml.YAMLError, text: str) -> str:
+    """Where in ``text`` a parse error is, as `` at line L, column C``, or ``""``."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        line, column = mark.line, mark.column
+    elif isinstance(exc, ReaderError):
+        # A character YAML does not allow: the error has an offset but no mark.
+        # libyaml counts the offset in UTF-8 bytes, PyYAML's reader in characters.
+        if _LOADER is yaml.SafeLoader:
+            head = text[: exc.position]
+        else:
+            head = text.encode("utf-8")[: exc.position].decode("utf-8")
+        # The offending character is the first YAML rejects, so every line
+        # break before it is one that splitlines() also breaks at; "." stands
+        # in for it, so a break right before it still starts a new row.
+        rows = (head + ".").splitlines()
+        line, column = len(rows) - 1, len(rows[-1]) - 1
+    else:
+        return ""
+    return f" at line {line + 1}, column {column + 1}"
 
 
 def from_dict(

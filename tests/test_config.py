@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 
 import pytest
+import yaml
 
+import evokit.harness.config as config_module
 from evokit.cli import main
 from evokit.prompts import DEFAULT_FINAL_MARKER
 from evokit.harness import (
@@ -68,6 +70,78 @@ def test_parse_error_reports_location(tmp_path) -> None:
     with pytest.raises(ParseError) as excinfo:
         load_config(path)
     assert "line" in str(excinfo.value)
+
+
+# libyaml's loader where PyYAML has it; the pure-Python loader always.
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+MANIFESTS = sorted(FIXTURES.rglob("*.yaml"))
+
+
+def _load_with(monkeypatch, loader: type, path) -> object:
+    """``load_config(path)`` parsed by ``loader``: the config, or the error it raised."""
+    monkeypatch.setattr(config_module, "_LOADER", loader)
+    try:
+        return load_config(path)
+    except (ParseError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_libyaml_loader_in_use_when_available() -> None:
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert config_module._LOADER is expected
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("path", MANIFESTS, ids=lambda p: str(p.relative_to(FIXTURES)))
+def test_loaders_build_equal_configs(monkeypatch, path) -> None:
+    text = path.read_text(encoding="utf-8")
+    # Same data in the same key order, so snapshots keep their bytes.
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))
+    pure, fast = (_load_with(monkeypatch, loader, path) for loader in LOADERS)
+    assert fast == pure
+    if not isinstance(pure, str):
+        assert fast.to_dict() == pure.to_dict()
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_loaders_agree_on_json_manifests(monkeypatch, tmp_path) -> None:
+    path = tmp_path / "manifest.yaml"
+    path.write_text(json.dumps(_min_data(), indent=1), encoding="utf-8")
+    pure, fast = (_load_with(monkeypatch, loader, path) for loader in LOADERS)
+    assert fast == pure == from_dict(_min_data())
+
+
+def test_pure_python_loader_without_libyaml(monkeypatch, tmp_path) -> None:
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.setattr(config_module, "_LOADER", config_module._yaml_loader())
+    assert config_module._LOADER is yaml.SafeLoader
+    for path in (FIXTURES / "golden").glob("*.yaml"):
+        assert load_config(path).experiment.name
+    path = tmp_path / "broken.yaml"
+    path.write_text("experiment:\n  name: [unclosed\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="at line 3, column 1"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize(
+    "text, location",
+    [
+        ("name: a\x07b\n", "line 1, column 8"),
+        # Multi-byte characters before it: libyaml counts bytes, the location characters.
+        ("experiment:\r\n  task: \u00e9t\u00e9\r\n  name: \u00e9\x1bb\n", "line 3, column 10"),
+        ("a: 1\rb: \u2028c\x00\n", "line 3, column 2"),
+    ],
+    ids=["bell", "after_utf8", "other_breaks"],
+)
+def test_disallowed_character_reports_location(
+    monkeypatch, tmp_path, loader, text, location
+) -> None:
+    path = tmp_path / "control.yaml"
+    path.write_text(text, encoding="utf-8", newline="")
+    monkeypatch.setattr(config_module, "_LOADER", loader)
+    with pytest.raises(ParseError, match=f"at {location}:"):
+        load_config(path)
 
 
 def _min_data() -> dict:

@@ -24,6 +24,7 @@ from evokit.gateway import (
 )
 from evokit.harness import TrajectoryRecorder, masked_lines
 from helpers import FIXTURES, make_services, scripted_gateway
+from stubs import ChatCompletionsStub
 
 
 def _spec(profile: str, **overrides) -> AgentSpec:
@@ -297,6 +298,36 @@ def test_tool_clamped_to_deadline_ends_run_as_timeout(tmp_path) -> None:
     for _ in range(5):
         services = make_services(tmp_path, gateway, deadline=time.monotonic() + 0.05)
         assert AgentRun.start("task", spec, services).run_to_end().status == "timeout"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"critique_every": 1},
+        {"budget": ContextBudget(max_tokens=1000, compress_at=0.01)},
+    ],
+    ids=["critique", "compression"],
+)
+def test_turn_past_the_deadline_is_the_last_model_call(tmp_path, overrides) -> None:
+    """No critique or summarizing compression starts once the deadline has passed.
+
+    Each call to the stub takes 0.3 s against a 0.2 s deadline, so the turn's
+    call ends past it and the next step() ends the run as timeout.
+    """
+
+    def slow_reply(body: dict) -> dict:
+        time.sleep(0.3)
+        return {"choices": [{"message": {"content": "working " * 20}, "finish_reason": "stop"}]}
+
+    with ChatCompletionsStub(reply=slow_reply) as stub:
+        gateway = LlmGateway()
+        gateway.register_profile(
+            ModelProfile("remote", "http-openai-compatible", "m", base_url=stub.url)
+        )
+        services = make_services(tmp_path, gateway, deadline=time.monotonic() + 0.2)
+        outcome = AgentRun.start("task", _spec("remote", **overrides), services).run_to_end()
+    assert outcome.status == "timeout"
+    assert len(stub.requests) == 1
 
 
 # -- trajectory completeness --------------------------------------------------------------------
