@@ -256,12 +256,12 @@ def parse_script(text: str, source: str = "<script>") -> Script:
 
 
 def load_script(path: str | Path) -> Script:
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ScriptParseError(f"{path}: cannot read script ({exc})") from exc
-    return parse_script(text, source=str(path))
+    return parse_script(text, source=os.fspath(path))
 
 
 def _last_non_assistant(messages: Sequence[ChatMessage]) -> str:

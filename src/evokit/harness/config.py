@@ -17,13 +17,14 @@ the manifest's own directory, which keeps configs shareable.
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 import yaml
-from yaml.reader import ReaderError
+from yaml.reader import Reader, ReaderError
 
 from ..context import ContextBudget
 from ..engine import AgentSpec
@@ -38,18 +39,10 @@ from ..skills import SKILL_TOOL_NAME, ManifestParseError, SkillIndex, discover
 from ..tools import BUILTIN_TOOL_NAMES
 
 DEFAULT_MAX_WALL_SECONDS = 86_400  # 24 h
-
-
-def _yaml_loader() -> type:
-    """libyaml's safe loader when PyYAML was built with it, else the pure-Python one.
-
-    Both resolve tags and construct with the same Python classes, so they
-    build equal data; libyaml only parses faster.
-    """
-    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-_LOADER = _yaml_loader()
+# libyaml's safe loader when PyYAML was built with it, else the pure-Python
+# one. Both resolve tags and construct with the same Python classes, so they
+# build equal data; libyaml only parses faster.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 T = TypeVar("T")
 
@@ -233,10 +226,13 @@ def _reject_duplicates(names: list[str], what: str) -> None:
 
 
 def _resolve(base_dir: Path | None, raw: Any) -> str:
-    path = Path(str(raw))
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    return str(path)
+    # Joined as text: pathlib would intern each component of each path, and
+    # names that only a config holds then enter CPython's interned-string
+    # table again on every load.
+    path = str(raw)
+    if base_dir is not None and not os.path.isabs(path):
+        path = os.path.join(base_dir, path)
+    return path
 
 
 def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
@@ -259,16 +255,14 @@ def _location(exc: yaml.YAMLError, text: str) -> str:
     if mark is not None:
         line, column = mark.line, mark.column
     elif isinstance(exc, ReaderError):
-        # A character YAML does not allow: the error has an offset but no mark.
-        # libyaml counts the offset in UTF-8 bytes, PyYAML's reader in characters.
-        if _LOADER is yaml.SafeLoader:
-            head = text[: exc.position]
-        else:
-            head = text.encode("utf-8")[: exc.position].decode("utf-8")
-        # The offending character is the first YAML rejects, so every line
-        # break before it is one that splitlines() also breaks at; "." stands
-        # in for it, so a break right before it still starts a new row.
-        rows = (head + ".").splitlines()
+        # A character YAML does not allow: the error has an offset but no mark,
+        # and both loaders reject the first character of this set.
+        found = Reader.NON_PRINTABLE.search(text)
+        if found is None:
+            return ""
+        # Every line break before it is one that splitlines() also breaks at;
+        # "." stands in for it, so a break right before it still starts a row.
+        rows = (text[: found.start()] + ".").splitlines()
         line, column = len(rows) - 1, len(rows[-1]) - 1
     else:
         return ""

@@ -11,7 +11,6 @@ in the record, never an unrecorded abort.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -25,8 +24,6 @@ from ..skills import skill_tool
 from ..tools import LocalCorpusFetcher, ToolRegistry, install_builtin_tools
 from .config import ExperimentConfig
 from .recorder import TrajectoryRecorder
-
-logger = logging.getLogger(__name__)
 
 RECORD_FILENAME = "record.json"
 TRAJECTORY_FILENAME = "trajectory.jsonl"
@@ -42,6 +39,14 @@ class ExperimentRecord:
     record_path: str
     run_dir: str
     result: PlaygroundResult | None = None
+
+
+def _logger():
+    """This module's logger. ``logging`` loads on the first message, which a
+    scripted run without faults or MCP never sends."""
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 def _new_run_id(name: str) -> str:
@@ -82,7 +87,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
         )
         status = "timeout" if time.monotonic() >= deadline else result.status
     except Exception as exc:  # noqa: BLE001 — faults must land in the trajectory
-        logger.exception("experiment %s failed", run_id)
+        _logger().exception("experiment %s failed", run_id)
         recorder.record("error", {"error": str(exc), "phase": "experiment"})
         status = "error"
     finally:
@@ -137,7 +142,7 @@ def _build_services(
 
     for endpoint in config.tools.mcp:
         registered = register_mcp_tools(tools, McpClient(endpoint, pool))
-        logger.info("mcp %s: registered %s", endpoint.alias, registered)
+        _logger().info("mcp %s: registered %s", endpoint.alias, registered)
 
     cache = CognitiveCache(cache_root_for(config), run_id)
     return RunServices(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -167,9 +166,24 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     Waits for every call to finish. The first exception, in input order, is
     raised after all calls have ended.
     """
-    with ThreadPoolExecutor(max_workers=len(items)) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-    return [future.result() for future in futures]
+    results: list = [None] * len(items)
+    errors: list[BaseException | None] = [None] * len(items)
+
+    def call(index: int, item: T) -> None:
+        try:
+            results[index] = fn(item)
+        except BaseException as exc:  # noqa: BLE001 — raised again in the caller's thread
+            errors[index] = exc
+
+    threads = [threading.Thread(target=call, args=pair) for pair in enumerate(items)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def slots_by_role(slots: list[AgentSlot], role: str) -> list[AgentSlot]:

@@ -91,30 +91,32 @@ def test_libyaml_loader_in_use_when_available() -> None:
     assert config_module._LOADER is expected
 
 
+@pytest.fixture
+def json_manifest(tmp_path):
+    """A manifest written the way perfbench writes them: indented JSON."""
+    path = tmp_path / "manifest.yaml"
+    path.write_text(json.dumps(_min_data(), indent=1), encoding="utf-8")
+    return path
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-@pytest.mark.parametrize("path", MANIFESTS, ids=lambda p: str(p.relative_to(FIXTURES)))
-def test_loaders_build_equal_configs(monkeypatch, path) -> None:
+@pytest.mark.parametrize(
+    "path",
+    [*MANIFESTS, "json_manifest"],
+    ids=lambda p: p if isinstance(p, str) else str(p.relative_to(FIXTURES)),
+)
+def test_loaders_build_equal_configs(monkeypatch, request, path) -> None:
+    if isinstance(path, str):
+        path = request.getfixturevalue(path)
     text = path.read_text(encoding="utf-8")
     # Same data in the same key order, so snapshots keep their bytes.
     assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))
     pure, fast = (_load_with(monkeypatch, loader, path) for loader in LOADERS)
     assert fast == pure
-    if not isinstance(pure, str):
-        assert fast.to_dict() == pure.to_dict()
-
-
-@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-def test_loaders_agree_on_json_manifests(monkeypatch, tmp_path) -> None:
-    path = tmp_path / "manifest.yaml"
-    path.write_text(json.dumps(_min_data(), indent=1), encoding="utf-8")
-    pure, fast = (_load_with(monkeypatch, loader, path) for loader in LOADERS)
-    assert fast == pure == from_dict(_min_data())
 
 
 def test_pure_python_loader_without_libyaml(monkeypatch, tmp_path) -> None:
-    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    monkeypatch.setattr(config_module, "_LOADER", config_module._yaml_loader())
-    assert config_module._LOADER is yaml.SafeLoader
+    monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)
     for path in (FIXTURES / "golden").glob("*.yaml"):
         assert load_config(path).experiment.name
     path = tmp_path / "broken.yaml"

@@ -311,12 +311,14 @@ def test_tool_clamped_to_deadline_ends_run_as_timeout(tmp_path) -> None:
 def test_turn_past_the_deadline_is_the_last_model_call(tmp_path, overrides) -> None:
     """No critique or summarizing compression starts once the deadline has passed.
 
-    Each call to the stub takes 0.3 s against a 0.2 s deadline, so the turn's
-    call ends past it and the next step() ends the run as timeout.
+    The deadline is 1 s away and the stub answers 0.1 s after it, so a first
+    call that starts within that second ends past the deadline, and the next
+    step() ends the run as timeout.
     """
+    deadline = time.monotonic() + 1.0
 
     def slow_reply(body: dict) -> dict:
-        time.sleep(0.3)
+        time.sleep(max(0.0, deadline - time.monotonic()) + 0.1)
         return {"choices": [{"message": {"content": "working " * 20}, "finish_reason": "stop"}]}
 
     with ChatCompletionsStub(reply=slow_reply) as stub:
@@ -324,7 +326,7 @@ def test_turn_past_the_deadline_is_the_last_model_call(tmp_path, overrides) -> N
         gateway.register_profile(
             ModelProfile("remote", "http-openai-compatible", "m", base_url=stub.url)
         )
-        services = make_services(tmp_path, gateway, deadline=time.monotonic() + 0.2)
+        services = make_services(tmp_path, gateway, deadline=deadline)
         outcome = AgentRun.start("task", _spec("remote", **overrides), services).run_to_end()
     assert outcome.status == "timeout"
     assert len(stub.requests) == 1

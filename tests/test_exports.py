@@ -64,3 +64,19 @@ def test_import_loads_no_transport_or_hashing_module() -> None:
         capture_output=True, text=True, check=True, timeout=60, cwd=src,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_import_loads_no_logging_or_executor_module() -> None:
+    # A run logs only on a fault or an MCP registration, and fan_out starts
+    # plain threads, so neither module is part of every run's memory.
+    code = (
+        "import sys, evokit, evokit.harness, evokit.playgrounds\n"
+        "heavy = ('logging', 'concurrent.futures')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))"
+    )
+    src = Path(evokit.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60, cwd=src,
+    )
+    assert result.stdout.strip() == "[]"

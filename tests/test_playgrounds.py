@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -18,6 +20,7 @@ from evokit.playgrounds import (
     SlotConfigError,
     check_inputs,
     default_registry,
+    fan_out,
     install_builtin_playgrounds,
     run_playground,
 )
@@ -278,6 +281,35 @@ def test_mutating_one_slot_never_leaks_into_another(tmp_path) -> None:
     ]
     assert baseline == after
     assert "MUTATED PROMPT" not in after
+
+
+def test_fan_out_runs_every_item_at_once_and_keeps_input_order() -> None:
+    started = threading.Barrier(3, timeout=5)
+
+    def call(item: int) -> int:
+        started.wait()  # returns only once all three calls are running
+        return item * 10
+
+    assert fan_out(call, [3, 1, 2]) == [30, 10, 20]
+    assert fan_out(call, []) == []
+
+
+def test_fan_out_raises_the_first_error_in_input_order_after_all_calls() -> None:
+    finished = []
+
+    def call(item: int) -> int:
+        if item == 1:
+            time.sleep(0.02)
+            raise KeyError(item)  # first in input order, not first in time
+        if item == 2:
+            raise ValueError(item)
+        time.sleep(0.1)
+        finished.append(item)
+        return item
+
+    with pytest.raises(KeyError):
+        fan_out(call, [0, 1, 2, 3])
+    assert sorted(finished) == [0, 3]
 
 
 def test_playground_result_ok_requires_answer() -> None:
