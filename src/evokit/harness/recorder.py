@@ -4,8 +4,12 @@ One JSON object per line, keys always serialized in the fixed order
 ``seq, ts, run_id, slot, agent, kind, turn, payload, usage``. Sequence
 numbers are assigned and the line written under one lock, so concurrent
 producers can never tear a line or leave a gap, and file order always equals
-sequence order. The recorder also accumulates token usage as events pass
-through, which is what the run_end totals are built from.
+sequence order; a line that cannot be serialized or written takes no
+sequence number. Text is written as UTF-8 as it is, except on a line holding
+a lone surrogate (legal in JSON, e.g. from a model reply), which is written
+as ASCII with ``\\uXXXX`` escapes and decodes back unchanged. The recorder also
+accumulates token usage as events pass through, which is what the run_end
+totals are built from.
 """
 
 from __future__ import annotations
@@ -38,12 +42,25 @@ class RecorderClosed(EvokitError):
     pass
 
 
+def dump_utf8(value: Any, **kwargs: Any) -> bytes:
+    """``value`` as UTF-8 JSON, with non-ASCII text left unescaped.
+
+    A lone surrogate has no UTF-8 form, so a value holding one is written
+    with ASCII escapes instead, which JSON decodes back to the same string.
+    """
+    text = json.dumps(value, ensure_ascii=False, **kwargs)
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        return json.dumps(value, **kwargs).encode("ascii")
+
+
 class TrajectoryRecorder:
     def __init__(self, path: str | Path, run_id: str):
         self.path = Path(path)
         self.run_id = run_id
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("a", encoding="utf-8")
+        self._handle = self.path.open("ab")
         self._lock = threading.Lock()
         self._seq = 0
         self._closed = False
@@ -64,9 +81,8 @@ class TrajectoryRecorder:
         with self._lock:
             if self._closed:
                 raise RecorderClosed("trajectory recorder is closed")
-            self._seq += 1
             event = {
-                "seq": self._seq,
+                "seq": self._seq + 1,
                 "ts": time.time(),
                 "run_id": self.run_id,
                 "slot": slot,
@@ -76,7 +92,8 @@ class TrajectoryRecorder:
                 "payload": payload,
                 "usage": usage.as_dict() if usage else None,
             }
-            self._handle.write(json.dumps(event, ensure_ascii=False) + "\n")
+            self._handle.write(dump_utf8(event) + b"\n")
+            self._seq += 1
             self._handle.flush()
             if usage is not None:
                 self._usage = self._usage + usage

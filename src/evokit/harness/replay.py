@@ -6,15 +6,28 @@ bracketing, every tool call paired with its observation, and per-turn usage
 summing to the run_end totals. Any single-line mutation of a valid trajectory
 trips at least one of these checks. It also reconstructs one dialogue
 transcript per (slot, agent) conversation for auditing.
+
+The file is read once, line by line, and every check is folded into that one
+pass. Each decoded event is dropped once it has been counted; what stays is
+the transcripts, one count per action id and conversation, and the turn
+numbers. Replay's memory therefore grows with the transcripts it returns and
+the action ids it pairs, not with the size of the file.
+
+A line that is blank, not UTF-8 or not a JSON object raises
+TrajectoryCorrupt naming the line, and so does a line whose ``payload`` or
+``usage`` is neither an object nor null, whose ``slot`` or ``agent`` is
+neither a string nor null, or whose usage ``prompt_tokens`` or
+``completion_tokens`` is not an integer.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from ..errors import EvokitError
 
@@ -36,10 +49,18 @@ class ReplayReport:
     transcripts: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
 
 
-def _load_events(path: str | Path) -> list[dict[str, Any]]:
-    events = []
-    with Path(path).open("r", encoding="utf-8") as handle:
+def _read_events(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield each line of a trajectory as an event, checking its shape."""
+    # surrogateescape turns a byte that is not UTF-8 into a lone surrogate
+    # instead of failing the whole read, so the line holding it can be named.
+    # No valid line holds one: the recorder writes surrogates as escapes.
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise TrajectoryCorrupt(f"line {line_number}: {exc}") from exc
             if not line.strip():
                 raise TrajectoryCorrupt(f"line {line_number}: blank line")
             try:
@@ -48,56 +69,103 @@ def _load_events(path: str | Path) -> list[dict[str, Any]]:
                 raise TrajectoryCorrupt(f"line {line_number}: {exc}") from exc
             if not isinstance(event, dict):
                 raise TrajectoryCorrupt(f"line {line_number}: not a JSON object")
-            events.append(event)
-    return events
+            payload = event.get("payload")
+            if payload is not None and not isinstance(payload, dict):
+                raise TrajectoryCorrupt(f"line {line_number}: payload is not an object")
+            usage = event.get("usage")
+            if usage is not None:
+                if not isinstance(usage, dict):
+                    raise TrajectoryCorrupt(f"line {line_number}: usage is not an object")
+                for key in ("prompt_tokens", "completion_tokens"):
+                    # type() rather than isinstance(): JSON true is no count.
+                    if type(usage.get(key, 0)) is not int:
+                        raise TrajectoryCorrupt(
+                            f"line {line_number}: usage {key} is not an integer"
+                        )
+            for key in ("slot", "agent"):
+                value = event.get(key)
+                if value is not None and not isinstance(value, str):
+                    raise TrajectoryCorrupt(f"line {line_number}: {key} is not a string")
+            yield event
 
 
 def replay(path: str | Path) -> ReplayReport:
-    events = _load_events(path)
-    violations: list[str] = []
-
-    if not events:
-        return ReplayReport(False, ["empty trajectory"], 0)
-
-    seqs = [e.get("seq") for e in events]
-    expected = list(range(1, len(events) + 1))
-    if seqs != expected:
-        violations.append(f"sequence numbers are not gap-free 1..{len(events)}: {seqs[:20]}")
-
-    starts = [e for e in events if e.get("kind") == "run_start"]
-    ends = [e for e in events if e.get("kind") == "run_end"]
-    if len(starts) != 1 or events[0].get("kind") != "run_start":
-        violations.append("expected exactly one run_start at seq 1")
-    if len(ends) != 1 or events[-1].get("kind") != "run_end":
-        violations.append("expected exactly one run_end as the final event")
-
+    events = 0
+    seq_head: list[Any] = []  # the first 20 seqs, quoted by the gap message
+    gap_free = True
+    first_kind = last_kind = None
+    starts = ends = 0
+    totals: Any = None  # the first run_end's usage_totals
     # Action/observation pairing, scoped per (slot, agent) because action ids
     # are only unique within their conversation.
     calls: Counter = Counter()
     observed: Counter = Counter()
-    for event in events:
-        scope = (event.get("slot"), event.get("agent"))
-        payload = event.get("payload") or {}
-        if event.get("kind") == "tool_call":
-            calls[(scope, payload.get("id"))] += 1
-        elif event.get("kind") == "observation":
-            observed[(scope, payload.get("action_id"))] += 1
-    for key, count in (calls - observed).items():
-        violations.append(f"unpaired action {key[1]} in slot {key[0][0]} (x{count})")
-    for key, count in (observed - calls).items():
-        violations.append(f"orphan observation {key[1]} in slot {key[0][0]} (x{count})")
+    prompt_sum = completion_sum = 0  # usage, checked against the run_end totals
+    # One object per conversation and per (conversation, action id), shared
+    # by the counters and turn lists instead of a copy per event.
+    shared: dict[tuple, tuple] = {}
+    turns_by_scope: dict[tuple, list[Any]] = {}
+    transcripts: dict[str, list[dict[str, Any]]] = {}
 
-    # Usage conservation against the run_end totals.
-    prompt_sum = completion_sum = 0
-    for event in events:
-        if event.get("kind") == "run_end":
+    for event in _read_events(path):
+        events += 1
+        seq = event.get("seq")
+        if events <= 20:
+            seq_head.append(seq)
+        if gap_free and seq != events:
+            gap_free = False
+
+        kind = event.get("kind")
+        if events == 1:
+            first_kind = kind
+        last_kind = kind
+        payload = event.get("payload") or {}
+        if kind == "run_end":
+            ends += 1
+            if ends == 1:
+                totals = payload.get("usage_totals")
             continue
         usage = event.get("usage")
         if usage:
             prompt_sum += usage.get("prompt_tokens", 0)
             completion_sum += usage.get("completion_tokens", 0)
+        if kind == "run_start":
+            starts += 1
+            continue
+
+        scope = (event.get("slot"), event.get("agent"))
+        scope = shared.setdefault(scope, scope)
+        if kind == "tool_call":
+            key = (scope, payload.get("id"))
+            calls[shared.setdefault(key, key)] += 1
+        elif kind == "observation":
+            key = (scope, payload.get("action_id"))
+            observed[shared.setdefault(key, key)] += 1
+        elif kind == "turn" and event.get("turn") is not None:
+            turns_by_scope.setdefault(scope, []).append(event["turn"])
+        if kind in ("turn", "observation", "critique"):
+            slot = scope[0] or "(run)"
+            key = f"{slot}/{scope[1]}" if scope[1] else slot
+            # The interned kind: one string per kind, not one per event.
+            entry = {"kind": sys.intern(kind), "turn": event.get("turn"),
+                     "content": payload.get("content", "")}
+            transcripts.setdefault(key, []).append(entry)
+
+    if not events:
+        return ReplayReport(False, ["empty trajectory"], 0)
+
+    violations: list[str] = []
+    if not gap_free:
+        violations.append(f"sequence numbers are not gap-free 1..{events}: {seq_head}")
+    if starts != 1 or first_kind != "run_start":
+        violations.append("expected exactly one run_start at seq 1")
+    if ends != 1 or last_kind != "run_end":
+        violations.append("expected exactly one run_end as the final event")
+    for key, count in (calls - observed).items():
+        violations.append(f"unpaired action {key[1]} in slot {key[0][0]} (x{count})")
+    for key, count in (observed - calls).items():
+        violations.append(f"orphan observation {key[1]} in slot {key[0][0]} (x{count})")
     if ends:
-        totals = (ends[0].get("payload") or {}).get("usage_totals")
         if not isinstance(totals, dict):
             violations.append("run_end payload is missing usage_totals")
         elif (
@@ -109,13 +177,7 @@ def replay(path: str | Path) -> ReplayReport:
                 f"({prompt_sum}, {completion_sum}), run_end says "
                 f"({totals.get('prompt_tokens')}, {totals.get('completion_tokens')})"
             )
-
     # Per-turn contiguity within each conversation.
-    turns_by_scope: dict[tuple, list[int]] = {}
-    for event in events:
-        if event.get("kind") == "turn" and event.get("turn") is not None:
-            scope = (event.get("slot"), event.get("agent"))
-            turns_by_scope.setdefault(scope, []).append(event["turn"])
     for scope, turns in turns_by_scope.items():
         if turns != list(range(1, len(turns) + 1)):
             violations.append(f"turn numbers not contiguous for {scope}: {turns}")
@@ -123,25 +185,9 @@ def replay(path: str | Path) -> ReplayReport:
     return ReplayReport(
         complete=not violations,
         violations=violations,
-        events=len(events),
-        transcripts=_transcripts(events),
+        events=events,
+        transcripts=transcripts,
     )
-
-
-def _transcripts(events: list[dict[str, Any]]) -> dict[str, list[dict[str, Any]]]:
-    transcripts: dict[str, list[dict[str, Any]]] = {}
-    for event in events:
-        kind = event.get("kind")
-        if kind not in ("turn", "observation", "critique"):
-            continue
-        slot = event.get("slot") or "(run)"
-        agent = event.get("agent") or ""
-        key = f"{slot}/{agent}" if agent else slot
-        payload = event.get("payload") or {}
-        transcripts.setdefault(key, []).append(
-            {"kind": kind, "turn": event.get("turn"), "content": payload.get("content", "")}
-        )
-    return transcripts
 
 
 def mask_volatile(event: dict[str, Any]) -> dict[str, Any]:
@@ -169,5 +215,5 @@ def masked_lines(path: str | Path) -> list[str]:
     """The trajectory as canonical JSON lines with volatile fields masked."""
     return [
         json.dumps(mask_volatile(event), ensure_ascii=False, sort_keys=True)
-        for event in _load_events(path)
+        for event in _read_events(path)
     ]

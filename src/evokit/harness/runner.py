@@ -10,7 +10,6 @@ in the record, never an unrecorded abort.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -23,7 +22,7 @@ from ..playgrounds import CognitiveCache, PlaygroundResult, run_playground
 from ..skills import skill_tool
 from ..tools import LocalCorpusFetcher, ToolRegistry, install_builtin_tools
 from .config import ExperimentConfig
-from .recorder import TrajectoryRecorder
+from .recorder import TrajectoryRecorder, dump_utf8
 
 RECORD_FILENAME = "record.json"
 TRAJECTORY_FILENAME = "trajectory.jsonl"
@@ -164,6 +163,4 @@ def _write_record(record: ExperimentRecord) -> None:
         "config_snapshot": record.config_snapshot,
         "result": asdict(record.result) if record.result is not None else None,
     }
-    Path(record.record_path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    Path(record.record_path).write_bytes(dump_utf8(payload, indent=2) + b"\n")

@@ -117,6 +117,28 @@ def test_record_json_result_is_the_playground_result(tmp_path, name) -> None:
     assert list(saved["result"]) == ["final_answer", "status", "per_slot_outcomes", "rounds_used"]
 
 
+def test_reply_with_a_lone_surrogate_is_recorded_and_replays(tmp_path) -> None:
+    # A lone surrogate is legal in JSON text but has no UTF-8 form.
+    reply = {"choices": [{"message": {"content": "FINAL: a\ud800b"}, "finish_reason": "stop"}],
+             "usage": {"prompt_tokens": 5, "completion_tokens": 2}}
+    with ChatCompletionsStub(reply=reply) as stub:
+        record = run_experiment(from_dict({
+            "experiment": {"name": "surrogate", "task": "Answer.", "output_dir": str(tmp_path)},
+            "llm": {"profiles": [{"name": "m", "provider": "http-openai-compatible",
+                                  "model": "m", "base_url": stub.url}]},
+            "tools": {"builtin": []},
+            "playground": {"name": "sequential_handoff", "params": {}, "slots": [
+                {"slot_name": "w", "role": "worker", "llm_profile": "m", "max_turns": 2}]},
+        }))
+    assert record.status == "ok"
+    assert record.result is not None and record.result.final_answer == "a\ud800b"
+    saved = json.loads(Path(record.record_path).read_text(encoding="utf-8"))
+    assert saved["result"]["final_answer"] == "a\ud800b"
+    report = replay(record.trajectory_path)
+    assert report.complete, report.violations
+    assert report.transcripts["w/w#1"][0]["content"] == "FINAL: a\ud800b"
+
+
 def test_wall_clock_timeout_enforced(tmp_path) -> None:
     config = _load("configs/timeout.yaml", tmp_path)
     t0 = time.monotonic()

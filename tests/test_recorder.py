@@ -2,19 +2,25 @@ from __future__ import annotations
 
 import json
 import threading
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from evokit.cli import main
 from evokit.gateway import TokenUsage
 from evokit.harness import (
     KEY_ORDER,
     RecorderClosed,
     TrajectoryCorrupt,
     TrajectoryRecorder,
+    load_config,
     masked_lines,
     replay,
+    run_experiment,
 )
 from evokit.harness.replay import mask_volatile
+from helpers import FIXTURES
 
 
 def test_first_event_gets_seq_one(tmp_path) -> None:
@@ -74,6 +80,29 @@ def test_concurrent_records_are_gap_free(tmp_path) -> None:
     assert [e["seq"] for e in events] == list(range(1, 403))
     assert events[0]["kind"] == "run_start"
     assert events[-1]["kind"] == "run_end"
+
+
+def test_lone_surrogate_is_escaped_and_reads_back(tmp_path) -> None:
+    path = tmp_path / "t.jsonl"
+    recorder = TrajectoryRecorder(path, "run-1")
+    recorder.record("turn", {"content": "caf\u00e9"}, slot="w", turn=1)
+    assert recorder.record("turn", {"content": "caf\u00e9 a\ud800b"}, slot="w", turn=2) == 2
+    recorder.close()
+    plain, escaped = path.read_bytes().splitlines()
+    assert b'"caf\xc3\xa9"' in plain  # UTF-8 as it is when it can be
+    assert escaped.isascii()
+    assert json.loads(escaped)["payload"]["content"] == "caf\u00e9 a\ud800b"
+
+
+def test_line_that_cannot_be_written_takes_no_seq(tmp_path) -> None:
+    path = tmp_path / "t.jsonl"
+    recorder = TrajectoryRecorder(path, "run-1")
+    assert recorder.record("run_start", {}) == 1
+    with pytest.raises(TypeError):
+        recorder.record("turn", {"content": object()})
+    assert recorder.record("run_end", {}) == 2
+    recorder.close()
+    assert [json.loads(line)["seq"] for line in path.read_text().splitlines()] == [1, 2]
 
 
 def test_usage_totals_accumulate(tmp_path) -> None:
@@ -150,6 +179,137 @@ def test_truncated_final_line_is_corrupt(tmp_path) -> None:
     with pytest.raises(TrajectoryCorrupt) as excinfo:
         replay(path)
     assert "line 6" in str(excinfo.value)
+
+
+def test_replay_violation_wording_and_order(tmp_path) -> None:
+    def event(seq, kind, payload=None, slot=None, agent=None, turn=None, usage=None):
+        return {"seq": seq, "ts": 0.0, "run_id": "r", "slot": slot, "agent": agent,
+                "kind": kind, "turn": turn, "payload": payload, "usage": usage}
+
+    w = {"slot": "w", "agent": "w#1"}
+    events = [
+        event(1, "run_start", {}),
+        event(2, "run_start", {}),
+        event(3, "turn", {"content": "a"}, turn=1,
+              usage={"prompt_tokens": 2, "completion_tokens": 3}, **w),
+        event(4, "tool_call", {"id": "call-b"}, turn=1, **w),
+        event(5, "tool_call", {"id": "call-a"}, slot="v", agent="v#1", turn=1),
+        event(7, "observation", {"action_id": "ghost", "content": "?"}, turn=1, **w),
+        event(8, "turn", {"content": "b"}, turn=3,
+              usage={"prompt_tokens": 1, "completion_tokens": 1}, **w),
+        event(9, "run_end", {"usage_totals": {"prompt_tokens": 9, "completion_tokens": 4}}),
+    ]
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+    report = replay(path)
+    assert (report.complete, report.events) == (False, 8)
+    assert report.violations == [
+        "sequence numbers are not gap-free 1..8: [1, 2, 3, 4, 5, 7, 8, 9]",
+        "expected exactly one run_start at seq 1",
+        "unpaired action call-b in slot w (x1)",
+        "unpaired action call-a in slot v (x1)",
+        "orphan observation ghost in slot w (x1)",
+        "usage totals mismatch: events sum to (3, 4), run_end says (9, 4)",
+        "turn numbers not contiguous for ('w', 'w#1'): [1, 3]",
+    ]
+    assert report.transcripts == {
+        "w/w#1": [
+            {"kind": "turn", "turn": 1, "content": "a"},
+            {"kind": "observation", "turn": 1, "content": "?"},
+            {"kind": "turn", "turn": 3, "content": "b"},
+        ]
+    }
+
+
+# Line edits that give a line a shape no recorder writes.
+BAD_SHAPES = [
+    *(("payload", value) for value in ("x", 2, [])),
+    *(("usage", value) for value in ("x", 2, [])),
+    *((key, value) for key in ("slot", "agent") for value in ([], {}, 2)),
+    *(("usage", {"prompt_tokens": value}) for value in ("7", 1.5, None, True)),
+    ("usage", {"prompt_tokens": 1, "completion_tokens": "1"}),
+]
+
+
+def test_bad_line_shapes_are_trajectory_corrupt(tmp_path, monkeypatch) -> None:
+    monkeypatch.setenv("EVO_HOME", str(tmp_path / "home"))
+    config = load_config(FIXTURES / "golden/research.yaml")
+    config.experiment.output_dir = str(tmp_path / "runs")
+    trajectory = Path(run_experiment(config).trajectory_path)
+    lines = trajectory.read_text(encoding="utf-8").splitlines()
+    mutated = tmp_path / "mutated.jsonl"
+    for index in range(len(lines)):
+        for key, value in BAD_SHAPES:
+            event = json.loads(lines[index])
+            event[key] = value
+            edited = [*lines[:index], json.dumps(event), *lines[index + 1:]]
+            mutated.write_text("\n".join(edited) + "\n", encoding="utf-8")
+            with pytest.raises(TrajectoryCorrupt, match=f"^line {index + 1}: "):
+                replay(mutated)
+    assert main(["replay", "--trajectory", str(mutated)]) == 3
+
+
+def test_byte_that_is_not_utf8_is_corrupt(tmp_path, capsys) -> None:
+    path = tmp_path / "t.jsonl"
+    recorder = TrajectoryRecorder(path, "run-x")
+    recorder.record("run_start", {})
+    recorder.record("turn", {"content": "caf\u00e9 \u65e5\u672c \u2028 \U0001f600"}, slot="w",
+                    turn=1)
+    recorder.record("run_end", {"usage_totals": {"prompt_tokens": 0, "completion_tokens": 0}})
+    recorder.close()
+    report = replay(path)
+    assert report.complete
+    assert report.transcripts["w"][0]["content"] == "caf\u00e9 \u65e5\u672c \u2028 \U0001f600"
+
+    data = path.read_bytes()
+    path.write_bytes(data.replace("\u00e9".encode(), b"\xff"))
+    with pytest.raises(TrajectoryCorrupt, match="^line 2: .*0xff"):
+        replay(path)
+    with pytest.raises(TrajectoryCorrupt, match="^line 2: "):
+        masked_lines(path)
+    assert main(["replay", "--trajectory", str(path)]) == 3
+    assert "trajectory corrupt: line 2: " in capsys.readouterr().err
+
+
+def _write_long_trajectory(path, turns: int) -> None:
+    """A long single-agent run: turn, tool call and observation per turn, critiques.
+
+    Every action id is distinct, as an HTTP provider's are, so replay pairs
+    as many ids as there are actions.
+    """
+    recorder = TrajectoryRecorder(path, "long-run-20260101-000000-a1b2c3")
+    recorder.record("run_start", {"config_snapshot": {"task": "survey"}})
+    scope = {"slot": "researcher", "agent": "researcher#1"}
+    for turn in range(1, turns + 1):
+        call = {"id": f"call_{turn:024x}", "tool": "web_search",
+                "arguments": {"query": f"q-{turn:04d}"}}
+        recorder.record("turn", {"content": f"note {turn} " + "n" * 120, "finish": "tool_call",
+                                 "tool_calls": [call]},
+                        turn=turn, usage=TokenUsage(70 + turn, 37), **scope)
+        recorder.record("tool_call", call, turn=turn, **scope)
+        recorder.record("observation", {"action_id": call["id"], "status": "ok", "duration_ms": 0,
+                                        "content": f"result {turn} " + "r" * 640},
+                        turn=turn, **scope)
+        if turn % 10 == 0:
+            recorder.record("critique", {"content": f"critique {turn} " + "c" * 120},
+                            turn=turn, usage=TokenUsage(2000, 36), **scope)
+    totals = recorder.usage_totals()
+    recorder.record("run_end", {"status": "partial", "usage_totals": totals.as_dict()})
+    recorder.close()
+
+
+def test_replay_memory_stays_below_the_file_size(tmp_path) -> None:
+    path = tmp_path / "long.jsonl"
+    _write_long_trajectory(path, 1620)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        report = replay(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.complete and report.events > 5000
+    assert peak < size, f"replay peaked at {peak} B for a {size} B trajectory"
 
 
 def test_mask_volatile_hides_documented_fields() -> None:
