@@ -10,6 +10,7 @@ is emitted to the trajectory recorder, so no fault ever vanishes silently.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import threading
@@ -126,10 +127,15 @@ def parse_final(content: str, marker: str = DEFAULT_FINAL_MARKER) -> str | None:
     terminate the loop. Everything after the marker (to the end of the
     content) is the answer, trimmed.
     """
-    match = re.search(rf"^{re.escape(marker)}", content, re.MULTILINE)
+    match = _final_pattern(marker).search(content)
     if match is None:
         return None
     return content[match.end() :].strip()
+
+
+@functools.lru_cache(maxsize=64)
+def _final_pattern(marker: str) -> re.Pattern[str]:
+    return re.compile(rf"^{re.escape(marker)}", re.MULTILINE)
 
 
 class AgentRun:
@@ -146,6 +152,10 @@ class AgentRun:
         self.slot = slot
         self.agent = f"{spec.name}#{services.next_invocation(slot, spec.name)}"
         self.context = ContextManager()
+        # Looked up once: tools are registered before any run starts.
+        self._tools = [
+            d for d in map(services.tools.get, sorted(spec.tool_names)) if d is not None
+        ]
         self.turn = 0
         self.outcome: AgentOutcome | None = None
         self._usage = TokenUsage()
@@ -229,12 +239,9 @@ class AgentRun:
     def _complete(self, phase: str) -> ChatResponse:
         """One model call with a single retry; both failures end the run."""
         messages = self.context.render(self.spec.budget)
-        descriptors = [self.services.tools.get(t) for t in sorted(self.spec.tool_names)]
         response = self._with_retry(
             phase,
-            lambda: self.services.gateway.complete(
-                self.spec.llm_profile, messages, [d for d in descriptors if d]
-            ),
+            lambda: self.services.gateway.complete(self.spec.llm_profile, messages, self._tools),
         )
         self._usage = self._usage + response.usage
         return response

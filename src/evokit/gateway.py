@@ -197,9 +197,23 @@ class ModelProfile:
 
 @dataclass(frozen=True)
 class ScriptEntry:
+    """One canned response; ``call_tokens`` is its tool calls' token estimate.
+
+    ``call_tokens`` sums ``estimate_tokens`` over each call's arguments as
+    sorted-key JSON. It is computed once, here, since every playback of the
+    entry sends the same arguments.
+    """
+
     content: str
     tool_calls: tuple[tuple[str, dict[str, Any]], ...] = ()
     match: re.Pattern[str] | None = None
+    call_tokens: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tokens = sum(
+            estimate_tokens(json.dumps(args, sort_keys=True)) for _, args in self.tool_calls
+        )
+        object.__setattr__(self, "call_tokens", tokens)
 
 
 @dataclass(frozen=True)
@@ -301,13 +315,10 @@ def scripted_step(script: Script, messages: Sequence[ChatMessage]) -> ChatRespon
         Action(id=f"call-{position}-{k}", tool=name, arguments=dict(args))
         for k, (name, args) in enumerate(selected.tool_calls)
     )
-    completion = estimate_tokens(content) + sum(
-        estimate_tokens(json.dumps(a.arguments, sort_keys=True)) for a in actions
-    )
     return ChatResponse(
         content=content,
         tool_calls=actions,
-        usage=TokenUsage(prompt.tokens, completion),
+        usage=TokenUsage(prompt.tokens, estimate_tokens(content) + selected.call_tokens),
         finish="tool_call" if actions else "stop",
     )
 

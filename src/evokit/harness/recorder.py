@@ -42,13 +42,22 @@ class RecorderClosed(EvokitError):
     pass
 
 
+# What ``json.dumps(value, ensure_ascii=False)`` builds on every call, built
+# once: an encoder keeps no state between calls, so threads may share it.
+_UTF8_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def dump_utf8(value: Any, **kwargs: Any) -> bytes:
     """``value`` as UTF-8 JSON, with non-ASCII text left unescaped.
 
     A lone surrogate has no UTF-8 form, so a value holding one is written
     with ASCII escapes instead, which JSON decodes back to the same string.
+    ``kwargs`` go to ``json.dumps``.
     """
-    text = json.dumps(value, ensure_ascii=False, **kwargs)
+    if kwargs:
+        text = json.dumps(value, ensure_ascii=False, **kwargs)
+    else:
+        text = _UTF8_ENCODER.encode(value)
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError:

@@ -3,9 +3,13 @@
 replay() re-reads a trajectory file and checks the structural guarantees the
 recorder is supposed to provide: gap-free sequence numbers, run_start/run_end
 bracketing, every tool call paired with its observation, and per-turn usage
-summing to the run_end totals. Any single-line mutation of a valid trajectory
-trips at least one of these checks. It also reconstructs one dialogue
-transcript per (slot, agent) conversation for auditing.
+summing to the run_end totals. Deleting any line of a valid trajectory trips
+at least one of these checks, and so does editing a seq, an action id or a
+usage count. Pairing counts calls and observations per action id, so
+where a conversation repeats an id (the scripted provider's do, see
+``tools.Action``) an observation moved to answer another call with that id
+still pairs. It also reconstructs one dialogue transcript per (slot, agent)
+conversation for auditing.
 
 The file is read once, line by line, and every check is folded into that one
 pass. Each decoded event is dropped once it has been counted; what stays is
@@ -17,7 +21,9 @@ A line that is blank, not UTF-8 or not a JSON object raises
 TrajectoryCorrupt naming the line, and so does a line whose ``payload`` or
 ``usage`` is neither an object nor null, whose ``slot`` or ``agent`` is
 neither a string nor null, or whose usage ``prompt_tokens`` or
-``completion_tokens`` is not an integer.
+``completion_tokens`` is not an integer. So does a ``tool_call`` whose
+``payload.id``, or an ``observation`` whose ``payload.action_id``, is an
+array or an object.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ def replay(path: str | Path) -> ReplayReport:
     starts = ends = 0
     totals: Any = None  # the first run_end's usage_totals
     # Action/observation pairing, scoped per (slot, agent) because action ids
-    # are only unique within their conversation.
+    # name actions only within their conversation.
     calls: Counter = Counter()
     observed: Counter = Counter()
     prompt_sum = completion_sum = 0  # usage, checked against the run_end totals
@@ -135,13 +141,17 @@ def replay(path: str | Path) -> ReplayReport:
 
         scope = (event.get("slot"), event.get("agent"))
         scope = shared.setdefault(scope, scope)
-        if kind == "tool_call":
-            key = (scope, payload.get("id"))
-            calls[shared.setdefault(key, key)] += 1
-        elif kind == "observation":
-            key = (scope, payload.get("action_id"))
-            observed[shared.setdefault(key, key)] += 1
-        elif kind == "turn" and event.get("turn") is not None:
+        try:
+            if kind == "tool_call":
+                key = (scope, payload.get("id"))
+                calls[shared.setdefault(key, key)] += 1
+            elif kind == "observation":
+                key = (scope, payload.get("action_id"))
+                observed[shared.setdefault(key, key)] += 1
+        except TypeError:  # the id does not hash: an array or an object
+            name = "id" if kind == "tool_call" else "action_id"
+            raise TrajectoryCorrupt(f"line {events}: {name} is an array or object") from None
+        if kind == "turn" and event.get("turn") is not None:
             turns_by_scope.setdefault(scope, []).append(event["turn"])
         if kind in ("turn", "observation", "critique"):
             slot = scope[0] or "(run)"

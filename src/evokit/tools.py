@@ -7,9 +7,11 @@ materialize inside the pair so an agent loop can observe them and keep going.
 
 from __future__ import annotations
 
+import errno
 import os
 import queue
 import signal
+import stat
 import subprocess
 import threading
 import time
@@ -84,9 +86,12 @@ class ToolDescriptor:
 class Action:
     """One tool invocation requested by a model response.
 
-    Ids are unique within the conversation that produced them; trajectory
+    Ids name an action within the conversation that produced them; trajectory
     events additionally carry slot and agent tags, so pairing checks key on
-    (slot, agent, id).
+    (slot, agent, id). They are not always unique there: the scripted
+    provider names actions ``call-<position>-<k>``, and its position stops at
+    the script's last entry and falls when a compression drops assistant
+    messages, so a long scripted conversation repeats ids.
     """
 
     id: str
@@ -260,6 +265,12 @@ class LocalCorpusFetcher:
     ``https://example.org/a/b.txt`` reads ``example.org_a_b.txt``. Searches
     read ``search-<flattened query>.txt``. Missing files raise, which the tool
     layer converts into error observations — the offline analogue of a 404.
+
+    A document is read with one ``open``, ``fstat`` and ``read`` to EOF, and
+    decoded as ``Path.read_text(encoding="utf-8")`` decodes it: ``\\r\\n``
+    and ``\\r`` become ``\\n`` and a BOM is kept. A name that is not a
+    regular file (a directory, a FIFO, a socket) counts as missing; the open
+    does not block, so a FIFO never stalls the tool.
     """
 
     def __init__(self, root: Path | str):
@@ -271,16 +282,55 @@ class LocalCorpusFetcher:
 
     def fetch(self, url: str) -> str:
         remainder = url.split("://", 1)[-1]
-        path = self.root / self._flatten(remainder)
-        if not path.is_file():
+        text = self._read(self._flatten(remainder))
+        if text is None:
             raise FetchError(f"404 not found: {url}")
-        return path.read_text(encoding="utf-8")
+        return text
 
     def search(self, query: str) -> str:
-        path = self.root / f"search-{self._flatten(query)}.txt"
-        if not path.is_file():
+        text = self._read(f"search-{self._flatten(query)}.txt")
+        if text is None:
             raise FetchError(f"no results for query: {query}")
-        return path.read_text(encoding="utf-8")
+        return text
+
+    def _read(self, name: str) -> str | None:
+        """The text of the regular file ``name`` under root, or None if there is none."""
+        path = os.path.join(self.root, name)
+        try:
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        except OSError as exc:
+            # Answer as ``Path.is_file()`` then ``read_text()`` would: a name
+            # that is missing or not a regular file is no document, and any
+            # other error propagates.
+            if exc.errno in _MISSING_ERRNOS or not _is_regular(path):
+                return None
+            raise
+        try:
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                return None
+            chunks = []
+            while chunk := os.read(fd, info.st_size + 1):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return text
+
+
+# The errnos ``Path.is_file()`` reads as "no such file" rather than raising.
+_MISSING_ERRNOS = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+
+
+def _is_regular(path: str) -> bool:
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError as exc:
+        if exc.errno in _MISSING_ERRNOS:
+            return False
+        raise
 
 
 def _no_backend(_: str) -> str:

@@ -230,6 +230,38 @@ def test_scripted_usage_is_populated(tmp_path) -> None:
     assert response.usage.completion_tokens == 2
 
 
+def _old_completion_tokens(response: ChatResponse) -> int:
+    """The per-call count scripted_step made before entries carried theirs."""
+    return estimate_tokens(response.content) + sum(
+        estimate_tokens(json.dumps(a.arguments, sort_keys=True)) for a in response.tool_calls
+    )
+
+
+def test_scripted_usage_matches_the_per_call_formula() -> None:
+    script = parse_script(json.dumps([
+        {"content": "plan {{last}}", "tool_calls": [
+            {"name": "web_search", "arguments": {"query": "récif corallien 珊瑚礁"}},
+            {"name": "web_fetch", "arguments": {"url": "https://example.org/ü", "z": 1, "a": [2]}},
+            {"name": "exec", "arguments": {}},
+        ]},
+        {"content": "", "tool_calls": [
+            {"name": "file_write", "arguments": {"path": "π.txt", "content": {"k": ["é", None]}}},
+            {"name": "file_read", "arguments": {"path": "\U0001f600"}},
+        ]},
+        {"content": "FINAL: done"},
+    ]))
+    messages = [ChatMessage("user", "naïve ☃")]
+    for _ in range(5):  # past the end too, where the last entry repeats
+        response = scripted_step(script, messages)
+        assert response.usage.completion_tokens == _old_completion_tokens(response)
+        messages.append(ChatMessage("assistant", response.content, response.tool_calls))
+        messages.extend(ChatMessage("tool", "r", tool_call_id=a.id) for a in response.tool_calls)
+        messages.append(ChatMessage("user", "next"))
+    # ensure_ascii: "é" counts as its six-character escape, as before.
+    script = parse_script('[{"tool_calls": [{"name": "t", "arguments": {"q": "é"}}]}]')
+    assert script.entries[0].call_tokens == estimate_tokens('{"q": "\\u00e9"}') == 4
+
+
 # -- http provider ------------------------------------------------------------------
 
 

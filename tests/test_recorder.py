@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -19,6 +20,7 @@ from evokit.harness import (
     replay,
     run_experiment,
 )
+from evokit.harness.recorder import dump_utf8
 from evokit.harness.replay import mask_volatile
 from helpers import FIXTURES
 
@@ -92,6 +94,52 @@ def test_lone_surrogate_is_escaped_and_reads_back(tmp_path) -> None:
     assert b'"caf\xc3\xa9"' in plain  # UTF-8 as it is when it can be
     assert escaped.isascii()
     assert json.loads(escaped)["payload"]["content"] == "caf\u00e9 a\ud800b"
+
+
+DUMP_VALUES = [
+    "caf\u00e9 \u65e5\u672c \u2028 \U0001f600",
+    "a\ud800b",
+    {"content": "x\udfff", "n": [1, 2.5, None, True]},
+    {"seq": 1, "payload": {"tool_calls": [{"arguments": {"q": "r\u00e9cif", "k": [{"z": {}}]}}]},
+     "usage": None, "nan": float("nan"), "big": 10**30},
+    [[], {}, "", "\x00\x1f\"\\/"],
+]
+
+
+@pytest.mark.parametrize("value", DUMP_VALUES)
+def test_dump_utf8_bytes_are_the_json_dumps_bytes(value) -> None:
+    def old(value, **kwargs):
+        text = json.dumps(value, ensure_ascii=False, **kwargs)
+        try:
+            return text.encode("utf-8")
+        except UnicodeEncodeError:
+            return json.dumps(value, **kwargs).encode("ascii")
+
+    assert dump_utf8(value) == old(value)
+    assert dump_utf8(value, indent=2) == old(value, indent=2)
+
+
+def test_dump_utf8_shared_encoder_under_threads() -> None:
+    values = [{"n": n, "text": "caf\u00e9 " * (n % 7), "nested": [{"k": n}] * (n % 3)}
+              for n in range(400)]
+    expected = [json.dumps(v, ensure_ascii=False).encode("utf-8") for v in values]
+    results: list[list[bytes]] = [[] for _ in range(8)]
+
+    def work(index: int) -> None:
+        results[index] = [dump_utf8(v) for v in values]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 8
 
 
 def test_line_that_cannot_be_written_takes_no_seq(tmp_path) -> None:
@@ -247,6 +295,29 @@ def test_bad_line_shapes_are_trajectory_corrupt(tmp_path, monkeypatch) -> None:
             with pytest.raises(TrajectoryCorrupt, match=f"^line {index + 1}: "):
                 replay(mutated)
     assert main(["replay", "--trajectory", str(mutated)]) == 3
+
+
+@pytest.mark.parametrize("value", [[], {}], ids=["array", "object"])
+def test_action_id_that_cannot_be_paired_is_corrupt(tmp_path, monkeypatch, capsys,
+                                                     value) -> None:
+    monkeypatch.setenv("EVO_HOME", str(tmp_path / "home"))
+    config = load_config(FIXTURES / "golden/research.yaml")
+    config.experiment.output_dir = str(tmp_path / "runs")
+    trajectory = Path(run_experiment(config).trajectory_path)
+    lines = trajectory.read_text(encoding="utf-8").splitlines()
+    kinds = [json.loads(line)["kind"] for line in lines]
+    mutated = tmp_path / "mutated.jsonl"
+    for kind, key in (("tool_call", "id"), ("observation", "action_id")):
+        index = kinds.index(kind)
+        event = json.loads(lines[index])
+        event["payload"][key] = value
+        edited = [*lines[:index], json.dumps(event), *lines[index + 1:]]
+        mutated.write_text("\n".join(edited) + "\n", encoding="utf-8")
+        with pytest.raises(TrajectoryCorrupt,
+                           match=f"^line {index + 1}: {key} is an array or object$"):
+            replay(mutated)
+        assert main(["replay", "--trajectory", str(mutated)]) == 3
+        assert f"trajectory corrupt: line {index + 1}: " in capsys.readouterr().err
 
 
 def test_byte_that_is_not_utf8_is_corrupt(tmp_path, capsys) -> None:

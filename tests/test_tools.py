@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import os
 import queue
 import random
+import socket
 import string
 import sys
 import threading
@@ -15,6 +17,7 @@ from evokit import tools
 from evokit.tools import (
     Action,
     DuplicateTool,
+    FetchError,
     InvalidDescriptor,
     InvokeLimits,
     LocalCorpusFetcher,
@@ -355,3 +358,102 @@ def test_corpus_fetcher_missing_is_error(tmp_path, registry) -> None:
     )
     assert execution.status == "failed"
     assert "404" in observation.content
+
+
+class _PathlibFetcher(LocalCorpusFetcher):
+    """The corpus reads as ``Path.is_file`` then ``Path.read_text``: the reference."""
+
+    def fetch(self, url: str) -> str:
+        path = self.root / self._flatten(url.split("://", 1)[-1])
+        if not path.is_file():
+            raise FetchError(f"404 not found: {url}")
+        return path.read_text(encoding="utf-8")
+
+    def search(self, query: str) -> str:
+        path = self.root / f"search-{self._flatten(query)}.txt"
+        if not path.is_file():
+            raise FetchError(f"no results for query: {query}")
+        return path.read_text(encoding="utf-8")
+
+
+# Each corpus tool with the arguments it is invoked with and the file they read.
+CORPUS_TOOLS = {
+    "web_search": ({"query": "reef studies"}, "search-reef_studies.txt"),
+    "web_fetch": ({"url": "https://example.org/doc.txt"}, "example.org_doc.txt"),
+    "pdf_extract": ({"url": "https://example.org/paper.pdf"}, "example.org_paper.pdf"),
+}
+
+def _bind_socket(path: Path) -> None:
+    """Leave a Unix socket file at ``path`` (bound by name: socket paths are short)."""
+    cwd = os.getcwd()
+    os.chdir(path.parent)
+    try:
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(path.name)
+    finally:
+        os.chdir(cwd)
+
+
+# What sits at the document's name, and the status its read must end in.
+CORPUS_CASES = {
+    "missing": (lambda path: None, "failed"),
+    "directory": (lambda path: path.mkdir(), "failed"),
+    "fifo": (lambda path: os.mkfifo(path), "failed"),
+    "socket": (_bind_socket, "failed"),
+    "symlink_loop": (lambda path: path.symlink_to(path), "failed"),
+    "dangling_symlink": (lambda path: path.symlink_to(path.parent / "gone"), "failed"),
+    "crlf_and_lone_cr": (lambda path: path.write_bytes(b"a\r\nb\rc\r\r\nd\r"), "ok"),
+    "bom": (lambda path: path.write_bytes(b"\xef\xbb\xbfcaf\xc3\xa9\n"), "ok"),
+    "not_utf8": (lambda path: path.write_bytes(b"ok\r\n\xff\xfe end"), "failed"),
+    "empty": (lambda path: path.write_bytes(b""), "ok"),
+    "large": (lambda path: path.write_bytes("é\r\n".encode() * 50_000), "ok"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS_CASES))
+@pytest.mark.parametrize("tool", sorted(CORPUS_TOOLS))
+def test_corpus_reads_observe_as_pathlib_reads(tmp_path, tool, case) -> None:
+    arguments, name = CORPUS_TOOLS[tool]
+    make, status = CORPUS_CASES[case]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    make(corpus / name)
+    workspace = tmp_path / "ws"
+    workspace.mkdir()
+    pairs = []
+    for fetcher in (LocalCorpusFetcher(corpus), _PathlibFetcher(corpus)):
+        reg = ToolRegistry()
+        install_builtin_tools(reg, workspace, names=[tool], fetcher=fetcher)
+        try:
+            # A read that blocked (a FIFO opened without O_NONBLOCK) would
+            # end in "timeout" here instead of hanging the test.
+            execution, observation = reg.invoke(
+                Action("a", tool, dict(arguments)), InvokeLimits(timeout_ms=5_000)
+            )
+        finally:
+            if case == "fifo":
+                try:  # release a worker left blocked in open(), if any
+                    os.close(os.open(corpus / name, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:
+                    pass
+        pairs.append((execution.status, observation))
+    assert pairs[0] == pairs[1]
+    assert pairs[0][0] == status
+    if case == "crlf_and_lone_cr":
+        assert pairs[0][1].content == "a\nb\nc\n\nd\n"
+    elif case == "bom":
+        assert pairs[0][1].content == "\ufeffcafé\n"
+    elif case == "not_utf8":
+        assert "can't decode byte 0xff in position 4" in pairs[0][1].content
+
+
+def test_corpus_read_error_that_is_not_a_miss_propagates(tmp_path) -> None:
+    query = "q" * 300  # a file name longer than the file system allows
+    for fetcher in (LocalCorpusFetcher(tmp_path), _PathlibFetcher(tmp_path)):
+        with pytest.raises(OSError, match="File name too long") as excinfo:
+            fetcher.search(query)
+        assert not isinstance(excinfo.value, FetchError)
+
+
+def test_corpus_fetcher_keeps_its_root(tmp_path) -> None:
+    assert LocalCorpusFetcher(str(tmp_path)).root == tmp_path
