@@ -9,6 +9,7 @@ agent swaps backends by changing one string.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import re
@@ -201,19 +202,28 @@ class ScriptEntry:
 
     ``call_tokens`` sums ``estimate_tokens`` over each call's arguments as
     sorted-key JSON. It is computed once, here, since every playback of the
-    entry sends the same arguments.
+    entry sends the same arguments. ``nested`` says whether any argument
+    value is an object or an array, which decides how a playback copies the
+    arguments: nested ones deeply, flat ones one level (see ``scripted_step``).
     """
 
     content: str
     tool_calls: tuple[tuple[str, dict[str, Any]], ...] = ()
     match: re.Pattern[str] | None = None
     call_tokens: int = field(init=False, repr=False, compare=False)
+    nested: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tokens = sum(
             estimate_tokens(json.dumps(args, sort_keys=True)) for _, args in self.tool_calls
         )
         object.__setattr__(self, "call_tokens", tokens)
+        nested = any(
+            isinstance(value, (dict, list))
+            for _, args in self.tool_calls
+            for value in args.values()
+        )
+        object.__setattr__(self, "nested", nested)
 
 
 @dataclass(frozen=True)
@@ -298,6 +308,10 @@ def scripted_step(script: Script, messages: Sequence[ChatMessage]) -> ChatRespon
     match always hit. Falls back to the final entry when nothing matches.
     The placeholder ``{{last}}`` in entry content is replaced with the last
     non-assistant message, which is how echo scripts are written.
+
+    Each ``Action`` gets its own copy of the entry's arguments, nested
+    objects and arrays included, so a tool handler that mutates them cannot
+    change a later playback.
     """
     prompt = Prompt.of(messages)
     target = _last_non_assistant(messages)
@@ -311,8 +325,9 @@ def scripted_step(script: Script, messages: Sequence[ChatMessage]) -> ChatRespon
         selected = script.entries[-1]
 
     content = selected.content.replace("{{last}}", target)
+    copy_args = copy.deepcopy if selected.nested else dict
     actions = tuple(
-        Action(id=f"call-{position}-{k}", tool=name, arguments=dict(args))
+        Action(id=f"call-{position}-{k}", tool=name, arguments=copy_args(args))
         for k, (name, args) in enumerate(selected.tool_calls)
     )
     return ChatResponse(

@@ -225,7 +225,7 @@ def _reject_duplicates(names: list[str], what: str) -> None:
             raise ValidationError(f"duplicate {what} name {name!r}")
 
 
-def _resolve(base_dir: Path | None, raw: Any) -> str:
+def _resolve(base_dir: str | Path | None, raw: Any) -> str:
     # Joined as text: pathlib would intern each component of each path, and
     # names that only a config holds then enter CPython's interned-string
     # table again on every load.
@@ -237,16 +237,17 @@ def _resolve(base_dir: Path | None, raw: Any) -> str:
 
 def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
     """Parse and fully validate a manifest file."""
-    path = Path(path)
+    path = os.fspath(path)  # opened and split as text, as _resolve joins
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read manifest ({exc})") from exc
     try:
         data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: YAML parse error{_location(exc, text)}: {exc}") from exc
-    return from_dict(data, base_dir=path.parent, lenient=lenient)
+    return from_dict(data, base_dir=os.path.dirname(path) or ".", lenient=lenient)
 
 
 def _location(exc: yaml.YAMLError, text: str) -> str:
@@ -270,7 +271,7 @@ def _location(exc: yaml.YAMLError, text: str) -> str:
 
 
 def from_dict(
-    data: Any, base_dir: Path | None = None, lenient: bool = False
+    data: Any, base_dir: str | Path | None = None, lenient: bool = False
 ) -> ExperimentConfig:
     """Build and validate a config from parsed YAML/JSON data."""
     data = _require(data, "manifest")

@@ -15,6 +15,7 @@ totals are built from.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from pathlib import Path
@@ -65,11 +66,17 @@ def dump_utf8(value: Any, **kwargs: Any) -> bytes:
 
 
 class TrajectoryRecorder:
+    """Appends to the trajectory at ``path`` (kept as text in ``self.path``),
+    creating its missing parent directories."""
+
     def __init__(self, path: str | Path, run_id: str):
-        self.path = Path(path)
+        self.path = os.fspath(path)
         self.run_id = run_id
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("ab")
+        try:
+            self._handle = open(self.path, "ab")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            self._handle = open(self.path, "ab")
         self._lock = threading.Lock()
         self._seq = 0
         self._closed = False

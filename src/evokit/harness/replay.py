@@ -60,7 +60,7 @@ def _read_events(path: str | Path) -> Iterator[dict[str, Any]]:
     # surrogateescape turns a byte that is not UTF-8 into a lone surrogate
     # instead of failing the whole read, so the line holding it can be named.
     # No valid line holds one: the recorder writes surrogates as escapes.
-    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.isascii():
                 try:

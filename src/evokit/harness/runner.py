@@ -1,18 +1,20 @@
 """Single-experiment lifecycle: build services, run the playground, record everything.
 
-Creates the run directory, snapshots the resolved config into the trajectory's
-run_start event, wires the gateway/tool/skill/cache services, enforces the
-wall-clock limit through a cooperative deadline checked at turn and round
-boundaries, closes the run's HTTP connections when the playground returns,
-and guarantees that run_end is always written — faults become status=error
-in the record, never an unrecorded abort.
+Creates the run directory exclusively (an id whose directory already exists
+is drawn again, so two runs never share one), snapshots the resolved config
+into the trajectory's run_start event, wires the gateway/tool/skill/cache
+services, enforces the wall-clock limit through a cooperative deadline
+checked at turn and round boundaries, closes the run's HTTP connections when
+the playground returns, and guarantees that run_end is always written —
+faults become status=error in the record, never an unrecorded abort.
+record.json is written as one JSON line.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..engine import RunServices
@@ -53,22 +55,38 @@ def _new_run_id(name: str) -> str:
     return f"{name}-{stamp}-{os.urandom(3).hex()}"
 
 
+def _make_run_dir(output_dir: str, name: str) -> tuple[str, str]:
+    """A new run id and its directory, created exclusively: when another run
+    already holds the id's directory, a fresh id is drawn."""
+    os.makedirs(output_dir or os.curdir, exist_ok=True)
+    while True:
+        run_id = _new_run_id(name)
+        run_dir = os.path.join(output_dir, run_id)
+        try:
+            os.mkdir(run_dir)
+        except FileExistsError:
+            continue
+        return run_id, run_dir
+
+
+def _cache_root(config: ExperimentConfig) -> str:
+    return os.environ.get("EVO_HOME") or os.path.join(config.experiment.output_dir, "cache")
+
+
 def cache_root_for(config: ExperimentConfig) -> Path:
     """EVO_HOME wins; otherwise the cache sits beside the runs it feeds."""
-    env = os.environ.get("EVO_HOME")
-    if env:
-        return Path(env)
-    return Path(config.experiment.output_dir) / "cache"
+    return Path(_cache_root(config))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
-    run_id = _new_run_id(config.experiment.name)
-    run_dir = Path(config.experiment.output_dir) / run_id
-    workspace = run_dir / "workspace"
-    workspace.mkdir(parents=True, exist_ok=True)
+    # Paths are joined as text: pathlib would intern the run id on every run.
+    run_id, run_dir = _make_run_dir(config.experiment.output_dir, config.experiment.name)
+    workspace = os.path.join(run_dir, "workspace")
+    os.mkdir(workspace)
+    trajectory_path = os.path.join(run_dir, TRAJECTORY_FILENAME)
     started = time.monotonic()
 
-    recorder = TrajectoryRecorder(run_dir / TRAJECTORY_FILENAME, run_id)
+    recorder = TrajectoryRecorder(trajectory_path, run_id)
     snapshot = config.to_dict()
     recorder.record("run_start", {"config_snapshot": snapshot})
 
@@ -109,9 +127,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
         status=status,
         wall_seconds=wall_seconds,
         config_snapshot=snapshot,
-        trajectory_path=str(run_dir / TRAJECTORY_FILENAME),
-        record_path=str(run_dir / RECORD_FILENAME),
-        run_dir=str(run_dir),
+        trajectory_path=trajectory_path,
+        record_path=os.path.join(run_dir, RECORD_FILENAME),
+        run_dir=run_dir,
         result=result,
     )
     _write_record(record)
@@ -121,7 +139,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
 def _build_services(
     config: ExperimentConfig,
     recorder: TrajectoryRecorder,
-    workspace: Path,
+    workspace: str,
     run_id: str,
     deadline: float,
     pool: ConnectionPool,
@@ -143,7 +161,7 @@ def _build_services(
         registered = register_mcp_tools(tools, McpClient(endpoint, pool))
         _logger().info("mcp %s: registered %s", endpoint.alias, registered)
 
-    cache = CognitiveCache(cache_root_for(config), run_id)
+    cache = CognitiveCache(_cache_root(config), run_id)
     return RunServices(
         gateway=gateway,
         tools=tools,
@@ -154,13 +172,21 @@ def _build_services(
     )
 
 
+def _fields(value: object) -> dict:
+    """A dataclass as the encoder writes it: ``dataclasses.asdict``'s object,
+    built one level at a time as the encoder reaches it, with no copies."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
 def _write_record(record: ExperimentRecord) -> None:
+    """record.json: one JSON line, as the trajectory's lines are written."""
     payload = {
         "run_id": record.run_id,
         "status": record.status,
         "wall_seconds": record.wall_seconds,
         "trajectory_path": record.trajectory_path,
         "config_snapshot": record.config_snapshot,
-        "result": asdict(record.result) if record.result is not None else None,
+        "result": record.result,
     }
-    Path(record.record_path).write_bytes(dump_utf8(payload, indent=2) + b"\n")
+    with open(record.record_path, "wb") as handle:
+        handle.write(dump_utf8(payload, default=_fields) + b"\n")

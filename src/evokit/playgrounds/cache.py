@@ -8,7 +8,10 @@ Plain text records under a cache root, one file per record:
 
 Durable, diff-able, no database. The cross-run store is append-only; writes
 use exclusive creation with a sequence retry so concurrent runs cannot
-clobber each other.
+clobber each other. Directories are made on first write: a write that finds
+its directory missing creates it (and its parents) once and writes again, so
+a round promoted into an existing directory costs no ``mkdir``. Paths are
+joined as text, and ``root``, ``wisdom_dir`` and ``run_dir`` are strings.
 """
 
 from __future__ import annotations
@@ -34,18 +37,12 @@ class DoubleRunPromotion(EvokitError):
 
 class CognitiveCache:
     def __init__(self, root: Path | str, run_id: str):
-        self.root = Path(root)
+        self.root = os.fspath(root)
         self.run_id = run_id
+        self.wisdom_dir = os.path.join(self.root, "wisdom")
+        self.run_dir = os.path.join(self.root, "runs", run_id)
         self._run_promoted = False
         self._lock = threading.Lock()
-
-    @property
-    def wisdom_dir(self) -> Path:
-        return self.root / "wisdom"
-
-    @property
-    def run_dir(self) -> Path:
-        return self.root / "runs" / self.run_id
 
     def prefetch(self, task: str) -> list[str]:
         """All prior run-wisdom records, newest first; empty on a fresh cache.
@@ -54,12 +51,11 @@ class CognitiveCache:
         every record is returned.
         """
         del task
-        if not self.wisdom_dir.is_dir():
-            return []
         records = []
         for _, path in sorted(self._wisdom_records(), reverse=True):
             try:
-                records.append(path.read_text(encoding="utf-8"))
+                with open(path, encoding="utf-8") as handle:
+                    records.append(handle.read())
             except (OSError, UnicodeDecodeError) as exc:
                 raise CacheReadError(f"corrupted wisdom record {path}: {exc}") from exc
         return records
@@ -67,17 +63,19 @@ class CognitiveCache:
     def promote_round(self, round_index: int, findings: str) -> None:
         if round_index < 1:
             raise ValueError("round indices start at 1")
-        rounds_dir = self.run_dir / "rounds"
-        rounds_dir.mkdir(parents=True, exist_ok=True)
-        (rounds_dir / f"{round_index:04d}.txt").write_text(findings, encoding="utf-8")
+        _write_text(os.path.join(self.run_dir, "rounds"), f"{round_index:04d}.txt", findings)
 
     def round_records(self) -> list[str]:
-        rounds_dir = self.run_dir / "rounds"
-        if not rounds_dir.is_dir():
+        rounds_dir = os.path.join(self.run_dir, "rounds")
+        try:
+            names = sorted(n for n in os.listdir(rounds_dir) if n.endswith(".txt"))
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        return [
-            p.read_text(encoding="utf-8") for p in sorted(rounds_dir.glob("*.txt"))
-        ]
+        records = []
+        for name in names:
+            with open(os.path.join(rounds_dir, name), encoding="utf-8") as handle:
+                records.append(handle.read())
+        return records
 
     def promote_run(self, wisdom: str) -> None:
         """Persist this run's wisdom to the run dir and the cross-run store."""
@@ -85,27 +83,42 @@ class CognitiveCache:
             if self._run_promoted:
                 raise DoubleRunPromotion(f"run {self.run_id} already promoted wisdom")
             self._run_promoted = True
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / "wisdom.txt").write_text(wisdom, encoding="utf-8")
-        self.wisdom_dir.mkdir(parents=True, exist_ok=True)
-        seq = self._next_sequence()
+        _write_text(self.run_dir, "wisdom.txt", wisdom)
+        seq = max((seq for seq, _ in self._wisdom_records()), default=0) + 1
         while True:
-            target = self.wisdom_dir / f"{seq:04d}-wisdom.txt"
+            target = os.path.join(self.wisdom_dir, f"{seq:04d}-wisdom.txt")
             try:
                 fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
             except FileExistsError:
                 seq += 1
                 continue
+            except FileNotFoundError:
+                os.makedirs(self.wisdom_dir, exist_ok=True)
+                continue
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(wisdom)
             return
 
-    def _wisdom_records(self) -> Iterator[tuple[int, Path]]:
-        """``(seq, path)`` of every record in the cross-run store, unordered."""
-        for path in self.wisdom_dir.iterdir():
-            match = _WISDOM_PATTERN.match(path.name)
+    def _wisdom_records(self) -> Iterator[tuple[int, str]]:
+        """``(seq, path)`` of every record in the cross-run store, unordered;
+        none when the store does not exist yet."""
+        try:
+            names = os.listdir(self.wisdom_dir)
+        except (FileNotFoundError, NotADirectoryError):
+            return
+        for name in names:
+            match = _WISDOM_PATTERN.match(name)
             if match:
-                yield int(match.group(1)), path
+                yield int(match.group(1)), os.path.join(self.wisdom_dir, name)
 
-    def _next_sequence(self) -> int:
-        return max((seq for seq, _ in self._wisdom_records()), default=0) + 1
+
+def _write_text(directory: str, name: str, text: str) -> None:
+    """Write ``text`` to ``directory/name``, making the directory only if it is missing."""
+    path = os.path.join(directory, name)
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        handle = open(path, "w", encoding="utf-8")
+    with handle:
+        handle.write(text)

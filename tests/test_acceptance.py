@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import string
 import time
 from contextlib import contextmanager
@@ -341,6 +342,21 @@ def test_c07_ten_trial_determinism(tmp_path) -> None:
                 baselines = lines
             else:
                 assert lines == baselines
+
+
+def test_ten_trial_record_json_determinism(tmp_path) -> None:
+    # Beside c07: record.json's bytes repeat too, once its run id and
+    # wall_seconds are masked (all ten runs share one output_dir).
+    baseline = None
+    for _ in range(10):
+        record = _run_fixture_config("golden/planner_executor.yaml", tmp_path)
+        raw = Path(record.record_path).read_bytes().replace(record.run_id.encode(), b"<run_id>")
+        masked, count = re.subn(rb'"wall_seconds": [^,]+,', b'"wall_seconds": "<masked>",', raw)
+        assert count == 1
+        if baseline is None:
+            baseline = masked
+        else:
+            assert masked == baseline
 
 
 # -- 8. cognitive cache across runs ----------------------------------------------------------------------

@@ -262,6 +262,22 @@ def test_scripted_usage_matches_the_per_call_formula() -> None:
     assert script.entries[0].call_tokens == estimate_tokens('{"q": "\\u00e9"}') == 4
 
 
+def test_scripted_actions_own_their_arguments() -> None:
+    nested_args = {"a": [1], "b": {"c": 1}}
+    script = parse_script(json.dumps([{"tool_calls": [{"name": "t", "arguments": nested_args}]}]))
+    flat = parse_script('[{"tool_calls": [{"name": "t", "arguments": {"q": "x"}}]}]')
+    messages = [ChatMessage("user", "go")]
+    first = scripted_step(script, messages).tool_calls[0].arguments
+    first["a"].append(2)
+    first["b"]["c"] = 9
+    assert scripted_step(script, messages).tool_calls[0].arguments == {"a": [1], "b": {"c": 1}}
+    assert script.entries[0].tool_calls[0][1] == {"a": [1], "b": {"c": 1}}
+    scripted_step(flat, messages).tool_calls[0].arguments["q"] = "y"
+    assert scripted_step(flat, messages).tool_calls[0].arguments == {"q": "x"}
+    # Whether a copy must go deep is decided once, when the script is parsed.
+    assert script.entries[0].nested and not flat.entries[0].nested
+
+
 # -- http provider ------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 
 from evokit import gateway, skills
 from evokit.harness import (
+    TrajectoryRecorder,
     from_dict,
     load_config,
     masked_lines,
@@ -18,6 +20,7 @@ from evokit.harness import (
     run_experiment,
 )
 from evokit.harness.runner import cache_root_for
+from evokit.playgrounds import CognitiveCache
 from helpers import FIXTURES
 from stubs import ChatCompletionsStub
 
@@ -115,6 +118,115 @@ def test_record_json_result_is_the_playground_result(tmp_path, name) -> None:
     assert record.result is not None
     assert saved["result"] == asdict(record.result)
     assert list(saved["result"]) == ["final_answer", "status", "per_slot_outcomes", "rounds_used"]
+
+
+RECORD_KEYS = ["run_id", "status", "wall_seconds", "trajectory_path", "config_snapshot", "result"]
+
+
+def _masked_record(record, out_dir: Path) -> dict:
+    """record.json parsed, with the run id, wall_seconds and checkout paths masked."""
+    subs = [(record.run_id, "<run_id>"), (str(out_dir), "<out>"), (str(FIXTURES), "<fixtures>")]
+
+    def mask(value):
+        if isinstance(value, dict):
+            return {k: mask(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [mask(v) for v in value]
+        if isinstance(value, str):
+            for old, new in subs:
+                value = value.replace(old, new)
+        return value
+
+    saved = json.loads(Path(record.record_path).read_bytes())
+    saved["wall_seconds"] = "<masked>"
+    return mask(saved)
+
+
+@pytest.mark.parametrize(
+    "name", ["planner_executor", "draft_improve", "research", "solve_critique"]
+)
+def test_record_json_is_one_compact_line(tmp_path, name) -> None:
+    record = run_experiment(_load(f"golden/{name}.yaml", tmp_path))
+    raw = Path(record.record_path).read_bytes()
+    saved = json.loads(raw)
+    assert list(saved) == RECORD_KEYS
+    assert raw == json.dumps(saved, ensure_ascii=False).encode("utf-8") + b"\n"
+    assert raw.count(b"\n") == 1
+    # The same object the indented record.json of earlier releases held.
+    expected = json.loads((FIXTURES / "golden/records.json").read_text(encoding="utf-8"))
+    assert _masked_record(record, tmp_path) == expected[name]
+
+
+def test_run_id_collision_draws_a_fresh_id(tmp_path, monkeypatch) -> None:
+    # Two runs of one manifest in one second that draw the same three random
+    # bytes get the same run id; the second must not write into the first's dir.
+    real_urandom, real_strftime = os.urandom, time.strftime
+    repeats = [b"\xab\xcd\xef"] * 2
+    monkeypatch.setattr(
+        os, "urandom", lambda n: repeats.pop() if n == 3 and repeats else real_urandom(n)
+    )
+    monkeypatch.setattr(
+        time, "strftime",
+        lambda fmt, *args: "20260101-000000" if not args else real_strftime(fmt, *args),
+    )
+    first = run_experiment(_load("golden/planner_executor.yaml", tmp_path))
+    second = run_experiment(_load("golden/planner_executor.yaml", tmp_path))
+    assert first.run_id.endswith("-20260101-000000-abcdef")
+    assert second.run_id != first.run_id
+    assert second.run_dir != first.run_dir
+    for record in (first, second):
+        assert record.status == "ok"
+        report = replay(record.trajectory_path)
+        assert report.complete, report.violations
+        saved = json.loads(Path(record.record_path).read_bytes())
+        assert saved["run_id"] == record.run_id
+
+
+def test_empty_output_dir_is_the_working_directory(tmp_path, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    record = run_experiment(_load("configs/min.yaml", ""))
+    assert record.status == "ok"
+    assert record.run_dir == record.run_id
+    assert (tmp_path / record.run_id / "record.json").is_file()
+
+
+def test_a_run_makes_each_directory_with_one_mkdir(tmp_path, monkeypatch) -> None:
+    calls: list[str] = []
+    failures: list[tuple[str, str]] = []
+    real_mkdir = os.mkdir
+
+    def counting_mkdir(path, *args, **kwargs):
+        calls.append(os.fspath(path))
+        try:
+            real_mkdir(path, *args, **kwargs)
+        except OSError as exc:
+            failures.append((os.fspath(path), type(exc).__name__))
+            raise
+
+    home, out = tmp_path / "home", tmp_path / "out"
+    monkeypatch.setenv("EVO_HOME", str(home))
+    config = _load("golden/draft_improve.yaml", out)
+    monkeypatch.setattr(os, "mkdir", counting_mkdir)
+    record = run_experiment(config)
+    assert record.status == "ok"
+    created = [str(root) for root in (home, out)] + [
+        os.path.join(parent, name)
+        for root in (home, out)
+        for parent, names, _ in os.walk(root)
+        for name in names
+    ]
+    # output_dir, run dir, workspace; cache root, runs, runs/<id>, rounds, wisdom.
+    assert len(created) == 8
+    assert sorted(calls) == sorted(created)
+    assert failures == []
+
+    # Writing again into directories that exist makes none.
+    calls.clear()
+    cache = CognitiveCache(home, record.run_id)
+    assert cache.prefetch("task") == [record.result.final_answer]
+    cache.promote_round(1, "again")
+    TrajectoryRecorder(os.path.join(record.run_dir, "again.jsonl"), "again").close()
+    assert calls == []
 
 
 def test_reply_with_a_lone_surrogate_is_recorded_and_replays(tmp_path) -> None:
