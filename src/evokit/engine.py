@@ -4,8 +4,8 @@ Each turn renders the context under its budget, asks the model for the next
 move, executes any tool calls sequentially, self-critiques on a fixed cadence,
 and compresses history when the budget demands it. Termination is explicit: a
 final-marker answer, the turn limit, an exhausted budget, a deadline, or a
-recorded error. Every turn, tool call, observation, critique, and compression
-is emitted to the trajectory recorder, so no fault ever vanishes silently.
+recorded error. Every turn (listing its tool calls), observation, critique, and
+compression is emitted to the trajectory recorder, so no fault ever vanishes silently.
 """
 
 from __future__ import annotations
@@ -197,16 +197,12 @@ class AgentRun:
     # -- trajectory plumbing ------------------------------------------------
 
     def _record(
-        self,
-        kind: str,
-        payload: dict[str, Any],
-        usage: TokenUsage | None = None,
-        turn: int | None = None,
+        self, kind: str, payload: dict[str, Any], usage: TokenUsage | None = None
     ) -> None:
         recorder = self.services.recorder
         if recorder is not None:
             recorder.record(
-                kind, payload, slot=self.slot, agent=self.agent, turn=turn, usage=usage
+                kind, payload, slot=self.slot, agent=self.agent, turn=self.turn, usage=usage
             )
 
     @property
@@ -227,13 +223,11 @@ class AgentRun:
         try:
             return call()
         except ProviderError as exc:
-            self._record(
-                "error", {"error": str(exc), "phase": phase, "retrying": True}, turn=self.turn
-            )
+            self._record("error", {"error": str(exc), "phase": phase, "retrying": True})
         try:
             return call()
         except ProviderError as exc:
-            self._record("error", {"error": str(exc), "phase": phase}, turn=self.turn)
+            self._record("error", {"error": str(exc), "phase": phase})
             raise
 
     def _complete(self, phase: str) -> ChatResponse:
@@ -271,7 +265,7 @@ class AgentRun:
         except ProviderError:  # a failed retry, already recorded by _with_retry
             self._finish("error")
         except EvokitError as exc:
-            self._record("error", {"error": str(exc), "phase": "turn"}, turn=self.turn)
+            self._record("error", {"error": str(exc), "phase": "turn"})
             self._finish("error")
         return self
 
@@ -294,7 +288,6 @@ class AgentRun:
                 ],
             },
             usage=response.usage,
-            turn=self.turn,
         )
         self._completed_turns += 1
 
@@ -313,14 +306,9 @@ class AgentRun:
                 self._compress()
 
     def _run_actions(self, actions: tuple[Action, ...]) -> None:
+        # The turn event, written before this, already lists every action, so
+        # a crash mid-tool leaves an unpaired action instead of silence.
         for action in actions:
-            # Recorded before execution so a crash mid-tool leaves an
-            # unpaired action in the trajectory instead of silence.
-            self._record(
-                "tool_call",
-                {"id": action.id, "tool": action.tool, "arguments": action.arguments},
-                turn=self.turn,
-            )
             execution, observation = self.services.tools.invoke(action, self._invoke_limits())
             self._record(
                 "observation",
@@ -332,7 +320,6 @@ class AgentRun:
                     "truncated": observation.truncated,
                     "is_error": observation.is_error,
                 },
-                turn=self.turn,
             )
             self.context.append(
                 ContextEntry(
@@ -347,7 +334,7 @@ class AgentRun:
         self.context.append(
             ContextEntry(ChatMessage("assistant", response.content), kind="critique")
         )
-        self._record("critique", {"content": response.content}, usage=response.usage, turn=self.turn)
+        self._record("critique", {"content": response.content}, usage=response.usage)
 
     def _compress(self) -> None:
         event = self._with_retry(
@@ -371,7 +358,6 @@ class AgentRun:
                 "profile": self.spec.llm_profile if event.strategy == "summarize" else None,
             },
             usage=event.usage,
-            turn=self.turn,
         )
 
     def run_to_end(self) -> AgentOutcome:

@@ -27,7 +27,6 @@ from ..gateway import TokenUsage
 EVENT_KINDS = (
     "run_start",
     "turn",
-    "tool_call",
     "observation",
     "critique",
     "compression",
@@ -79,7 +78,6 @@ class TrajectoryRecorder:
             self._handle = open(self.path, "ab")
         self._lock = threading.Lock()
         self._seq = 0
-        self._closed = False
         self._usage = TokenUsage()
 
     def record(
@@ -95,7 +93,7 @@ class TrajectoryRecorder:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind: {kind!r}")
         with self._lock:
-            if self._closed:
+            if self._handle.closed:
                 raise RecorderClosed("trajectory recorder is closed")
             event = {
                 "seq": self._seq + 1,
@@ -119,15 +117,9 @@ class TrajectoryRecorder:
         with self._lock:
             return self._usage
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         with self._lock:
-            if not self._closed:
-                self._closed = True
-                self._handle.close()
+            self._handle.close()
 
     def __enter__(self) -> "TrajectoryRecorder":
         return self

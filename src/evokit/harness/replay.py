@@ -3,27 +3,25 @@
 replay() re-reads a trajectory file and checks the structural guarantees the
 recorder is supposed to provide: gap-free sequence numbers, run_start/run_end
 bracketing, every tool call paired with its observation, and per-turn usage
-summing to the run_end totals. Deleting any line of a valid trajectory trips
-at least one of these checks, and so does editing a seq, an action id or a
-usage count. Pairing counts calls and observations per action id, so
-where a conversation repeats an id (the scripted provider's do, see
-``tools.Action``) an observation moved to answer another call with that id
-still pairs. It also reconstructs one dialogue transcript per (slot, agent)
-conversation for auditing.
+summing to the run_end totals. A ``turn`` event lists its tool calls, and
+each ``observation`` answers one of them: same slot, agent and turn, after
+that turn event and before the conversation's next one. Deleting any line of
+a valid trajectory trips at least one check, and so does editing a seq, an
+action id, an observation's turn or a usage count. The ``tool_call`` lines
+of older files repeat what their turn lists, and replay skips them. It also
+reconstructs one dialogue transcript per (slot, agent) conversation.
 
-The file is read once, line by line, and every check is folded into that one
-pass. Each decoded event is dropped once it has been counted; what stays is
-the transcripts, one count per action id and conversation, and the turn
-numbers. Replay's memory therefore grows with the transcripts it returns and
-the action ids it pairs, not with the size of the file.
+The file is read once, line by line, and each decoded event is dropped once
+it has been counted, so replay's memory grows with the transcripts it
+returns, not with the size of the file.
 
 A line that is blank, not UTF-8 or not a JSON object raises
 TrajectoryCorrupt naming the line, and so does a line whose ``payload`` or
 ``usage`` is neither an object nor null, whose ``slot`` or ``agent`` is
 neither a string nor null, or whose usage ``prompt_tokens`` or
-``completion_tokens`` is not an integer. So does a ``tool_call`` whose
-``payload.id``, or an ``observation`` whose ``payload.action_id``, is an
-array or an object.
+``completion_tokens`` is not an integer; so does a turn's ``tool_calls``
+that is not an array of objects, and a call ``id`` or an observation's
+``action_id`` that is an array or an object.
 """
 
 from __future__ import annotations
@@ -41,6 +39,8 @@ from ..errors import EvokitError
 # top-level keys vary per run; the payload keys are wall-clock measurements.
 VOLATILE_TOP_KEYS = ("ts", "run_id")
 VOLATILE_PAYLOAD_KEYS = ("duration_ms", "wall_seconds")
+
+_NO_CALLS: tuple[Any, dict[Any, int]] = (None, {})  # no turn yet: holds no id, never written
 
 
 class TrajectoryCorrupt(EvokitError):
@@ -95,6 +95,22 @@ def _read_events(path: str | Path) -> Iterator[dict[str, Any]]:
             yield event
 
 
+def _open_calls(payload: dict[str, Any], line: int) -> dict[Any, int]:
+    """The ids of the calls a turn event lists, counted."""
+    calls = payload.get("tool_calls", [])
+    if not isinstance(calls, list):
+        raise TrajectoryCorrupt(f"line {line}: tool_calls is not an array of objects")
+    ids: dict[Any, int] = {}
+    for call in calls:
+        if not isinstance(call, dict):
+            raise TrajectoryCorrupt(f"line {line}: tool_calls is not an array of objects")
+        call_id = call.get("id")
+        if isinstance(call_id, (list, dict)):
+            raise TrajectoryCorrupt(f"line {line}: tool_calls id is an array or object")
+        ids[call_id] = ids.get(call_id, 0) + 1
+    return ids
+
+
 def replay(path: str | Path) -> ReplayReport:
     events = 0
     seq_head: list[Any] = []  # the first 20 seqs, quoted by the gap message
@@ -102,14 +118,12 @@ def replay(path: str | Path) -> ReplayReport:
     first_kind = last_kind = None
     starts = ends = 0
     totals: Any = None  # the first run_end's usage_totals
-    # Action/observation pairing, scoped per (slot, agent) because action ids
-    # name actions only within their conversation.
-    calls: Counter = Counter()
-    observed: Counter = Counter()
     prompt_sum = completion_sum = 0  # usage, checked against the run_end totals
-    # One object per conversation and per (conversation, action id), shared
-    # by the counters and turn lists instead of a copy per event.
-    shared: dict[tuple, tuple] = {}
+    # Per (slot, agent) conversation: its latest turn's number and the ids of
+    # that turn's calls no observation has answered yet.
+    open_calls: dict[tuple, tuple[Any, dict[Any, int]]] = {}
+    unpaired: Counter = Counter()
+    orphans: Counter = Counter()
     turns_by_scope: dict[tuple, list[Any]] = {}
     transcripts: dict[str, list[dict[str, Any]]] = {}
 
@@ -140,19 +154,23 @@ def replay(path: str | Path) -> ReplayReport:
             continue
 
         scope = (event.get("slot"), event.get("agent"))
-        scope = shared.setdefault(scope, scope)
-        try:
-            if kind == "tool_call":
-                key = (scope, payload.get("id"))
-                calls[shared.setdefault(key, key)] += 1
-            elif kind == "observation":
-                key = (scope, payload.get("action_id"))
-                observed[shared.setdefault(key, key)] += 1
-        except TypeError:  # the id does not hash: an array or an object
-            name = "id" if kind == "tool_call" else "action_id"
-            raise TrajectoryCorrupt(f"line {events}: {name} is an array or object") from None
-        if kind == "turn" and event.get("turn") is not None:
-            turns_by_scope.setdefault(scope, []).append(event["turn"])
+        if kind == "turn":
+            for call_id, count in open_calls.get(scope, _NO_CALLS)[1].items():  # unanswered
+                unpaired[scope, call_id] += count
+            open_calls[scope] = (event.get("turn"), _open_calls(payload, events))
+            if event.get("turn") is not None:
+                turns_by_scope.setdefault(scope, []).append(event["turn"])
+        elif kind == "observation":
+            action_id = payload.get("action_id")
+            if isinstance(action_id, (list, dict)):
+                raise TrajectoryCorrupt(f"line {events}: action_id is an array or object")
+            turn, calls = open_calls.get(scope, _NO_CALLS)
+            if action_id in calls and turn == event.get("turn"):
+                calls[action_id] -= 1
+                if not calls[action_id]:
+                    del calls[action_id]
+            else:
+                orphans[scope, action_id] += 1
         if kind in ("turn", "observation", "critique"):
             slot = scope[0] or "(run)"
             key = f"{slot}/{scope[1]}" if scope[1] else slot
@@ -163,6 +181,9 @@ def replay(path: str | Path) -> ReplayReport:
 
     if not events:
         return ReplayReport(False, ["empty trajectory"], 0)
+    for scope, (_, left) in open_calls.items():
+        for call_id, count in left.items():
+            unpaired[scope, call_id] += count
 
     violations: list[str] = []
     if not gap_free:
@@ -171,9 +192,9 @@ def replay(path: str | Path) -> ReplayReport:
         violations.append("expected exactly one run_start at seq 1")
     if ends != 1 or last_kind != "run_end":
         violations.append("expected exactly one run_end as the final event")
-    for key, count in (calls - observed).items():
+    for key, count in unpaired.items():
         violations.append(f"unpaired action {key[1]} in slot {key[0][0]} (x{count})")
-    for key, count in (observed - calls).items():
+    for key, count in orphans.items():
         violations.append(f"orphan observation {key[1]} in slot {key[0][0]} (x{count})")
     if ends:
         if not isinstance(totals, dict):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from ..engine import RunServices
 from ..gateway import ConnectionPool, LlmGateway
@@ -69,13 +68,9 @@ def _make_run_dir(output_dir: str, name: str) -> tuple[str, str]:
         return run_id, run_dir
 
 
-def _cache_root(config: ExperimentConfig) -> str:
-    return os.environ.get("EVO_HOME") or os.path.join(config.experiment.output_dir, "cache")
-
-
-def cache_root_for(config: ExperimentConfig) -> Path:
+def cache_root_for(config: ExperimentConfig) -> str:
     """EVO_HOME wins; otherwise the cache sits beside the runs it feeds."""
-    return Path(_cache_root(config))
+    return os.environ.get("EVO_HOME") or os.path.join(config.experiment.output_dir, "cache")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
@@ -161,7 +156,7 @@ def _build_services(
         registered = register_mcp_tools(tools, McpClient(endpoint, pool))
         _logger().info("mcp %s: registered %s", endpoint.alias, registered)
 
-    cache = CognitiveCache(_cache_root(config), run_id)
+    cache = CognitiveCache(cache_root_for(config), run_id)
     return RunServices(
         gateway=gateway,
         tools=tools,

@@ -83,7 +83,7 @@ def solve_critique_rewrite_select(
 
 
 def _parse_choice(answer: str | None, count: int) -> int | None:
-    """First integer in the selector's answer, if it names a candidate."""
+    """The answer's first run of digits, if all are decimal and it names a candidate."""
     if answer is None:
         return None
     digits = ""
@@ -92,7 +92,7 @@ def _parse_choice(answer: str | None, count: int) -> int | None:
             digits += char
         elif digits:
             break
-    if not digits:
+    if not digits.isdecimal():
         return None
     choice = int(digits)
     return choice if 1 <= choice <= count else None

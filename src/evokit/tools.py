@@ -86,12 +86,10 @@ class ToolDescriptor:
 class Action:
     """One tool invocation requested by a model response.
 
-    Ids name an action within the conversation that produced them; trajectory
-    events additionally carry slot and agent tags, so pairing checks key on
-    (slot, agent, id). They are not always unique there: the scripted
-    provider names actions ``call-<position>-<k>``, and its position stops at
-    the script's last entry and falls when a compression drops assistant
-    messages, so a long scripted conversation repeats ids.
+    Ids need only be unique within the turn that asked for them: replay pairs
+    each observation with a call its own turn lists. The scripted provider's
+    ``call-<position>-<k>`` ids repeat across the turns of a long scripted
+    conversation, as its position stops at the script's last entry.
     """
 
     id: str
@@ -339,17 +337,17 @@ def _no_backend(_: str) -> str:
     )
 
 
-def _confined(workspace: Path, raw: Any) -> Path:
+def _confined(root: str, raw: Any) -> str:
+    """``raw`` resolved under ``root``, itself resolved; no path outside it."""
     rel = str(raw)
-    root = workspace.resolve()
-    candidate = (root / rel).resolve()
-    if Path(rel).is_absolute() or not candidate.is_relative_to(root):
+    candidate = os.path.realpath(os.path.join(root, rel))
+    if os.path.isabs(rel) or os.path.commonpath((root, candidate)) != root:
         raise ToolExecutionError(f"path escapes the run workspace: {rel}")
     return candidate
 
 
 def builtin_tool_set(
-    workspace: Path,
+    workspace: str | Path,
     fetcher: LocalCorpusFetcher | None = None,
 ) -> list[tuple[ToolDescriptor, ToolHandler]]:
     """Descriptors and handlers for the built-in tools.
@@ -359,18 +357,21 @@ def builtin_tool_set(
     ``fetcher.fetch`` and ``fetcher.search``, and without a fetcher they fail
     with a "no retrieval backend" error observation.
     """
-    workspace = Path(workspace)
+    # Kept as text and resolved once: pathlib would intern the run id.
+    root = os.path.realpath(workspace)
     fetch = fetcher.fetch if fetcher else _no_backend
     search = fetcher.search if fetcher else _no_backend
 
     def file_read(args: dict[str, Any]) -> str:
-        return _confined(workspace, args["path"]).read_text(encoding="utf-8")
+        with open(_confined(root, args["path"]), encoding="utf-8") as handle:
+            return handle.read()
 
     def file_write(args: dict[str, Any]) -> str:
-        path = _confined(workspace, args["path"])
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = _confined(root, args["path"])
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         content = str(args.get("content", ""))
-        path.write_text(content, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
         return f"wrote {len(content)} chars to {args['path']}"
 
     def run_command(args: dict[str, Any]) -> str:
@@ -472,7 +473,7 @@ def builtin_tool_set(
 
 def install_builtin_tools(
     registry: ToolRegistry,
-    workspace: Path,
+    workspace: str | Path,
     names: list[str] | None = None,
     fetcher: LocalCorpusFetcher | None = None,
 ) -> None:

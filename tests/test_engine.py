@@ -114,7 +114,7 @@ def test_tool_use_trace(tmp_path) -> None:
     assert outcome.final_answer == "hi"
     assert outcome.turns == 2
     first_turn = [e for e in events if e["turn"] == 1]
-    calls = [e["payload"] for e in first_turn if e["kind"] == "tool_call"]
+    calls = [c for e in first_turn if e["kind"] == "turn" for c in e["payload"]["tool_calls"]]
     observations = [e["payload"] for e in first_turn if e["kind"] == "observation"]
     assert len(calls) == 1
     assert len(observations) == 1
@@ -349,7 +349,7 @@ def test_turn_events_match_outcome_turns(tmp_path) -> None:
     events = [json.loads(line) for line in recorder_path.read_text().splitlines()]
     turn_events = [e for e in events if e["kind"] == "turn"]
     assert len(turn_events) == outcome.turns
-    calls = [e["payload"]["id"] for e in events if e["kind"] == "tool_call"]
+    calls = [c["id"] for e in turn_events for c in e["payload"]["tool_calls"]]
     observed = [e["payload"]["action_id"] for e in events if e["kind"] == "observation"]
     assert sorted(calls) == sorted(observed)
 

@@ -5,7 +5,7 @@ import os
 import time
 import warnings
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,7 @@ from evokit.harness import (
 )
 from evokit.harness.runner import cache_root_for
 from evokit.playgrounds import CognitiveCache
-from helpers import FIXTURES
+from helpers import FIXTURES, write_script
 from stubs import ChatCompletionsStub
 
 
@@ -274,6 +274,19 @@ def test_unknown_playground_becomes_error_status(tmp_path) -> None:
     assert any(e["kind"] == "error" for e in events)
 
 
+@pytest.mark.parametrize("answer", ["pick \u00b2", "\u2460", "x 1\u00b2 y"])
+def test_selector_answer_with_non_decimal_digits_fails(tmp_path, answer) -> None:
+    """Superscripts and circled numbers are digits but not decimals: no choice."""
+    config = _load("golden/solve_critique.yaml", tmp_path / "runs")
+    script = write_script(tmp_path, "selector.script", [{"content": f"FINAL: {answer}"}])
+    config.profiles = [replace(p, script_path=str(script)) if p.name == "selector-m" else p
+                       for p in config.profiles]
+    record = run_experiment(config)
+    kinds = [json.loads(line)["kind"] for line in open(record.trajectory_path, encoding="utf-8")]
+    assert (record.status, record.result.final_answer) == ("failed", "")
+    assert "error" not in kinds
+
+
 def test_same_seed_same_masked_trajectory(tmp_path) -> None:
     # Identical config means identical output_dir too; run_id subdirectories
     # keep the two runs apart.
@@ -284,9 +297,9 @@ def test_same_seed_same_masked_trajectory(tmp_path) -> None:
 
 def test_cache_root_env_override(tmp_path, monkeypatch) -> None:
     config = _load("configs/min.yaml", tmp_path)
-    assert cache_root_for(config) == tmp_path / "cache"
+    assert cache_root_for(config) == str(tmp_path / "cache")
     monkeypatch.setenv("EVO_HOME", str(tmp_path / "elsewhere"))
-    assert cache_root_for(config) == tmp_path / "elsewhere"
+    assert cache_root_for(config) == str(tmp_path / "elsewhere")
 
 
 def test_seed_override_lands_in_snapshot(tmp_path) -> None:

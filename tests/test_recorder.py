@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from evokit.cli import main
+from evokit.engine import AgentRun, AgentSpec
 from evokit.gateway import TokenUsage
 from evokit.harness import (
+    EVENT_KINDS,
     KEY_ORDER,
     RecorderClosed,
     TrajectoryCorrupt,
@@ -22,7 +25,7 @@ from evokit.harness import (
 )
 from evokit.harness.recorder import dump_utf8
 from evokit.harness.replay import mask_volatile
-from helpers import FIXTURES
+from helpers import FIXTURES, make_services, scripted_gateway
 
 
 def test_first_event_gets_seq_one(tmp_path) -> None:
@@ -40,6 +43,13 @@ def test_keys_serialized_in_fixed_order(tmp_path) -> None:
     recorder.close()
     line = (tmp_path / "t.jsonl").read_text().splitlines()[0]
     assert tuple(json.loads(line).keys()) == KEY_ORDER
+
+
+def test_readme_names_exactly_the_event_kinds() -> None:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Event kinds: (.*?\.)\s", readme, re.DOTALL)
+    assert sentence is not None
+    assert tuple(re.findall(r"`(\w+)`", sentence.group(1))) == EVENT_KINDS
 
 
 def test_record_after_close(tmp_path) -> None:
@@ -169,10 +179,10 @@ def _write_valid_trajectory(path) -> list[dict]:
     recorder = TrajectoryRecorder(path, "run-x")
     recorder.record("run_start", {"config_snapshot": {}})
     recorder.record(
-        "turn", {"content": "go", "finish": "tool_call"}, slot="w", agent="w", turn=1,
-        usage=TokenUsage(2, 3),
+        "turn", {"content": "go", "finish": "tool_call",
+                 "tool_calls": [{"id": "call-0-0", "tool": "exec", "arguments": {}}]},
+        slot="w", agent="w", turn=1, usage=TokenUsage(2, 3),
     )
-    recorder.record("tool_call", {"id": "call-0-0", "tool": "exec"}, slot="w", agent="w", turn=1)
     recorder.record(
         "observation",
         {"action_id": "call-0-0", "status": "ok", "duration_ms": 4, "content": "hi"},
@@ -194,7 +204,7 @@ def test_replay_accepts_valid_trajectory(tmp_path) -> None:
     report = replay(path)
     assert report.complete
     assert report.violations == []
-    assert report.events == 6
+    assert report.events == 5
     assert "w/w" in report.transcripts
     assert [t["turn"] for t in report.transcripts["w/w"] if t["kind"] == "turn"] == [1, 2]
 
@@ -226,7 +236,7 @@ def test_truncated_final_line_is_corrupt(tmp_path) -> None:
     path.write_text(text[:-10], encoding="utf-8")
     with pytest.raises(TrajectoryCorrupt) as excinfo:
         replay(path)
-    assert "line 6" in str(excinfo.value)
+    assert "line 5" in str(excinfo.value)
 
 
 def test_replay_violation_wording_and_order(tmp_path) -> None:
@@ -238,21 +248,21 @@ def test_replay_violation_wording_and_order(tmp_path) -> None:
     events = [
         event(1, "run_start", {}),
         event(2, "run_start", {}),
-        event(3, "turn", {"content": "a"}, turn=1,
+        event(3, "turn", {"content": "a", "tool_calls": [{"id": "call-b"}]}, turn=1,
               usage={"prompt_tokens": 2, "completion_tokens": 3}, **w),
-        event(4, "tool_call", {"id": "call-b"}, turn=1, **w),
-        event(5, "tool_call", {"id": "call-a"}, slot="v", agent="v#1", turn=1),
-        event(7, "observation", {"action_id": "ghost", "content": "?"}, turn=1, **w),
-        event(8, "turn", {"content": "b"}, turn=3,
+        event(4, "turn", {"content": "c", "tool_calls": [{"id": "call-a"}]},
+              slot="v", agent="v#1", turn=1),
+        event(6, "observation", {"action_id": "ghost", "content": "?"}, turn=1, **w),
+        event(7, "turn", {"content": "b"}, turn=3,
               usage={"prompt_tokens": 1, "completion_tokens": 1}, **w),
         event(9, "run_end", {"usage_totals": {"prompt_tokens": 9, "completion_tokens": 4}}),
     ]
     path = tmp_path / "t.jsonl"
     path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
     report = replay(path)
-    assert (report.complete, report.events) == (False, 8)
+    assert (report.complete, report.events) == (False, 7)
     assert report.violations == [
-        "sequence numbers are not gap-free 1..8: [1, 2, 3, 4, 5, 7, 8, 9]",
+        "sequence numbers are not gap-free 1..7: [1, 2, 3, 4, 6, 7, 9]",
         "expected exactly one run_start at seq 1",
         "unpaired action call-b in slot w (x1)",
         "unpaired action call-a in slot v (x1)",
@@ -265,8 +275,102 @@ def test_replay_violation_wording_and_order(tmp_path) -> None:
             {"kind": "turn", "turn": 1, "content": "a"},
             {"kind": "observation", "turn": 1, "content": "?"},
             {"kind": "turn", "turn": 3, "content": "b"},
-        ]
+        ],
+        "v/v#1": [{"kind": "turn", "turn": 1, "content": "c"}],
     }
+
+
+def _engine_lines(tmp_path, calls: int, turns: int = 3) -> list[str]:
+    """A trajectory the engine writes for one scripted run of ``turns`` turns,
+    each listing ``calls`` file reads. A one-entry script repeats its ids every
+    turn: ``call-0-0``, ``call-0-1``, ..."""
+    read = {"name": "file_read", "arguments": {"path": "missing.txt"}}
+    gateway = scripted_gateway(tmp_path, m=[{"content": "look", "tool_calls": [read] * calls}])
+    spec = AgentSpec("agent", "You are a test agent.", "m", tool_names=("file_read",),
+                     max_turns=turns, critique_every=99)
+    path = tmp_path / "engine.jsonl"
+    with TrajectoryRecorder(path, "run-e") as recorder:
+        recorder.record("run_start", {})
+        services = make_services(tmp_path, gateway, recorder=recorder)
+        AgentRun.start("task", spec, services).run_to_end()
+        recorder.record("run_end", {"usage_totals": recorder.usage_totals().as_dict()})
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert replay(path).complete
+    return lines
+
+
+def _replay_events(tmp_path, events: list[dict]):
+    """Replay ``events`` written in order with their seqs renumbered."""
+    path = tmp_path / "mutated.jsonl"
+    for seq, event in enumerate(events, start=1):
+        event["seq"] = seq
+    path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+    return replay(path)
+
+
+def _observation_index(events: list[dict], turn: int) -> int:
+    return next(i for i, e in enumerate(events) if e["kind"] == "observation"
+                and e["turn"] == turn)
+
+
+@pytest.mark.parametrize("edited_turn", [1, 3])
+def test_observation_edited_to_another_turn_listing_its_id(tmp_path, edited_turn) -> None:
+    events = [json.loads(line) for line in _engine_lines(tmp_path, calls=1)]
+    assert {c["id"] for e in events if e["kind"] == "turn"
+            for c in e["payload"]["tool_calls"]} == {"call-0-0"}
+    events[_observation_index(events, 2)]["turn"] = edited_turn
+    report = _replay_events(tmp_path, events)
+    assert report.violations == [
+        "unpaired action call-0-0 in slot None (x1)",
+        "orphan observation call-0-0 in slot None (x1)",
+    ]
+
+
+def test_observation_moved_before_its_turn(tmp_path) -> None:
+    events = [json.loads(line) for line in _engine_lines(tmp_path, calls=1)]
+    observation = events.pop(_observation_index(events, 2))
+    turn = next(i for i, e in enumerate(events) if e["kind"] == "turn" and e["turn"] == 2)
+    events.insert(turn, observation)
+    report = _replay_events(tmp_path, events)
+    assert report.violations == [
+        "unpaired action call-0-0 in slot None (x1)",
+        "orphan observation call-0-0 in slot None (x1)",
+    ]
+
+
+def test_turn_with_two_calls_and_one_observation_deleted(tmp_path) -> None:
+    events = [json.loads(line) for line in _engine_lines(tmp_path, calls=2)]
+    assert [c["id"] for c in events[1]["payload"]["tool_calls"]] == ["call-0-0", "call-0-1"]
+    second = next(i for i, e in enumerate(events) if e["kind"] == "observation"
+                  and e["turn"] == 2 and e["payload"]["action_id"] == "call-0-1")
+    del events[second]
+    report = _replay_events(tmp_path, events)
+    assert report.violations == ["unpaired action call-0-1 in slot None (x1)"]
+    report = _replay_events(tmp_path, [e for e in events if e["kind"] != "observation"])
+    assert report.violations == ["unpaired action call-0-0 in slot None (x3)",
+                                 "unpaired action call-0-1 in slot None (x3)"]
+
+
+def test_trajectory_with_tool_call_events_still_replays(tmp_path) -> None:
+    """Files written when each call was also its own ``tool_call`` event,
+    just before its observation, replay complete with the same transcripts."""
+    lines = _engine_lines(tmp_path, calls=2)
+    expected = replay(tmp_path / "engine.jsonl").transcripts
+    events: list[dict] = []
+    for event in map(json.loads, lines):
+        if event["kind"] == "tool_call":
+            continue
+        if event["kind"] == "turn":
+            listed = {call["id"]: call for call in event["payload"]["tool_calls"]}
+        elif event["kind"] == "observation":
+            call = listed[event["payload"]["action_id"]]
+            events.append(dict(event, kind="tool_call", payload=call))
+        events.append(event)
+    assert [e["kind"] for e in events[1:6]] == [
+        "turn", "tool_call", "observation", "tool_call", "observation"]
+    report = _replay_events(tmp_path, events)
+    assert (report.complete, report.violations) == (True, [])
+    assert report.transcripts == expected
 
 
 # Line edits that give a line a shape no recorder writes.
@@ -297,27 +401,59 @@ def test_bad_line_shapes_are_trajectory_corrupt(tmp_path, monkeypatch) -> None:
     assert main(["replay", "--trajectory", str(mutated)]) == 3
 
 
-@pytest.mark.parametrize("value", [[], {}], ids=["array", "object"])
-def test_action_id_that_cannot_be_paired_is_corrupt(tmp_path, monkeypatch, capsys,
-                                                     value) -> None:
+def _research_lines(tmp_path, monkeypatch) -> list[str]:
     monkeypatch.setenv("EVO_HOME", str(tmp_path / "home"))
     config = load_config(FIXTURES / "golden/research.yaml")
     config.experiment.output_dir = str(tmp_path / "runs")
     trajectory = Path(run_experiment(config).trajectory_path)
-    lines = trajectory.read_text(encoding="utf-8").splitlines()
-    kinds = [json.loads(line)["kind"] for line in lines]
+    return trajectory.read_text(encoding="utf-8").splitlines()
+
+
+def _assert_edit_is_corrupt(tmp_path, capsys, lines, index, edit, message) -> None:
+    """Replacing line ``index`` with ``edit`` of its event is TrajectoryCorrupt."""
+    event = json.loads(lines[index])
+    edit(event)
     mutated = tmp_path / "mutated.jsonl"
-    for kind, key in (("tool_call", "id"), ("observation", "action_id")):
-        index = kinds.index(kind)
-        event = json.loads(lines[index])
-        event["payload"][key] = value
-        edited = [*lines[:index], json.dumps(event), *lines[index + 1:]]
-        mutated.write_text("\n".join(edited) + "\n", encoding="utf-8")
-        with pytest.raises(TrajectoryCorrupt,
-                           match=f"^line {index + 1}: {key} is an array or object$"):
-            replay(mutated)
-        assert main(["replay", "--trajectory", str(mutated)]) == 3
-        assert f"trajectory corrupt: line {index + 1}: " in capsys.readouterr().err
+    edited = [*lines[:index], json.dumps(event), *lines[index + 1:]]
+    mutated.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    with pytest.raises(TrajectoryCorrupt, match=f"^line {index + 1}: {message}$"):
+        replay(mutated)
+    assert main(["replay", "--trajectory", str(mutated)]) == 3
+    assert f"trajectory corrupt: line {index + 1}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [[], {}], ids=["array", "object"])
+def test_action_id_that_cannot_be_paired_is_corrupt(tmp_path, monkeypatch, capsys,
+                                                     value) -> None:
+    lines = _research_lines(tmp_path, monkeypatch)
+    events = [json.loads(line) for line in lines]
+    calling = next(i for i, e in enumerate(events) if e["kind"] == "turn"
+                   and e["payload"]["tool_calls"])
+    observing = next(i for i, e in enumerate(events) if e["kind"] == "observation")
+
+    def call_id(event):
+        event["payload"]["tool_calls"][0]["id"] = value
+
+    def action_id(event):
+        event["payload"]["action_id"] = value
+
+    _assert_edit_is_corrupt(tmp_path, capsys, lines, calling, call_id,
+                            "tool_calls id is an array or object")
+    _assert_edit_is_corrupt(tmp_path, capsys, lines, observing, action_id,
+                            "action_id is an array or object")
+
+
+@pytest.mark.parametrize("value", ["exec", {}, None, 2, ["exec"], [[]], [{"id": "a"}, 1]])
+def test_turn_whose_tool_calls_are_not_objects_is_corrupt(tmp_path, monkeypatch, capsys,
+                                                          value) -> None:
+    lines = _research_lines(tmp_path, monkeypatch)
+    turn = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "turn")
+
+    def tool_calls(event):
+        event["payload"]["tool_calls"] = value
+
+    _assert_edit_is_corrupt(tmp_path, capsys, lines, turn, tool_calls,
+                            "tool_calls is not an array of objects")
 
 
 def test_byte_that_is_not_utf8_is_corrupt(tmp_path, capsys) -> None:
@@ -343,10 +479,10 @@ def test_byte_that_is_not_utf8_is_corrupt(tmp_path, capsys) -> None:
 
 
 def _write_long_trajectory(path, turns: int) -> None:
-    """A long single-agent run: turn, tool call and observation per turn, critiques.
+    """A long single-agent run: a turn listing one tool call and its
+    observation per turn, and critiques.
 
-    Every action id is distinct, as an HTTP provider's are, so replay pairs
-    as many ids as there are actions.
+    Every action id is distinct, as an HTTP provider's are.
     """
     recorder = TrajectoryRecorder(path, "long-run-20260101-000000-a1b2c3")
     recorder.record("run_start", {"config_snapshot": {"task": "survey"}})
@@ -357,7 +493,6 @@ def _write_long_trajectory(path, turns: int) -> None:
         recorder.record("turn", {"content": f"note {turn} " + "n" * 120, "finish": "tool_call",
                                  "tool_calls": [call]},
                         turn=turn, usage=TokenUsage(70 + turn, 37), **scope)
-        recorder.record("tool_call", call, turn=turn, **scope)
         recorder.record("observation", {"action_id": call["id"], "status": "ok", "duration_ms": 0,
                                         "content": f"result {turn} " + "r" * 640},
                         turn=turn, **scope)
@@ -379,7 +514,7 @@ def test_replay_memory_stays_below_the_file_size(tmp_path) -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.complete and report.events > 5000
+    assert report.complete and report.events > 3400
     assert peak < size, f"replay peaked at {peak} B for a {size} B trajectory"
 
 

@@ -12,7 +12,7 @@ from evokit.playgrounds.planner_executor import planner_executor
 from evokit.playgrounds.research import single_agent_research
 from evokit.playgrounds.solve_critique import solve_critique_rewrite_select
 from evokit.tools import LocalCorpusFetcher
-from helpers import FIXTURES, make_services, scripted_gateway
+from helpers import FIXTURES, make_services, scripted_gateway, write_script
 from stubs import ChatCompletionsStub
 
 
@@ -146,6 +146,19 @@ def test_unparseable_selector_fails(tmp_path) -> None:
     ]
     result = solve_critique_rewrite_select("t", {}, slots, services)
     assert result.status == "failed"
+
+
+def test_selector_choice_in_other_decimal_digits(tmp_path) -> None:
+    gateway = _scrs_gateway(tmp_path)
+    gateway.register_profile(ModelProfile(
+        "arabic", "scripted", "s",
+        script_path=str(write_script(tmp_path, "arabic.script", [{"content": "FINAL: \u0662"}])),
+    ))
+    slots = [*_scrs_slots()[:4], _slot("selector", "selector", "arabic")]
+    result = solve_critique_rewrite_select(
+        "Compute the sum of 17 and 25.", {}, slots, make_services(tmp_path, gateway)
+    )
+    assert (result.status, result.final_answer) == ("ok", "The sum is 42.")
 
 
 # -- planner / executor -----------------------------------------------------------

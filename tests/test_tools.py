@@ -309,6 +309,53 @@ def test_file_escape_is_rejected(registry) -> None:
     assert execution.status == "failed"
 
 
+def test_symlink_out_of_the_workspace_is_rejected(registry, tmp_path) -> None:
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "secret.txt").write_text("s", encoding="utf-8")
+    (tmp_path / "workspace" / "link").symlink_to(outside)
+    execution, observation = registry.invoke(
+        Action("r", "file_read", {"path": "link/secret.txt"})
+    )
+    assert (execution.status, "escapes" in observation.content) == ("failed", True)
+    execution, _ = registry.invoke(
+        Action("w", "file_write", {"path": "link/new.txt", "content": "x"})
+    )
+    assert execution.status == "failed"
+    assert sorted(os.listdir(outside)) == ["secret.txt"]
+
+
+def test_sibling_whose_name_extends_the_workspace_is_rejected(registry, tmp_path) -> None:
+    sibling = tmp_path / "workspace-x"
+    sibling.mkdir()
+    (sibling / "f").write_text("s", encoding="utf-8")
+    for tool, args in (("file_read", {}), ("file_write", {"content": "x"})):
+        execution, observation = registry.invoke(
+            Action("a", tool, {"path": "../workspace-x/f", **args})
+        )
+        assert (execution.status, "escapes" in observation.content) == ("failed", True)
+    assert (sibling / "f").read_text(encoding="utf-8") == "s"
+
+
+def test_workspace_reached_through_a_symlink(tmp_path) -> None:
+    real = tmp_path / "real"
+    real.mkdir()
+    (tmp_path / "ws").symlink_to(real)
+    reg = ToolRegistry()
+    install_builtin_tools(reg, str(tmp_path / "ws"), names=["file_read", "file_write"])
+    execution, _ = reg.invoke(Action("w", "file_write", {"path": "d/a.txt", "content": "hi"}))
+    assert execution.status == "ok"
+    assert (real / "d" / "a.txt").read_text(encoding="utf-8") == "hi"
+    _, read = reg.invoke(Action("r", "file_read", {"path": "d/../d/a.txt"}))
+    assert read.content == "hi"
+    # Through the link or not, the workspace is the directory it resolves to.
+    _, read = reg.invoke(Action("r", "file_read", {"path": "../ws/d/a.txt"}))
+    assert read.content == "hi"
+    (tmp_path / "f").write_text("s", encoding="utf-8")
+    execution, observation = reg.invoke(Action("e", "file_read", {"path": "../f"}))
+    assert (execution.status, "escapes" in observation.content) == ("failed", True)
+
+
 # -- wire schemas ------------------------------------------------------------------
 
 
