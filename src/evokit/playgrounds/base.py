@@ -17,6 +17,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 from ..engine import AgentOutcome, AgentRun, AgentSpec, RunServices
 from ..errors import EvokitError
+from ..tools import _dispatch
 
 RESULT_STATUSES = ("ok", "partial", "failed")
 
@@ -161,29 +162,24 @@ def run_slot(
 
 
 def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Run ``fn`` on every item in a thread of its own; results in input order.
+    """Run ``fn`` on every item at once; results in input order.
 
-    Waits for every call to finish. The first exception, in input order, is
-    raised after all calls have ended.
+    The first item runs on the caller's thread and the rest on the parked
+    workers that tool calls use, so a warm fan-out starts no thread. The
+    first exception, in input order, is raised after every call has ended.
     """
-    results: list = [None] * len(items)
-    errors: list[BaseException | None] = [None] * len(items)
-
-    def call(index: int, item: T) -> None:
-        try:
-            results[index] = fn(item)
-        except BaseException as exc:  # noqa: BLE001 — raised again in the caller's thread
-            errors[index] = exc
-
-    threads = [threading.Thread(target=call, args=pair) for pair in enumerate(items)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
+    if not items:
+        return []
+    outboxes = [_dispatch(fn, item) for item in items[1:]]
+    try:
+        answers = [("ok", fn(items[0]))]
+    except BaseException as exc:  # noqa: BLE001 — raised below, after the others end
+        answers = [("failed", exc)]
+    answers += [outbox.get() for outbox in outboxes]
+    for status, value in answers:
+        if status == "failed":
+            raise value
+    return [value for _, value in answers]
 
 
 def slots_by_role(slots: list[AgentSlot], role: str) -> list[AgentSlot]:

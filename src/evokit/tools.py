@@ -197,50 +197,51 @@ class ToolRegistry:
         return execution, observation
 
 
-# Inboxes of parked tool workers, shared by every registry in the process so
-# that registries built per experiment leave no threads behind.
+# Inboxes of parked workers, shared by every registry and by ``fan_out`` so that
+# a warm run starts no thread. The pool has no cap: a call never waits on itself.
 _idle_inboxes: list[queue.SimpleQueue] = []
 _idle_lock = threading.Lock()
 
 
 def _serve(inbox: queue.SimpleQueue) -> None:
-    """Worker loop: run each handler sent to ``inbox``, then park again."""
+    """Worker loop: run each callable sent to ``inbox`` on its argument, then park again."""
     while True:
-        handler, arguments, outbox = inbox.get()
+        fn, argument, outbox = inbox.get()
         try:
-            result = ("ok", handler(arguments))
+            result = ("ok", fn(argument))
         except Exception as exc:  # noqa: BLE001 — materialized in the pair
             result = ("failed", exc)
         except BaseException as exc:
             outbox.put(("failed", exc))
             raise  # this worker ends here and is never parked again
-        # Park before answering, so a caller that invokes again right after
-        # this answer finds the same worker idle.
+        # Park before answering, so the caller's next dispatch finds this worker idle.
         with _idle_lock:
             _idle_inboxes.append(inbox)
         outbox.put(result)
 
 
-def _call_with_timeout(
-    handler: ToolHandler, arguments: dict[str, Any], timeout_ms: int
-) -> tuple[str, str]:
-    """Run a handler on a reused worker thread so a stalled tool cannot stall the loop.
-
-    Each call takes an idle parked worker, or starts one when none is idle,
-    so there is no cap that could queue a healthy call behind stalled ones.
-    A call that times out abandons its worker: the worker keeps running the
-    handler and is parked again only once the handler returns, and that late
-    result goes to an outbox nobody reads, so it is discarded.
-    """
+def _dispatch(fn: Callable[[Any], Any], argument: Any) -> queue.SimpleQueue:
+    """Run ``fn(argument)`` on an idle worker, or a new one; return the outbox it answers on."""
     with _idle_lock:
         inbox = _idle_inboxes.pop() if _idle_inboxes else None
     if inbox is None:
         inbox = queue.SimpleQueue()
         threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
     outbox: queue.SimpleQueue = queue.SimpleQueue()
-    inbox.put((handler, arguments, outbox))
+    inbox.put((fn, argument, outbox))
+    return outbox
+
+
+def _call_with_timeout(
+    handler: ToolHandler, arguments: dict[str, Any], timeout_ms: int
+) -> tuple[str, str]:
+    """Run a handler on a parked worker so a stalled tool cannot stall the loop.
+
+    A call that times out abandons its worker, which is parked again once the
+    handler returns; the late result goes to an outbox nobody reads.
+    """
     try:
-        status, value = outbox.get(timeout=max(timeout_ms, 1) / 1000.0)
+        status, value = _dispatch(handler, arguments).get(timeout=max(timeout_ms, 1) / 1000.0)
     except queue.Empty:
         return "timeout", f"tool timed out after {timeout_ms} ms"
     if status == "failed":
@@ -272,7 +273,11 @@ class LocalCorpusFetcher:
     """
 
     def __init__(self, root: Path | str):
-        self.root = Path(root)
+        self._root = os.fspath(root)  # as text: a Path interns each component
+
+    @property
+    def root(self) -> Path:
+        return Path(self._root)
 
     @staticmethod
     def _flatten(text: str) -> str:
@@ -293,7 +298,7 @@ class LocalCorpusFetcher:
 
     def _read(self, name: str) -> str | None:
         """The text of the regular file ``name`` under root, or None if there is none."""
-        path = os.path.join(self.root, name)
+        path = os.path.join(self._root, name)
         try:
             fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         except OSError as exc:

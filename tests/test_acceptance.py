@@ -10,6 +10,8 @@ import json
 import random
 import re
 import string
+import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -465,3 +467,42 @@ def test_golden_and_adversarial_runs_replay_complete(tmp_path) -> None:
         record = _run_fixture_config(name, tmp_path / str(index))
         report = replay(record.trajectory_path)
         assert report.complete, (name, report.violations)
+
+
+# -- a warm run's fixed costs ------------------------------------------------------------------
+
+
+def test_warm_golden_runs_start_no_thread(tmp_path, monkeypatch) -> None:
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread) -> None:
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for playground, config_name, _ in GOLDEN_RUNS:
+        counts = []
+        for attempt in range(2):
+            started.clear()
+            _run_fixture_config(config_name, tmp_path / playground / str(attempt))
+            counts.append(len(started))
+        # The first run may start the workers it needs; they stay parked.
+        assert counts[1] == 0, (playground, counts)
+
+
+def test_golden_research_run_interns_no_path(tmp_path, monkeypatch) -> None:
+    config = load_config(FIXTURES / "golden/research.yaml")
+    config.experiment.output_dir = str(tmp_path)
+    interned = []
+    intern = sys.intern
+
+    def counting_intern(text: str) -> str:
+        interned.append(text)
+        return intern(text)
+
+    monkeypatch.setattr(sys, "intern", counting_intern)
+    record = run_experiment(config)
+    monkeypatch.undo()
+    assert record.result.status == "ok"
+    assert interned == []

@@ -67,8 +67,8 @@ def test_import_loads_no_transport_or_hashing_module() -> None:
 
 
 def test_import_loads_no_logging_or_executor_module() -> None:
-    # A run logs only on a fault or an MCP registration, and fan_out starts
-    # plain threads, so neither module is part of every run's memory.
+    # A run logs only on a fault or an MCP registration, and fan_out runs on
+    # the parked tool workers, so neither module is part of every run's memory.
     code = (
         "import sys, evokit, evokit.harness, evokit.playgrounds\n"
         "heavy = ('logging', 'concurrent.futures')\n"

@@ -294,6 +294,13 @@ def test_fan_out_runs_every_item_at_once_and_keeps_input_order() -> None:
     assert fan_out(call, []) == []
 
 
+def test_fan_out_runs_the_first_item_on_the_calling_thread(monkeypatch) -> None:
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", started.append)
+    assert fan_out(lambda _: threading.get_ident(), ["x"]) == [threading.get_ident()]
+    assert started == []
+
+
 def test_fan_out_raises_the_first_error_in_input_order_after_all_calls() -> None:
     finished = []
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from evokit import tools
+from evokit.playgrounds import fan_out
 from evokit.tools import (
     Action,
     DuplicateTool,
@@ -113,6 +114,10 @@ def test_handler_exception_is_captured(registry) -> None:
     assert "kapow" in observation.content
 
 
+class _Halt(BaseException):
+    pass
+
+
 def test_handler_exit_is_captured_and_ends_its_worker(monkeypatch) -> None:
     ended = queue.SimpleQueue()
     monkeypatch.setattr(threading, "excepthook", ended.put)
@@ -122,6 +127,31 @@ def test_handler_exit_is_captured_and_ends_its_worker(monkeypatch) -> None:
     assert execution.status == "failed"
     assert observation.content == "tool error: 3"
     assert ended.get(timeout=5).exc_type is SystemExit
+
+    # A fan-out item that exits ends its worker the same way, and the caller
+    # gets the exit only once the other items have ended.
+    halted, finished = [], []
+
+    def item(k: int) -> int:
+        if k == 1:
+            halted.append(threading.get_native_id())
+            raise _Halt(k)
+        time.sleep(0.05)
+        finished.append(k)
+        return k
+
+    with pytest.raises(_Halt):
+        fan_out(item, [0, 1, 2])
+    assert sorted(finished) == [0, 2]
+    hook = ended.get(timeout=5)
+    assert hook.exc_type is _Halt
+    assert hook.thread.native_id == halted[0]
+    hook.thread.join(5)
+    assert not hook.thread.is_alive()
+    registry.register_tool(_descriptor("ident"), lambda args: str(threading.get_native_id()))
+    for i in range(20):
+        assert fan_out(lambda _: threading.get_native_id(), [0, 1])[1] != halted[0]
+        assert registry.invoke(Action(f"i{i}", "ident", {}))[1].content != str(halted[0])
 
 
 def test_exec_nonzero_exit_fails(registry) -> None:
@@ -171,6 +201,20 @@ def test_calls_reuse_parked_workers() -> None:
     assert len(idents) <= 2
     assert threading.active_count() <= before + 1
 
+    # A 2-item fan-out runs its first item on the caller and hands the
+    # second to the same parked workers.
+    caller = threading.get_native_id()
+    fan_out(lambda _: None, [0, 1])  # warm
+    before = threading.active_count()
+    idents = set()
+    for _ in range(200):
+        first, second = fan_out(lambda _: threading.get_native_id(), [0, 1])
+        assert first == caller
+        idents.add(second)
+    assert caller not in idents
+    assert len(idents) <= 2
+    assert threading.active_count() <= before + 1
+
 
 def test_stalled_handler_is_isolated() -> None:
     release = threading.Event()
@@ -215,7 +259,15 @@ def test_stalled_handler_is_isolated() -> None:
             if execution.status != "ok" or observation.content != value:
                 mismatches.append((value, execution.status, observation.content))
 
+    def fan_out_many(value: str) -> None:
+        for i in range(50):
+            expected = [f"{value}-{i}-{k}" for k in range(3)]
+            got = fan_out(lambda k: f"{value}-{i}-{k}", range(3))
+            if got != expected:
+                mismatches.append((value, got))
+
     threads = [threading.Thread(target=echo_many, args=(f"v{k}",)) for k in range(8)]
+    threads += [threading.Thread(target=fan_out_many, args=(f"f{k}",)) for k in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -233,6 +285,24 @@ def test_stalled_handler_is_isolated() -> None:
     assert len(parked) == len(set(parked))
     assert len(contents) == 20 + 8 * 50
     assert "late result" not in contents
+
+
+def test_nested_fan_out_and_tool_call_do_not_wait_on_themselves() -> None:
+    registry = ToolRegistry()
+    registry.register_tool(_descriptor("echo"), lambda args: args["value"])
+
+    def invoke(value: str) -> str:
+        return registry.invoke(Action(value, "echo", {"value": value}))[1].content
+
+    def item(k: int) -> list:
+        return fan_out(invoke, [f"{k}-a", f"{k}-b"]) + [invoke(f"{k}-c")]
+
+    results = []
+    outer = threading.Thread(target=lambda: results.append(fan_out(item, [0, 1])), daemon=True)
+    outer.start()
+    outer.join(5)
+    assert not outer.is_alive()
+    assert results == [[["0-a", "0-b", "0-c"], ["1-a", "1-b", "1-c"]]]
 
 
 # -- truncation ---------------------------------------------------------------
