@@ -50,7 +50,6 @@ from .tools import (
     DuplicateTool,
     Execution,
     InvalidDescriptor,
-    InvokeLimits,
     LocalCorpusFetcher,
     Observation,
     ToolDescriptor,

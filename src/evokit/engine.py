@@ -30,7 +30,7 @@ from .gateway import (
 )
 from .prompts import CRITIQUE_PROMPT, DEFAULT_FINAL_MARKER
 from .skills import SkillIndex, render_metadata
-from .tools import DEFAULT_TIMEOUT_MS, Action, InvokeLimits, ToolRegistry
+from .tools import DEFAULT_TIMEOUT_MS, Action, ToolRegistry
 
 OUTCOME_STATUSES = ("answered", "max_turns", "budget_exhausted", "timeout", "error")
 
@@ -240,13 +240,13 @@ class AgentRun:
         self._usage = self._usage + response.usage
         return response
 
-    def _invoke_limits(self) -> InvokeLimits:
+    def _tool_timeout_ms(self) -> int:
         if self.services.deadline is None:
-            return InvokeLimits()
+            return DEFAULT_TIMEOUT_MS
         # Rounded up, so a tool cut off by the deadline returns at or after it
         # and the next turn sees out_of_time().
         remaining_ms = math.ceil((self.services.deadline - time.monotonic()) * 1000)
-        return InvokeLimits(timeout_ms=max(1, min(DEFAULT_TIMEOUT_MS, remaining_ms)))
+        return max(1, min(DEFAULT_TIMEOUT_MS, remaining_ms))
 
     # -- the loop ------------------------------------------------------------
 
@@ -309,7 +309,7 @@ class AgentRun:
         # The turn event, written before this, already lists every action, so
         # a crash mid-tool leaves an unpaired action instead of silence.
         for action in actions:
-            execution, observation = self.services.tools.invoke(action, self._invoke_limits())
+            execution, observation = self.services.tools.invoke(action, self._tool_timeout_ms())
             self._record(
                 "observation",
                 {

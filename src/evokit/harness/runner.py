@@ -34,7 +34,6 @@ class ExperimentRecord:
     run_id: str
     status: str
     wall_seconds: float
-    config_snapshot: dict
     trajectory_path: str
     record_path: str
     run_dir: str
@@ -82,8 +81,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     started = time.monotonic()
 
     recorder = TrajectoryRecorder(trajectory_path, run_id)
-    snapshot = config.to_dict()
-    recorder.record("run_start", {"config_snapshot": snapshot})
+    recorder.record("run_start", {"config_snapshot": config.to_dict()})
 
     result: PlaygroundResult | None = None
     deadline = started + config.experiment.max_wall_seconds
@@ -121,7 +119,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
         run_id=run_id,
         status=status,
         wall_seconds=wall_seconds,
-        config_snapshot=snapshot,
         trajectory_path=trajectory_path,
         record_path=os.path.join(run_dir, RECORD_FILENAME),
         run_dir=run_dir,
@@ -180,7 +177,6 @@ def _write_record(record: ExperimentRecord) -> None:
         "status": record.status,
         "wall_seconds": record.wall_seconds,
         "trajectory_path": record.trajectory_path,
-        "config_snapshot": record.config_snapshot,
         "result": record.result,
     }
     with open(record.record_path, "wb") as handle:

@@ -4,7 +4,6 @@ Plain text records under a cache root, one file per record:
 
     <cache_root>/wisdom/<seq>-wisdom.txt          cross-run wisdom store
     <cache_root>/runs/<run_id>/rounds/<round>.txt round-level knowledge
-    <cache_root>/runs/<run_id>/wisdom.txt         this run's distilled wisdom
 
 Durable, diff-able, no database. The cross-run store is append-only; writes
 use exclusive creation with a sequence retry so concurrent runs cannot
@@ -63,27 +62,22 @@ class CognitiveCache:
     def promote_round(self, round_index: int, findings: str) -> None:
         if round_index < 1:
             raise ValueError("round indices start at 1")
-        _write_text(os.path.join(self.run_dir, "rounds"), f"{round_index:04d}.txt", findings)
-
-    def round_records(self) -> list[str]:
         rounds_dir = os.path.join(self.run_dir, "rounds")
+        path = os.path.join(rounds_dir, f"{round_index:04d}.txt")
         try:
-            names = sorted(n for n in os.listdir(rounds_dir) if n.endswith(".txt"))
-        except (FileNotFoundError, NotADirectoryError):
-            return []
-        records = []
-        for name in names:
-            with open(os.path.join(rounds_dir, name), encoding="utf-8") as handle:
-                records.append(handle.read())
-        return records
+            handle = open(path, "w", encoding="utf-8")
+        except FileNotFoundError:
+            os.makedirs(rounds_dir, exist_ok=True)
+            handle = open(path, "w", encoding="utf-8")
+        with handle:
+            handle.write(findings)
 
     def promote_run(self, wisdom: str) -> None:
-        """Persist this run's wisdom to the run dir and the cross-run store."""
+        """Persist this run's wisdom to the cross-run store, once per run."""
         with self._lock:
             if self._run_promoted:
                 raise DoubleRunPromotion(f"run {self.run_id} already promoted wisdom")
             self._run_promoted = True
-        _write_text(self.run_dir, "wisdom.txt", wisdom)
         seq = max((seq for seq, _ in self._wisdom_records()), default=0) + 1
         while True:
             target = os.path.join(self.wisdom_dir, f"{seq:04d}-wisdom.txt")
@@ -111,14 +105,3 @@ class CognitiveCache:
             if match:
                 yield int(match.group(1)), os.path.join(self.wisdom_dir, name)
 
-
-def _write_text(directory: str, name: str, text: str) -> None:
-    """Write ``text`` to ``directory/name``, making the directory only if it is missing."""
-    path = os.path.join(directory, name)
-    try:
-        handle = open(path, "w", encoding="utf-8")
-    except FileNotFoundError:
-        os.makedirs(directory, exist_ok=True)
-        handle = open(path, "w", encoding="utf-8")
-    with handle:
-        handle.write(text)

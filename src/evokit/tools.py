@@ -118,12 +118,6 @@ class Observation:
     is_error: bool = False
 
 
-@dataclass(frozen=True)
-class InvokeLimits:
-    timeout_ms: int = DEFAULT_TIMEOUT_MS
-    output_cap_chars: int = DEFAULT_OUTPUT_CAP
-
-
 def truncate_output(content: str, cap: int) -> tuple[str, bool]:
     """Cap tool output, appending a visible marker when anything was cut."""
     if len(content) <= cap:
@@ -171,27 +165,23 @@ class ToolRegistry:
         return [self._tools[name][0] for name in self.names()]
 
     def invoke(
-        self, action: Action, limits: InvokeLimits = InvokeLimits()
+        self, action: Action, timeout_ms: int = DEFAULT_TIMEOUT_MS
     ) -> tuple[Execution, Observation]:
         """Run one action and always return a well-formed pair."""
         t0 = time.monotonic()
         entry = self._tools.get(action.tool)
         if entry is None:
-            return self._finish(action, t0, "failed", f"unknown tool: {action.tool}", limits)
+            return self._finish(action, t0, "failed", f"unknown tool: {action.tool}")
 
-        status, content = _call_with_timeout(entry[1], action.arguments, limits.timeout_ms)
-        return self._finish(action, t0, status, content, limits)
+        status, content = _call_with_timeout(entry[1], action.arguments, timeout_ms)
+        return self._finish(action, t0, status, content)
 
     @staticmethod
     def _finish(
-        action: Action,
-        t0: float,
-        status: str,
-        content: str,
-        limits: InvokeLimits,
+        action: Action, t0: float, status: str, content: str
     ) -> tuple[Execution, Observation]:
         duration_ms = int((time.monotonic() - t0) * 1000)
-        text, truncated = truncate_output(content, limits.output_cap_chars)
+        text, truncated = truncate_output(content, DEFAULT_OUTPUT_CAP)
         execution = Execution(action.id, duration_ms, status)
         observation = Observation(action.id, text, truncated, status != "ok")
         return execution, observation

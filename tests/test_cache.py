@@ -37,9 +37,11 @@ def test_round_records_are_indexed(tmp_path) -> None:
     cache = CognitiveCache(tmp_path, "run-1")
     for i in (1, 2, 3):
         cache.promote_round(i, f"finding {i}")
-    assert cache.round_records() == ["finding 1", "finding 2", "finding 3"]
-    files = sorted(p.name for p in (tmp_path / "runs/run-1/rounds").iterdir())
-    assert files == ["0001.txt", "0002.txt", "0003.txt"]
+    rounds = sorted((tmp_path / "runs/run-1/rounds").iterdir())
+    assert [p.name for p in rounds] == ["0001.txt", "0002.txt", "0003.txt"]
+    assert [p.read_text(encoding="utf-8") for p in rounds] == [
+        "finding 1", "finding 2", "finding 3"
+    ]
     with pytest.raises(ValueError):
         cache.promote_round(0, "bad index")
 

@@ -65,9 +65,10 @@ def test_run_then_replay_roundtrip(tmp_path, capsys, monkeypatch) -> None:
     record_path = capsys.readouterr().out.strip()
     record = json.loads(Path(record_path).read_text())
     assert record["status"] == "ok"
-    assert record["config_snapshot"]["experiment"]["seed"] == 42
 
     trajectory = record["trajectory_path"]
+    run_start = json.loads(Path(trajectory).read_text().splitlines()[0])
+    assert run_start["payload"]["config_snapshot"]["experiment"]["seed"] == 42
     assert main(["replay", "--trajectory", trajectory]) == 0
     out = capsys.readouterr().out
     assert "complete: true" in out

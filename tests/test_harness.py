@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import warnings
 from collections import Counter
@@ -19,7 +20,7 @@ from evokit.harness import (
     replay,
     run_experiment,
 )
-from evokit.harness.runner import cache_root_for
+from evokit.harness.runner import ExperimentRecord, _write_record, cache_root_for
 from evokit.playgrounds import CognitiveCache
 from helpers import FIXTURES, write_script
 from stubs import ChatCompletionsStub
@@ -120,11 +121,11 @@ def test_record_json_result_is_the_playground_result(tmp_path, name) -> None:
     assert list(saved["result"]) == ["final_answer", "status", "per_slot_outcomes", "rounds_used"]
 
 
-RECORD_KEYS = ["run_id", "status", "wall_seconds", "trajectory_path", "config_snapshot", "result"]
+RECORD_KEYS = ["run_id", "status", "wall_seconds", "trajectory_path", "result"]
 
 
-def _masked_record(record, out_dir: Path) -> dict:
-    """record.json parsed, with the run id, wall_seconds and checkout paths masked."""
+def _masker(record, out_dir: Path):
+    """A function that masks the run id and checkout paths in a parsed JSON value."""
     subs = [(record.run_id, "<run_id>"), (str(out_dir), "<out>"), (str(FIXTURES), "<fixtures>")]
 
     def mask(value):
@@ -137,9 +138,22 @@ def _masked_record(record, out_dir: Path) -> dict:
                 value = value.replace(old, new)
         return value
 
+    return mask
+
+
+def _masked_record(record, out_dir: Path) -> dict:
+    """record.json parsed, with the run id, wall_seconds and checkout paths masked."""
     saved = json.loads(Path(record.record_path).read_bytes())
     saved["wall_seconds"] = "<masked>"
-    return mask(saved)
+    return _masker(record, out_dir)(saved)
+
+
+def _run_start_snapshot(record) -> dict:
+    """The config snapshot the trajectory's run_start event carries."""
+    with open(record.trajectory_path, encoding="utf-8") as handle:
+        first = json.loads(handle.readline())
+    assert first["kind"] == "run_start"
+    return first["payload"]["config_snapshot"]
 
 
 @pytest.mark.parametrize(
@@ -152,9 +166,29 @@ def test_record_json_is_one_compact_line(tmp_path, name) -> None:
     assert list(saved) == RECORD_KEYS
     assert raw == json.dumps(saved, ensure_ascii=False).encode("utf-8") + b"\n"
     assert raw.count(b"\n") == 1
-    # The same object the indented record.json of earlier releases held.
+    # The indented record.json of earlier releases, whose config snapshot now
+    # lives only in the trajectory's run_start event.
     expected = json.loads((FIXTURES / "golden/records.json").read_text(encoding="utf-8"))
+    pinned_snapshot = expected[name].pop("config_snapshot")
     assert _masked_record(record, tmp_path) == expected[name]
+    assert _masker(record, tmp_path)(_run_start_snapshot(record)) == pinned_snapshot
+
+
+def test_readme_names_exactly_the_record_keys(tmp_path) -> None:
+    record = ExperimentRecord(
+        run_id="r", status="ok", wall_seconds=0.0, trajectory_path="t",
+        record_path=str(tmp_path / "record.json"), run_dir=str(tmp_path),
+    )
+    _write_record(record)
+    written = list(json.loads(Path(record.record_path).read_bytes()))
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(
+        r"`record\.json` is one\s+compact JSON line.*?holding(.*?), in that\s+order",
+        readme,
+        re.DOTALL,
+    )
+    assert sentence is not None
+    assert re.findall(r"`(\w+)`", sentence.group(1)) == written == RECORD_KEYS
 
 
 def test_run_id_collision_draws_a_fresh_id(tmp_path, monkeypatch) -> None:
@@ -302,11 +336,35 @@ def test_cache_root_env_override(tmp_path, monkeypatch) -> None:
     assert cache_root_for(config) == str(tmp_path / "elsewhere")
 
 
+def test_cache_holds_each_promotion_once(tmp_path) -> None:
+    # The run's wisdom lives in the cross-run store and its promotion event,
+    # not in a second copy under the run's own cache directory.
+    record = run_experiment(_load("golden/draft_improve.yaml", tmp_path))
+    assert record.result is not None and record.result.rounds_used > 0
+    cache_root = tmp_path / "cache"
+    files = sorted(str(p.relative_to(cache_root)) for p in cache_root.rglob("*") if p.is_file())
+    rounds = [
+        f"runs/{record.run_id}/rounds/{i:04d}.txt"
+        for i in range(1, record.result.rounds_used + 1)
+    ]
+    assert files == rounds + ["wisdom/0001-wisdom.txt"]
+
+    with open(record.trajectory_path, encoding="utf-8") as handle:
+        events = [json.loads(line) for line in handle]
+    run_wisdom = [
+        e["payload"]["wisdom"]
+        for e in events
+        if e["kind"] == "promotion" and e["payload"]["tier"] == "run"
+    ]
+    stored = (cache_root / "wisdom/0001-wisdom.txt").read_text(encoding="utf-8")
+    assert run_wisdom == [stored]
+
+
 def test_seed_override_lands_in_snapshot(tmp_path) -> None:
     config = _load("configs/min.yaml", tmp_path)
     config.experiment.seed = 777
     record = run_experiment(config)
-    assert record.config_snapshot["experiment"]["seed"] == 777
+    assert _run_start_snapshot(record)["experiment"]["seed"] == 777
 
 
 # -- model connections ----------------------------------------------------------------

@@ -365,7 +365,8 @@ def test_round_promotions_match_rounds_used(tmp_path) -> None:
     cache = CognitiveCache(tmp_path / "cache", "run-1")
     services = make_services(tmp_path, _di_gateway(tmp_path), cache=cache)
     result = draft_and_improve("Write a tagline.", {"max_rounds": 2}, _di_slots(), services)
-    assert len(cache.round_records()) == result.rounds_used
+    rounds = sorted(p.name for p in (tmp_path / "cache/runs/run-1/rounds").iterdir())
+    assert rounds == [f"{i:04d}.txt" for i in range(1, result.rounds_used + 1)]
     assert cache.prefetch("whatever") == [result.final_answer]
 
 

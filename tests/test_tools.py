@@ -16,11 +16,11 @@ import pytest
 from evokit import tools
 from evokit.playgrounds import fan_out
 from evokit.tools import (
+    DEFAULT_OUTPUT_CAP,
     Action,
     DuplicateTool,
     FetchError,
     InvalidDescriptor,
-    InvokeLimits,
     LocalCorpusFetcher,
     ToolDescriptor,
     ToolRegistry,
@@ -96,8 +96,7 @@ def test_unknown_tool_becomes_failed_pair(registry) -> None:
 def test_exec_timeout_is_bounded(registry) -> None:
     t0 = time.monotonic()
     execution, observation = registry.invoke(
-        Action("a1", "exec", {"cmd": "sleep 10"}),
-        InvokeLimits(timeout_ms=100),
+        Action("a1", "exec", {"cmd": "sleep 10"}), timeout_ms=100
     )
     elapsed = time.monotonic() - t0
     assert execution.status == "timeout"
@@ -230,9 +229,7 @@ def test_stalled_handler_is_isolated() -> None:
     registry.register_tool(_descriptor("noop"), lambda args: "noop result")
     registry.register_tool(_descriptor("echo"), lambda args: args["value"])
 
-    execution, observation = registry.invoke(
-        Action("s", "stall", {}), InvokeLimits(timeout_ms=50)
-    )
+    execution, observation = registry.invoke(Action("s", "stall", {}), timeout_ms=50)
     assert execution.status == "timeout"
     assert "timed out after 50 ms" in observation.content
 
@@ -322,12 +319,10 @@ def test_truncation_flag_and_length() -> None:
 
 
 def test_invoke_applies_output_cap(registry) -> None:
-    registry.register_tool(_descriptor("big"), lambda args: "z" * 100)
-    _, observation = registry.invoke(
-        Action("a1", "big", {}), InvokeLimits(output_cap_chars=10)
-    )
+    registry.register_tool(_descriptor("big"), lambda args: "z" * (DEFAULT_OUTPUT_CAP + 10))
+    _, observation = registry.invoke(Action("a1", "big", {}))
     assert observation.truncated
-    assert observation.content == "z" * 10 + TRUNCATION_MARKER
+    assert observation.content == "z" * DEFAULT_OUTPUT_CAP + TRUNCATION_MARKER
 
 
 # -- totality and pairing fuzz ---------------------------------------------------
@@ -346,7 +341,7 @@ def test_invoke_totality_fuzz(registry) -> None:
             for _ in range(rng.randrange(0, 3))
         }
         action = Action(f"fuzz-{i}", tool, arguments)
-        execution, observation = registry.invoke(action, InvokeLimits(timeout_ms=2000))
+        execution, observation = registry.invoke(action, timeout_ms=2000)
         assert execution.status in ("ok", "failed", "timeout")
         assert observation.is_error == (execution.status != "ok")
         assert isinstance(observation.content, str)
@@ -545,7 +540,7 @@ def test_corpus_reads_observe_as_pathlib_reads(tmp_path, tool, case) -> None:
             # A read that blocked (a FIFO opened without O_NONBLOCK) would
             # end in "timeout" here instead of hanging the test.
             execution, observation = reg.invoke(
-                Action("a", tool, dict(arguments)), InvokeLimits(timeout_ms=5_000)
+                Action("a", tool, dict(arguments)), timeout_ms=5_000
             )
         finally:
             if case == "fifo":
