@@ -216,13 +216,17 @@ class AgentRun:
     def _with_retry(self, phase: str, call: Callable[[], Any]) -> Any:
         """Run a provider-backed call, retrying once on ProviderError.
 
-        Every failure is recorded as an ``error`` event; the first carries
-        ``"retrying": true``. When the retry fails too its ProviderError
-        propagates, and step() ends the run in ``error``.
+        Every failure is recorded as an ``error`` event; a first failure before
+        the deadline carries ``"retrying": true`` and is retried. A failure past
+        the deadline, or the retry's, propagates, and step() ends the run in
+        ``timeout`` past the deadline, else in ``error``.
         """
         try:
             return call()
         except ProviderError as exc:
+            if self.services.out_of_time():
+                self._record("error", {"error": str(exc), "phase": phase})
+                raise
             self._record("error", {"error": str(exc), "phase": phase, "retrying": True})
         try:
             return call()
@@ -262,8 +266,8 @@ class AgentRun:
             self._step_body()
         except PinnedOverflow:
             self._finish("budget_exhausted")
-        except ProviderError:  # a failed retry, already recorded by _with_retry
-            self._finish("error")
+        except ProviderError:  # already recorded by _with_retry
+            self._finish("timeout" if self.services.out_of_time() else "error")
         except EvokitError as exc:
             self._record("error", {"error": str(exc), "phase": "turn"})
             self._finish("error")

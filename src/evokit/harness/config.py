@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import copy
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import partial
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -124,11 +124,17 @@ class ExperimentConfig:
     playground: PlaygroundSection = field(default_factory=lambda: PlaygroundSection(name=""))
 
     def to_dict(self) -> dict[str, Any]:
+        """The config in its manifest shape; nothing in it is shared with the config."""
+        tools = self.tools
         return {
-            "experiment": asdict(self.experiment),
+            "experiment": _manifest_keys(self.experiment),
             "llm": {"profiles": [_manifest_keys(p) for p in self.profiles]},
-            "tools": asdict(self.tools),
-            "skills": _manifest_keys(self.skills),
+            "tools": {
+                "builtin": list(tools.builtin),
+                "mcp": [_manifest_keys(e) for e in tools.mcp],
+                "corpus": tools.corpus,
+            },
+            "skills": {"paths": list(self.skills.paths)},
             "playground": {
                 "name": self.playground.name,
                 "params": copy.deepcopy(self.playground.params),
@@ -137,9 +143,17 @@ class ExperimentConfig:
         }
 
 
+@cache
+def _init_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
 def _manifest_keys(section: Any) -> dict[str, Any]:
-    """A flat section's manifest keys, without the fields its constructor derives."""
-    return {f.name: copy.deepcopy(getattr(section, f.name)) for f in fields(section) if f.init}
+    """A flat section's manifest keys, without the fields its constructor derives.
+
+    Each value is a scalar (the constructors check or coerce them), so no copy is needed.
+    """
+    return {name: getattr(section, name) for name in _init_names(type(section))}
 
 
 def _slot_to_dict(slot: AgentSlot) -> dict[str, Any]:
@@ -154,7 +168,7 @@ def _slot_to_dict(slot: AgentSlot) -> dict[str, Any]:
         "max_turns": spec.max_turns,
         "critique_every": spec.critique_every,
         "final_marker": spec.final_marker,
-        "budget": asdict(spec.budget),
+        "budget": _manifest_keys(spec.budget),
     }
 
 

@@ -16,6 +16,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -30,15 +31,46 @@ DEFAULT_TIMEOUT_MS = 30_000
 TOOL_SOURCES = ("builtin", "mcp", "skill")
 
 # Catalog of tools install_builtin_tools() can provide ("load_skill" is added
-# separately by the skill system).
-BUILTIN_TOOL_NAMES = (
-    "exec",
-    "file_read",
-    "file_write",
-    "pdf_extract",
-    "web_fetch",
-    "web_search",
-)
+# separately by the skill system): name -> (description, {parameter:
+# description}, required parameters). Every parameter is a string.
+_BUILTIN_TOOLS = {
+    "exec": (
+        "Run a shell command inside the run workspace and return its output.",
+        {"cmd": "shell command line"},
+        ["cmd"],
+    ),
+    "file_read": (
+        "Read a text file from the run workspace.",
+        {"path": "workspace-relative path"},
+        ["path"],
+    ),
+    "file_write": (
+        "Write a text file inside the run workspace.",
+        {"path": "workspace-relative path", "content": "text to write"},
+        ["path"],
+    ),
+    "pdf_extract": (
+        "Extract the text of a PDF document (stub: text passthrough).",
+        {"url": "document location"},
+        ["url"],
+    ),
+    "web_fetch": (
+        "Fetch a URL and return its text content.",
+        {"url": "location to fetch"},
+        ["url"],
+    ),
+    "web_search": (
+        "Search for documents and return a result listing.",
+        {"query": "search query"},
+        ["query"],
+    ),
+}
+BUILTIN_TOOL_NAMES = tuple(_BUILTIN_TOOLS)
+
+# The corpus tools. Over a LocalCorpusFetcher, or with no fetcher, they run on
+# the caller's thread: the read opens without blocking and takes only a
+# regular file, so it cannot stall the loop and needs no worker or timeout.
+_INLINE_TOOLS = frozenset(("pdf_extract", "web_fetch", "web_search"))
 
 # Hard ceiling for exec subprocesses so a worker abandoned by the registry-level
 # timeout cannot leave a child running forever: at this limit the command's
@@ -142,17 +174,25 @@ class ToolRegistry:
 
     Registration happens during single-threaded setup; invoke() is read-only
     with respect to the registry and safe to call concurrently.
+
+    A handler runs on a parked worker under the call's timeout, except the
+    corpus reads that ``install_builtin_tools`` marks inline (``_INLINE_TOOLS``),
+    which cannot block and run on the caller's thread.
     """
 
     def __init__(self) -> None:
-        self._tools: dict[str, tuple[ToolDescriptor, ToolHandler]] = {}
+        # name -> (descriptor, handler, runs on the caller's thread)
+        self._tools: dict[str, tuple[ToolDescriptor, ToolHandler, bool]] = {}
         self._lock = threading.Lock()
 
     def register_tool(self, descriptor: ToolDescriptor, handler: ToolHandler) -> None:
+        self._register(descriptor, handler, inline=False)
+
+    def _register(self, descriptor: ToolDescriptor, handler: ToolHandler, inline: bool) -> None:
         with self._lock:
             if descriptor.name in self._tools:
                 raise DuplicateTool(f"tool already registered: {descriptor.name}")
-            self._tools[descriptor.name] = (descriptor, handler)
+            self._tools[descriptor.name] = (descriptor, handler, inline)
 
     def names(self) -> list[str]:
         return sorted(self._tools)
@@ -173,7 +213,11 @@ class ToolRegistry:
         if entry is None:
             return self._finish(action, t0, "failed", f"unknown tool: {action.tool}")
 
-        status, content = _call_with_timeout(entry[1], action.arguments, timeout_ms)
+        _, handler, inline = entry
+        if inline:
+            status, content = _observed(*_run(handler, action.arguments))
+        else:
+            status, content = _call_with_timeout(handler, action.arguments, timeout_ms)
         return self._finish(action, t0, status, content)
 
     @staticmethod
@@ -193,14 +237,30 @@ _idle_inboxes: list[queue.SimpleQueue] = []
 _idle_lock = threading.Lock()
 
 
+def _run(fn: Callable[[Any], Any], argument: Any) -> tuple[str, Any]:
+    """``("ok", fn(argument))``, or ``("failed", exc)`` when it raises an Exception.
+
+    Any other BaseException propagates.
+    """
+    try:
+        return "ok", fn(argument)
+    except Exception as exc:  # noqa: BLE001 — materialized in the pair
+        return "failed", exc
+
+
+def _observed(status: str, value: Any) -> tuple[str, str]:
+    """The status and observation text of a handler's ``_run`` result."""
+    if status == "failed":
+        return "failed", f"tool error: {value}"
+    return "ok", value if isinstance(value, str) else str(value)
+
+
 def _serve(inbox: queue.SimpleQueue) -> None:
     """Worker loop: run each callable sent to ``inbox`` on its argument, then park again."""
     while True:
         fn, argument, outbox = inbox.get()
         try:
-            result = ("ok", fn(argument))
-        except Exception as exc:  # noqa: BLE001 — materialized in the pair
-            result = ("failed", exc)
+            result = _run(fn, argument)
         except BaseException as exc:
             outbox.put(("failed", exc))
             raise  # this worker ends here and is never parked again
@@ -231,12 +291,10 @@ def _call_with_timeout(
     handler returns; the late result goes to an outbox nobody reads.
     """
     try:
-        status, value = _dispatch(handler, arguments).get(timeout=max(timeout_ms, 1) / 1000.0)
+        result = _dispatch(handler, arguments).get(timeout=max(timeout_ms, 1) / 1000.0)
     except queue.Empty:
         return "timeout", f"tool timed out after {timeout_ms} ms"
-    if status == "failed":
-        return "failed", f"tool error: {value}"
-    return "ok", value if isinstance(value, str) else str(value)
+    return _observed(*result)
 
 
 class ToolExecutionError(EvokitError):
@@ -341,129 +399,51 @@ def _confined(root: str, raw: Any) -> str:
     return candidate
 
 
-def builtin_tool_set(
-    workspace: str | Path,
-    fetcher: LocalCorpusFetcher | None = None,
-) -> list[tuple[ToolDescriptor, ToolHandler]]:
-    """Descriptors and handlers for the built-in tools.
+def _run_command(workspace: str | Path, args: dict[str, Any]) -> str:
+    # A session of its own makes the shell a process-group leader, so the
+    # hard timeout kills the commands it started along with it.
+    with subprocess.Popen(
+        str(args["cmd"]),
+        shell=True,
+        cwd=workspace,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=_EXEC_HARD_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise ToolExecutionError(f"command killed after {_EXEC_HARD_TIMEOUT_S} s") from None
+    output = stdout + (stderr if stderr else "")
+    if proc.returncode != 0:
+        raise ToolExecutionError(f"command exited with {proc.returncode}: {output.strip()}")
+    return output
 
-    File tools are confined to ``workspace``; exec runs a shell command in it
-    with a hard timeout; web_fetch/pdf_extract and web_search delegate to
-    ``fetcher.fetch`` and ``fetcher.search``, and without a fetcher they fail
-    with a "no retrieval backend" error observation.
-    """
-    # Kept as text and resolved once: pathlib would intern the run id.
-    root = os.path.realpath(workspace)
-    fetch = fetcher.fetch if fetcher else _no_backend
-    search = fetcher.search if fetcher else _no_backend
 
-    def file_read(args: dict[str, Any]) -> str:
-        with open(_confined(root, args["path"]), encoding="utf-8") as handle:
-            return handle.read()
+def _file_read(root: str, args: dict[str, Any]) -> str:
+    with open(_confined(root, args["path"]), encoding="utf-8") as handle:
+        return handle.read()
 
-    def file_write(args: dict[str, Any]) -> str:
-        path = _confined(root, args["path"])
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        content = str(args.get("content", ""))
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        return f"wrote {len(content)} chars to {args['path']}"
 
-    def run_command(args: dict[str, Any]) -> str:
-        # A session of its own makes the shell a process-group leader, so the
-        # hard timeout kills the commands it started along with it.
-        with subprocess.Popen(
-            str(args["cmd"]),
-            shell=True,
-            cwd=workspace,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            start_new_session=True,
-        ) as proc:
-            try:
-                stdout, stderr = proc.communicate(timeout=_EXEC_HARD_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-                raise ToolExecutionError(
-                    f"command killed after {_EXEC_HARD_TIMEOUT_S} s"
-                ) from None
-        output = stdout + (stderr if stderr else "")
-        if proc.returncode != 0:
-            raise ToolExecutionError(f"command exited with {proc.returncode}: {output.strip()}")
-        return output
+def _file_write(root: str, args: dict[str, Any]) -> str:
+    path = _confined(root, args["path"])
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    content = str(args.get("content", ""))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(content)
+    return f"wrote {len(content)} chars to {args['path']}"
 
-    def web_fetch(args: dict[str, Any]) -> str:
-        return fetch(str(args["url"]))
 
-    def web_search(args: dict[str, Any]) -> str:
-        return search(str(args["query"]))
+def _fetch(fetch: Callable[[str], str], args: dict[str, Any]) -> str:
+    # pdf_extract is stubbed as text passthrough over the same backend as web_fetch.
+    return fetch(str(args["url"]))
 
-    def pdf_extract(args: dict[str, Any]) -> str:
-        # Stubbed as text passthrough over the same retrieval backend.
-        return fetch(str(args["url"]))
 
-    def schema(props: dict[str, str], required: list[str]) -> dict[str, Any]:
-        return {
-            "type": "object",
-            "properties": {k: {"type": "string", "description": v} for k, v in props.items()},
-            "required": required,
-        }
-
-    return [
-        (
-            ToolDescriptor(
-                "exec",
-                "Run a shell command inside the run workspace and return its output.",
-                schema({"cmd": "shell command line"}, ["cmd"]),
-            ),
-            run_command,
-        ),
-        (
-            ToolDescriptor(
-                "file_read",
-                "Read a text file from the run workspace.",
-                schema({"path": "workspace-relative path"}, ["path"]),
-            ),
-            file_read,
-        ),
-        (
-            ToolDescriptor(
-                "file_write",
-                "Write a text file inside the run workspace.",
-                schema(
-                    {"path": "workspace-relative path", "content": "text to write"},
-                    ["path"],
-                ),
-            ),
-            file_write,
-        ),
-        (
-            ToolDescriptor(
-                "pdf_extract",
-                "Extract the text of a PDF document (stub: text passthrough).",
-                schema({"url": "document location"}, ["url"]),
-            ),
-            pdf_extract,
-        ),
-        (
-            ToolDescriptor(
-                "web_fetch",
-                "Fetch a URL and return its text content.",
-                schema({"url": "location to fetch"}, ["url"]),
-            ),
-            web_fetch,
-        ),
-        (
-            ToolDescriptor(
-                "web_search",
-                "Search for documents and return a result listing.",
-                schema({"query": "search query"}, ["query"]),
-            ),
-            web_search,
-        ),
-    ]
+def _search(search: Callable[[str], str], args: dict[str, Any]) -> str:
+    return search(str(args["query"]))
 
 
 def install_builtin_tools(
@@ -472,10 +452,44 @@ def install_builtin_tools(
     names: list[str] | None = None,
     fetcher: LocalCorpusFetcher | None = None,
 ) -> None:
+    """Build and register the built-in tools in ``names`` (all of them by default).
+
+    File tools are confined to ``workspace``; exec runs a shell command in it
+    with a hard timeout; web_fetch/pdf_extract and web_search delegate to
+    ``fetcher.fetch`` and ``fetcher.search``, and without a fetcher they fail
+    with a "no retrieval backend" error observation. Over a
+    LocalCorpusFetcher or no fetcher, those three run on the caller's thread
+    (``_INLINE_TOOLS``); any other fetcher may block, so they run on a worker.
+    """
     wanted = set(BUILTIN_TOOL_NAMES if names is None else names)
-    unknown = wanted - set(BUILTIN_TOOL_NAMES)
+    unknown = wanted - _BUILTIN_TOOLS.keys()
     if unknown:
         raise InvalidDescriptor(f"unknown builtin tools: {sorted(unknown)}")
-    for descriptor, handler in builtin_tool_set(workspace, fetcher):
-        if descriptor.name in wanted:
-            registry.register_tool(descriptor, handler)
+    if "file_read" in wanted or "file_write" in wanted:
+        # Kept as text and resolved once: pathlib would intern the run id.
+        root = os.path.realpath(workspace)
+    inline = fetcher is None or type(fetcher) is LocalCorpusFetcher
+    for name in BUILTIN_TOOL_NAMES:
+        if name not in wanted:
+            continue
+        if name == "exec":
+            handler = partial(_run_command, workspace)
+        elif name == "file_read":
+            handler = partial(_file_read, root)
+        elif name == "file_write":
+            handler = partial(_file_write, root)
+        elif name == "web_search":
+            handler = partial(_search, fetcher.search if fetcher else _no_backend)
+        else:
+            handler = partial(_fetch, fetcher.fetch if fetcher else _no_backend)
+        description, props, required = _BUILTIN_TOOLS[name]
+        parameters = {
+            "type": "object",
+            "properties": {k: {"type": "string", "description": v} for k, v in props.items()},
+            "required": list(required),
+        }
+        registry._register(
+            ToolDescriptor(name, description, parameters),
+            handler,
+            inline=inline and name in _INLINE_TOOLS,
+        )

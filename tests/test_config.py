@@ -223,6 +223,31 @@ def test_snapshot_round_trip_is_identical() -> None:
     assert rebuilt.to_dict() == snapshot
 
 
+def test_snapshot_shares_nothing_with_the_config() -> None:
+    data = _min_data()
+    data["tools"] = {"mcp": [{"alias": "stub", "endpoint": "http://127.0.0.1:9/"}]}
+    data["skills"] = {"paths": [str(FIXTURES / "skills/pack_a")]}
+    data["playground"].update(
+        name="single_agent_research",
+        params={"tool_pack": ["stub.add"]},
+    )
+    data["playground"]["slots"][0]["role"] = "researcher"
+    config = from_dict(data)
+    snapshot = config.to_dict()
+    expected = json.loads(json.dumps(snapshot))
+
+    snapshot["playground"]["params"]["tool_pack"].append("ghost")
+    snapshot["llm"]["profiles"][0]["model"] = "other"
+    snapshot["tools"]["mcp"][0]["alias"] = "other"
+    snapshot["tools"]["builtin"].clear()
+    snapshot["skills"]["paths"].append("elsewhere")
+    snapshot["playground"]["slots"][0]["budget"]["max_tokens"] = 1
+    snapshot["playground"]["slots"][0]["tools"].append("ghost")
+    snapshot["experiment"]["name"] = "other"
+
+    assert config.to_dict() == expected
+
+
 @pytest.mark.parametrize(
     "bad",
     [

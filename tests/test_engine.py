@@ -271,6 +271,42 @@ def test_provider_error_twice_ends_in_error(tmp_path) -> None:
     assert _errors(events) == [("turn", True), ("turn", None)]
 
 
+class _SlowOutage:
+    """A gateway whose every request takes ``seconds`` and then fails."""
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+        self.requests = 0
+
+    def has_profile(self, name: str) -> bool:
+        return True
+
+    def complete(self, profile_name, messages, tools=()):
+        self.requests += 1
+        time.sleep(self.seconds)
+        raise ProviderError("synthetic outage")
+
+
+@pytest.mark.parametrize(
+    "deadline_s, requests, errors, status",
+    [
+        (None, 2, [("turn", True), ("turn", None)], "error"),
+        (0.05, 1, [("turn", None)], "timeout"),
+    ],
+    ids=["no_deadline", "failure_past_deadline"],
+)
+def test_no_retry_past_the_deadline(tmp_path, deadline_s, requests, errors, status) -> None:
+    recorder_path = tmp_path / "trace.jsonl"
+    gateway = _SlowOutage(0.1)
+    deadline = None if deadline_s is None else time.monotonic() + deadline_s
+    with TrajectoryRecorder(recorder_path, "run-1") as recorder:
+        services = make_services(tmp_path, gateway, recorder=recorder, deadline=deadline)
+        outcome = AgentRun.start("task", _spec("m"), services).run_to_end()
+    assert gateway.requests == requests
+    assert _errors(_events(recorder_path)) == errors
+    assert outcome.status == status
+
+
 def test_budget_exhausted_when_pinned_overflow(tmp_path) -> None:
     gateway = scripted_gateway(tmp_path, m=[{"content": "FINAL: ok"}])
     spec = _spec("m", system_prompt="p" * 400, budget=ContextBudget(max_tokens=10))

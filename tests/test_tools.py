@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import queue
 import random
+import re
 import socket
 import string
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from evokit import tools
+from evokit.engine import AgentRun, AgentSpec
 from evokit.playgrounds import fan_out
 from evokit.tools import (
     DEFAULT_OUTPUT_CAP,
@@ -29,6 +31,7 @@ from evokit.tools import (
     install_builtin_tools,
     truncate_output,
 )
+from helpers import make_services, scripted_gateway
 
 
 def _descriptor(name: str) -> ToolDescriptor:
@@ -537,8 +540,10 @@ def test_corpus_reads_observe_as_pathlib_reads(tmp_path, tool, case) -> None:
         reg = ToolRegistry()
         install_builtin_tools(reg, workspace, names=[tool], fetcher=fetcher)
         try:
-            # A read that blocked (a FIFO opened without O_NONBLOCK) would
-            # end in "timeout" here instead of hanging the test.
+            # _PathlibFetcher's read runs on a worker: one that blocked (a
+            # FIFO opened without O_NONBLOCK) would end in "timeout" here.
+            # LocalCorpusFetcher's runs on this thread, so the bounded wait
+            # of test_fifo_named_like_a_document_answers_promptly guards it.
             execution, observation = reg.invoke(
                 Action("a", tool, dict(arguments)), timeout_ms=5_000
             )
@@ -569,3 +574,188 @@ def test_corpus_read_error_that_is_not_a_miss_propagates(tmp_path) -> None:
 
 def test_corpus_fetcher_keeps_its_root(tmp_path) -> None:
     assert LocalCorpusFetcher(str(tmp_path)).root == tmp_path
+
+
+# -- corpus tools on the caller's thread -----------------------------------------
+
+
+@pytest.fixture
+def dispatches(monkeypatch) -> list:
+    """Every handler the registry hands to a worker, in order."""
+    sent = []
+    real = tools._dispatch
+
+    def spy(fn, argument):
+        sent.append(fn)
+        return real(fn, argument)
+
+    monkeypatch.setattr(tools, "_dispatch", spy)
+    return sent
+
+
+def _corpus(tmp_path: Path) -> Path:
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for _, name in CORPUS_TOOLS.values():
+        (corpus / name).write_text(f"text of {name}", encoding="utf-8")
+    return corpus
+
+
+@pytest.mark.parametrize("backend", ["corpus", "none"])
+def test_corpus_tools_run_on_the_callers_thread(tmp_path, dispatches, backend) -> None:
+    fetcher = LocalCorpusFetcher(_corpus(tmp_path)) if backend == "corpus" else None
+    reg = ToolRegistry()
+    install_builtin_tools(reg, tmp_path, names=sorted(CORPUS_TOOLS), fetcher=fetcher)
+    for tool, (arguments, _) in sorted(CORPUS_TOOLS.items()):
+        for args in (arguments, {}):  # a document, and a call missing its argument
+            execution, observation = reg.invoke(Action("a", tool, dict(args)))
+            ok = backend == "corpus" and bool(args)
+            assert (execution.status, observation.is_error) == (
+                ("ok", False) if ok else ("failed", True)
+            ), observation.content
+    assert dispatches == []
+
+
+def test_research_loop_makes_no_dispatch(tmp_path, dispatches) -> None:
+    call = {"name": "web_search", "arguments": CORPUS_TOOLS["web_search"][0]}
+    search = {"content": "", "tool_calls": [call]}
+    gateway = scripted_gateway(tmp_path, m=[search] * 20)
+    services = make_services(
+        tmp_path, gateway, builtin=("web_search",), fetcher=LocalCorpusFetcher(_corpus(tmp_path))
+    )
+    spec = AgentSpec("r", "", "m", tool_names=("web_search",), max_turns=20, critique_every=99)
+    outcome = AgentRun.start("task", spec, services).run_to_end()
+    assert (outcome.status, outcome.turns) == ("max_turns", 20)
+    assert dispatches == []
+
+
+class _DuckFetcher:
+    """A retrieval backend of its own type: it may block, so it keeps the worker."""
+
+    def __init__(self, release: threading.Event):
+        self.release = release
+
+    def fetch(self, url: str) -> str:
+        self.release.wait(10)
+        return "fetched"
+
+    def search(self, query: str) -> str:
+        self.release.wait(10)
+        return "found"
+
+
+def test_other_tools_dispatch_to_a_worker(tmp_path, dispatches) -> None:
+    workspace = tmp_path / "ws"
+    workspace.mkdir()
+    reg = ToolRegistry()
+    install_builtin_tools(reg, workspace, names=["exec", "file_read", "file_write"])
+    reg.register_tool(_descriptor("probe"), lambda args: "probed")
+    calls = [
+        ("exec", {"cmd": "echo hi"}),
+        ("file_write", {"path": "a.txt", "content": "x"}),
+        ("file_read", {"path": "a.txt"}),
+        ("probe", {}),
+    ]
+    for tool, args in calls:
+        assert reg.invoke(Action("a", tool, args))[0].status == "ok"
+    assert len(dispatches) == len(calls)
+
+    # A custom fetcher, a LocalCorpusFetcher subclass included, keeps the
+    # worker, and with it the timeout.
+    corpus = _corpus(tmp_path)
+    for fetcher in (_PathlibFetcher(corpus), _DuckFetcher(threading.Event())):
+        reg = ToolRegistry()
+        install_builtin_tools(reg, workspace, names=sorted(CORPUS_TOOLS), fetcher=fetcher)
+        stalls = isinstance(fetcher, _DuckFetcher)
+        for tool, (arguments, _) in sorted(CORPUS_TOOLS.items()):
+            del dispatches[:]
+            execution, _ = reg.invoke(
+                Action("a", tool, dict(arguments)), timeout_ms=50 if stalls else 5_000
+            )
+            assert len(dispatches) == 1
+            assert execution.status == ("timeout" if stalls else "ok")
+        if stalls:
+            fetcher.release.set()
+
+
+def test_fifo_named_like_a_document_answers_promptly(tmp_path) -> None:
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    os.mkfifo(corpus / "search-reef_studies.txt")
+    reg = ToolRegistry()
+    install_builtin_tools(reg, tmp_path, names=["web_search"], fetcher=LocalCorpusFetcher(corpus))
+    action = Action("a", "web_search", {"query": "reef studies"})
+    answers = []
+    caller = threading.Thread(target=lambda: answers.append(reg.invoke(action)), daemon=True)
+    caller.start()
+    caller.join(5)
+    try:
+        assert not caller.is_alive()
+    finally:
+        if caller.is_alive():  # release an open() that blocked
+            os.close(os.open(corpus / "search-reef_studies.txt", os.O_WRONLY | os.O_NONBLOCK))
+    execution, observation = answers[0]
+    assert execution.status == "failed"
+    assert observation.content == "tool error: no results for query: reef studies"
+
+
+class _Answer:
+    def __str__(self) -> str:
+        return "an answer"
+
+
+def _raise(args):
+    raise ValueError("bad input")
+
+
+@pytest.mark.parametrize(
+    "handler",
+    [lambda args: "plain text", _raise, lambda args: 42, lambda args: _Answer()],
+    ids=["ok", "error", "int", "object"],
+)
+def test_inline_and_worker_calls_give_equal_pairs(handler, dispatches) -> None:
+    pairs = []
+    for inline in (True, False):
+        reg = ToolRegistry()
+        reg._register(_descriptor("t"), handler, inline=inline)
+        execution, observation = reg.invoke(Action("a", "t", {}))
+        pairs.append((execution.action_id, execution.status, observation))
+    assert len(dispatches) == 1
+    assert pairs[0] == pairs[1]
+
+
+def test_inline_handler_exit_propagates(dispatches) -> None:
+    reg = ToolRegistry()
+    reg._register(_descriptor("quit"), lambda args: sys.exit(3), inline=True)
+    with pytest.raises(SystemExit):
+        reg.invoke(Action("a", "quit", {}))
+    assert dispatches == []
+
+
+def test_only_the_named_builtin_tools_are_built(tmp_path, monkeypatch) -> None:
+    resolved = []
+    realpath = os.path.realpath
+    monkeypatch.setattr(tools.os.path, "realpath", lambda p: resolved.append(p) or realpath(p))
+    for names, registered, resolves in (
+        ([], [], 0),
+        (["web_search"], ["web_search"], 0),
+        (["exec", "pdf_extract"], ["exec", "pdf_extract"], 0),
+        (["file_read", "file_write"], ["file_read", "file_write"], 1),
+    ):
+        del resolved[:]
+        reg = ToolRegistry()
+        install_builtin_tools(reg, tmp_path, names=names)
+        assert reg.names() == registered
+        assert len(resolved) == resolves
+    reg = ToolRegistry()
+    install_builtin_tools(reg, tmp_path)
+    assert reg.names() == sorted(tools.BUILTIN_TOOL_NAMES)
+
+
+def test_readme_names_the_inline_tools() -> None:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(
+        r"run on the agent's own\s+thread:(.*?)\.", readme, re.DOTALL
+    )
+    assert sentence is not None
+    assert re.findall(r"`(\w+)`", sentence.group(1)) == sorted(tools._INLINE_TOOLS)
