@@ -158,7 +158,9 @@ class AgentRun:
         ]
         self.turn = 0
         self.outcome: AgentOutcome | None = None
-        self._usage = TokenUsage()
+        # Summed as ints: a TokenUsage is built once, by _finish.
+        self._prompt_tokens = 0
+        self._completion_tokens = 0
         self._completed_turns = 0
         self._last_content = ""
 
@@ -210,7 +212,8 @@ class AgentRun:
         return self._last_content
 
     def _finish(self, status: str, answer: str | None = None) -> AgentOutcome:
-        self.outcome = AgentOutcome(status, answer, self._completed_turns, self._usage)
+        usage = TokenUsage(self._prompt_tokens, self._completion_tokens)
+        self.outcome = AgentOutcome(status, answer, self._completed_turns, usage)
         return self.outcome
 
     def _with_retry(self, phase: str, call: Callable[[], Any]) -> Any:
@@ -241,8 +244,12 @@ class AgentRun:
             phase,
             lambda: self.services.gateway.complete(self.spec.llm_profile, messages, self._tools),
         )
-        self._usage = self._usage + response.usage
+        self._add_usage(response.usage)
         return response
+
+    def _add_usage(self, usage: TokenUsage) -> None:
+        self._prompt_tokens += usage.prompt_tokens
+        self._completion_tokens += usage.completion_tokens
 
     def _tool_timeout_ms(self) -> int:
         if self.services.deadline is None:
@@ -350,7 +357,7 @@ class AgentRun:
         if event is None:
             return
         if event.usage is not None:
-            self._usage = self._usage + event.usage
+            self._add_usage(event.usage)
         self._record(
             "compression",
             {

@@ -10,6 +10,7 @@ from __future__ import annotations
 import errno
 import os
 import queue
+import re
 import signal
 import stat
 import subprocess
@@ -305,6 +306,12 @@ class FetchError(EvokitError):
     pass
 
 
+# What a document name cannot hold: in a str pattern ``\w`` is exactly
+# ``str.isalnum()`` plus ``_``, so ``.``, ``_``, ``-`` and every alphanumeric
+# character are kept.
+_UNSAFE_NAME_CHAR = re.compile(r"[^\w.-]")
+
+
 class LocalCorpusFetcher:
     """Offline stand-in for web retrieval, backed by a fixture directory.
 
@@ -329,7 +336,7 @@ class LocalCorpusFetcher:
 
     @staticmethod
     def _flatten(text: str) -> str:
-        return "".join(c if c.isalnum() or c in "._-" else "_" for c in text)
+        return _UNSAFE_NAME_CHAR.sub("_", text)
 
     def fetch(self, url: str) -> str:
         remainder = url.split("://", 1)[-1]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 import threading
@@ -170,6 +171,264 @@ def test_usage_totals_accumulate(tmp_path) -> None:
     recorder.record("turn", {})
     assert recorder.usage_totals() == TokenUsage(4, 5)
     recorder.close()
+
+
+# -- line bytes -------------------------------------------------------------------
+
+
+def _record_one(path, run_id, kind, payload, **scope) -> tuple[int, bytes]:
+    """Record one event to a fresh trajectory; its seq and its line's bytes."""
+    with TrajectoryRecorder(path, run_id) as recorder:
+        seq = recorder.record(kind, payload, **scope)
+    return seq, path.read_bytes()
+
+
+def _event(line: bytes, run_id, kind, payload, slot=None, agent=None, turn=None,
+           usage=None) -> dict:
+    """The event ``line`` records, in KEY_ORDER, with the ``ts`` it was given."""
+    decoded = json.loads(line)
+    event = {"seq": decoded["seq"], "ts": decoded["ts"], "run_id": run_id,
+             "slot": slot, "agent": agent, "kind": kind, "turn": turn, "payload": payload,
+             "usage": usage.as_dict() if usage is not None else None}
+    assert tuple(event) == KEY_ORDER
+    return event
+
+
+LINE_CASES = {
+    "ascii": ("run-1", "turn", {"content": "go", "finish": "stop", "tool_calls": []},
+              {"slot": "w", "agent": "w#1", "turn": 3, "usage": TokenUsage(5, 2)}),
+    "non_ascii_scope": ("r\u00e9cif-\u65e5", "observation", {"content": "caf\u00e9 \U0001f600"},
+                        {"slot": "s\u00e9", "agent": "\u73ca\u745a#1", "turn": 1}),
+    "none_scope": (None, "run_start", {"config_snapshot": {}}, {}),
+    "nan_and_big_int": ("run-1", "critique", {"nan": float("nan"), "big": 10**30,
+                                              "inf": float("inf"), "neg": -0.0},
+                        {"slot": "w", "agent": None, "turn": None, "usage": TokenUsage(0, 0)}),
+    "nested_lists": ("run-1", "turn", {"tool_calls": [{"id": "c", "arguments": {
+        "q": [[1, [2, []]], {"k": [None, True, False]}]}}], "content": "\x00\x1f\"\\/\u2028"},
+        {"slot": "w", "agent": "w#2", "turn": 2}),
+    "empty_payload": ("run-1", "run_end", {}, {"usage": TokenUsage(7, 4)}),
+}
+
+
+@pytest.mark.parametrize("case", LINE_CASES.values(), ids=LINE_CASES.keys())
+def test_line_is_dump_utf8_of_the_event_in_key_order(tmp_path, case) -> None:
+    run_id, kind, payload, scope = case
+    seq, line = _record_one(tmp_path / "t.jsonl", run_id, kind, payload, **scope)
+    assert seq == 1
+    assert line == dump_utf8(_event(line, run_id, kind, payload, **scope)) + b"\n"
+
+
+@pytest.mark.parametrize("where", ["slot", "agent", "payload", "run_id"])
+def test_lone_surrogate_line_is_the_ascii_json_dumps_line(tmp_path, where) -> None:
+    lone = "caf\u00e9 a\ud800b"
+    run_id = lone if where == "run_id" else "run-1"
+    scope = {"slot": "w", "agent": "w#1", "turn": 1, "usage": TokenUsage(1, 2)}
+    if where in scope:
+        scope[where] = lone
+    payload = {"content": lone if where == "payload" else "caf\u00e9"}
+    _, line = _record_one(tmp_path / "t.jsonl", run_id, "turn", payload, **scope)
+    event = _event(line, run_id, "turn", payload, **scope)
+    assert line == json.dumps(event).encode("ascii") + b"\n"
+
+
+def test_payload_that_cannot_be_encoded_takes_no_seq(tmp_path) -> None:
+    path = tmp_path / "t.jsonl"
+    looped: dict = {"a": [1]}
+    looped["self"] = looped
+    # Left in place after the failed encode below, and made encodable before
+    # it is recorded again: an encoder still holding its id would call it
+    # circular.
+    shared = [{"x": object()}]
+    recorder = TrajectoryRecorder(path, "run-1")
+    assert recorder.record("run_start", {}) == 1
+    with pytest.raises(TypeError):
+        recorder.record("turn", {"content": object()}, slot="w", turn=1)
+    with pytest.raises(ValueError, match="Circular"):
+        recorder.record("turn", {"content": looped}, slot="w", turn=1)
+    with pytest.raises(TypeError):
+        recorder.record("turn", {"content": shared}, slot="w", turn=1)
+    shared[0] = {"x": "caf\u00e9"}
+    payload = {"content": shared, "again": shared}
+    assert recorder.record("turn", payload, slot="w", turn=1, usage=TokenUsage(2, 3)) == 2
+    recorder.close()
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert [json.loads(line)["seq"] for line in lines] == [1, 2]
+    expected = _event(lines[1], "run-1", "turn", payload, slot="w", turn=1,
+                      usage=TokenUsage(2, 3))
+    assert lines[1] == dump_utf8(expected) + b"\n"
+    assert recorder.usage_totals() == TokenUsage(2, 3)
+
+
+def _record_mix(recorder) -> list[tuple]:
+    """Record a few events of every scope; the arguments of each, in order."""
+    calls = [
+        ("run_start", {"config_snapshot": {"task": "t"}}, {}),
+        ("turn", {"content": "caf\u00e9 " * 9, "tool_calls": []},
+         {"slot": "w", "agent": "w#1", "turn": 1, "usage": TokenUsage(3, 4)}),
+        ("observation", {"action_id": "c", "content": "\u65e5\u672c" * 5},
+         {"slot": "w", "agent": "w#1", "turn": 1}),
+        ("critique", {"content": "x\ud800"}, {"slot": "w", "agent": "w#1", "turn": 1}),
+        ("turn", {"content": "b"}, {"slot": "v", "agent": "v#1", "turn": 1}),
+        ("run_end", {"usage_totals": {"prompt_tokens": 3, "completion_tokens": 4}}, {}),
+    ]
+    for kind, payload, scope in calls:
+        recorder.record(kind, payload, **scope)
+    return calls
+
+
+def _expected_lines(lines: list[bytes], calls: list[tuple]) -> list[bytes]:
+    expected = []
+    for line, (kind, payload, scope) in zip(lines, calls):
+        event = _event(line, "run-1", kind, payload, **scope)
+        expected.append(dump_utf8(event) + b"\n")
+    return expected
+
+
+def test_short_writes_still_write_whole_lines(tmp_path, monkeypatch) -> None:
+    path = tmp_path / "t.jsonl"
+    write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    recorder = TrajectoryRecorder(path, "run-1")
+    monkeypatch.setattr(os, "write", short_write)
+    calls = _record_mix(recorder)
+    monkeypatch.setattr(os, "write", write)
+    recorder.close()
+    assert len(sizes) > 10 * len(calls)  # every line took many writes
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines == _expected_lines(lines, calls)
+
+
+def test_each_event_is_one_write_before_record_returns(tmp_path, monkeypatch) -> None:
+    path = tmp_path / "t.jsonl"
+    write = os.write
+    writes = []
+    on_disk = []
+
+    def counted_write(fd, data):
+        writes.append(bytes(data))
+        return write(fd, data)
+
+    recorder = TrajectoryRecorder(path, "run-1")
+    monkeypatch.setattr(os, "write", counted_write)
+    original = recorder.record
+
+    def record(*args, **kwargs):
+        seq = original(*args, **kwargs)
+        on_disk.append(path.read_bytes())
+        return seq
+
+    recorder.record = record
+    calls = _record_mix(recorder)
+    monkeypatch.setattr(os, "write", write)
+    recorder.close()
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert writes == lines == _expected_lines(lines, calls)
+    assert on_disk == [b"".join(lines[:n]) for n in range(1, len(calls) + 1)]
+
+
+def test_lines_stay_exact_under_threads(tmp_path) -> None:
+    """Threads share the recorder's encoder and its per-conversation parts,
+    and some of their payloads fail to encode."""
+    path = tmp_path / "t.jsonl"
+    recorder = TrajectoryRecorder(path, "run-1")
+    recorded: dict[int, tuple] = {}
+    failures = []
+
+    def work(index: int) -> None:
+        for i in range(60):
+            scope = {"slot": f"s{index % 3}", "agent": f"a\u00e9#{index}", "turn": i + 1,
+                     "usage": TokenUsage(i, index)}
+            payload = {"content": f"w{index}-{i} " + "\u65e5" * (i % 5), "n": [i, {"k": i}]}
+            if i % 7 == 3:
+                payload["bad"] = [object()]
+                try:
+                    recorder.record("turn", payload, **scope)
+                except TypeError:
+                    failures.append(index)
+                continue
+            recorded[recorder.record("turn", payload, **scope)] = ("turn", payload, scope)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    recorder.close()
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(failures) == 8 * 9
+    assert sorted(recorded) == list(range(1, len(lines) + 1)) and len(lines) == 8 * 51
+    calls = [recorded[seq] for seq in range(1, len(lines) + 1)]
+    assert lines == _expected_lines(lines, calls)
+    assert recorder.usage_totals() == TokenUsage(
+        sum(scope["usage"].prompt_tokens for _, _, scope in calls),
+        sum(scope["usage"].completion_tokens for _, _, scope in calls),
+    )
+
+
+def _web_search_manifest(tmp_path) -> Path:
+    """A 40-turn web_search run that critiques every 5 turns and compresses."""
+    inputs = tmp_path / "inputs"
+    corpus = inputs / "corpus"
+    corpus.mkdir(parents=True)
+    script = []
+    for i in range(8):
+        query = f"r\u00e9cif-{i}"
+        (corpus / f"search-{query}.txt").write_text(
+            f"result {i} \u73ca\u745a \U0001f41f \"quoted\" \\ " + "reef " * 120, encoding="utf-8")
+        script.append({"content": f"note {i} caf\u00e9 " + "n" * 100,
+                       "tool_calls": [{"name": "web_search", "arguments": {"query": query}}]})
+    (inputs / "researcher.script").write_text(json.dumps(script), encoding="utf-8")
+    manifest = {
+        "experiment": {"name": "parity", "task": "Survey the reef.", "seed": 3},
+        "llm": {"profiles": [{"name": "m", "provider": "scripted", "model": "scripted-v1",
+                              "script_path": "researcher.script"}]},
+        "tools": {"builtin": ["web_search"], "corpus": "corpus"},
+        "playground": {
+            "name": "single_agent_research",
+            "params": {"tool_pack": ["web_search"]},
+            "slots": [{"slot_name": "researcher", "role": "researcher", "llm_profile": "m",
+                       "max_turns": 40, "critique_every": 5,
+                       "budget": {"max_tokens": 2048, "compress_at": 0.8,
+                                  "strategy": "summarize"}}],
+        },
+    }
+    path = inputs / "parity.yaml"
+    path.write_text(json.dumps(manifest), encoding="utf-8")  # JSON is YAML
+    return path
+
+
+def test_every_harness_line_is_its_json_round_trip(tmp_path, monkeypatch) -> None:
+    """What the harness writes, line by line, is what json.dumps writes for
+    the event the line decodes to: the envelope built from parts drifts from
+    nothing json would write."""
+    monkeypatch.setenv("EVO_HOME", str(tmp_path / "home"))
+    manifests = [FIXTURES / "golden" / f"{name}.yaml" for name in
+                 ("draft_improve", "planner_executor", "research", "solve_critique")]
+    manifests += sorted((FIXTURES / "configs").glob("adversarial_*.yaml"))
+    manifests.append(_web_search_manifest(tmp_path))
+    kinds = set()
+    for index, manifest in enumerate(manifests):
+        config = load_config(manifest)
+        config.experiment.output_dir = str(tmp_path / "runs" / str(index))
+        lines = Path(run_experiment(config).trajectory_path).read_bytes().splitlines(True)
+        assert lines
+        for line in lines:
+            event = json.loads(line)
+            assert line == (json.dumps(event, ensure_ascii=False) + "\n").encode(), manifest
+            kinds.add(event["kind"])
+    assert len(manifests) == 7
+    assert {"turn", "observation", "critique", "compression", "promotion"} <= kinds
 
 
 # -- replay ---------------------------------------------------------------------

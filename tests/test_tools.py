@@ -462,6 +462,17 @@ def test_corpus_fetcher_maps_urls(tmp_path) -> None:
     assert fetcher.search("reef studies") == "1. doc"
 
 
+@pytest.mark.parametrize("text", [
+    string.punctuation, " \t\n\r\x0b\x0c", "a/b", "../x", "..", "caf\u00e9", "\u0663",
+    "\u00b2", "e\u0301", "\U0001f600", "reef-2017_v1.txt",
+])
+def test_flatten_matches_the_character_rule(text) -> None:
+    # The reference rule: alphanumerics, ".", "_" and "-" stay; any other
+    # character becomes "_".
+    old = "".join(c if c.isalnum() or c in "._-" else "_" for c in text)
+    assert LocalCorpusFetcher._flatten(text) == old
+
+
 def test_corpus_fetcher_missing_is_error(tmp_path, registry) -> None:
     fetcher = LocalCorpusFetcher(tmp_path)
     reg = ToolRegistry()
