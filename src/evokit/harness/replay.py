@@ -11,36 +11,54 @@ action id, an observation's turn or a usage count. The ``tool_call`` lines
 of older files repeat what their turn lists, and replay skips them. It also
 reconstructs one dialogue transcript per (slot, agent) conversation.
 
-The file is read once, line by line, and each decoded event is dropped once
-it has been counted, so replay's memory grows with the transcripts it
-returns, not with the size of the file.
+The file is read once, in binary, a line at a time, and each decoded event is
+dropped once it has been counted, so replay's memory grows with the
+transcripts it returns, not with the size of the file. Lines end where text
+mode's universal newlines end them (``\r\n`` and a lone ``\r`` too), so
+line numbers are the ones an editor shows. Each line is decoded as strict
+UTF-8 and scanned by the C scanner ``json.loads`` itself uses; a line the
+scan does not consume exactly up to its ``\n`` (surrounding whitespace, a
+BOM, a missing final newline, extra data, invalid JSON) is decoded again by
+``json.loads``, which accepts it or names what is wrong with it.
 
 A line that is blank, not UTF-8 or not a JSON object raises
-TrajectoryCorrupt naming the line, and so does a line whose ``payload`` or
-``usage`` is neither an object nor null, whose ``slot`` or ``agent`` is
-neither a string nor null, or whose usage ``prompt_tokens`` or
-``completion_tokens`` is not an integer; so does a turn's ``tool_calls``
-that is not an array of objects, and a call ``id`` or an observation's
-``action_id`` that is an array or an object.
+TrajectoryCorrupt naming the line, and so does a line whose ``seq`` is not an
+integer, whose ``kind`` is not one of ``EVENT_KINDS`` (or the older
+``tool_call``), whose ``turn`` is neither an integer nor null, whose
+``payload`` or ``usage`` is neither an object nor null, whose ``slot`` or
+``agent`` is neither a string nor null, or whose usage ``prompt_tokens`` or
+``completion_tokens`` is not an integer; so does a ``run_end`` whose
+``usage_totals`` holds a count that is not an integer, a turn's
+``tool_calls`` that is not an array of objects, and a call ``id`` or an
+observation's ``action_id`` that is an array or an object. JSON ``true`` and
+``1.0`` are no integers here, although they compare equal to ``1``.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import EvokitError
+from .recorder import EVENT_KINDS
 
 # Fields masked before byte-comparing trajectories from repeated runs. The
 # top-level keys vary per run; the payload keys are wall-clock measurements.
 VOLATILE_TOP_KEYS = ("ts", "run_id")
 VOLATILE_PAYLOAD_KEYS = ("duration_ms", "wall_seconds")
 
-_NO_CALLS: tuple[Any, dict[Any, int]] = (None, {})  # no turn yet: holds no id, never written
+# The scanner json.loads runs: called at index 0 it returns the value that
+# starts there and the index just past it, and decodes exactly as json.loads.
+_scan_once = json.JSONDecoder().scan_once
+# Every kind a line may have: the recorder's, and the tool_call of older files.
+_KINDS = frozenset((*EVENT_KINDS, "tool_call"))
+_COUNTS = ("prompt_tokens", "completion_tokens")
+_NO_CALLS: dict[Any, int] = {}  # no turn yet: holds no id, never written
+# The kinds a transcript shows, each mapped to one string for every entry.
+_TRANSCRIBED = {kind: kind for kind in ("turn", "observation", "critique")}
 
 
 class TrajectoryCorrupt(EvokitError):
@@ -55,57 +73,103 @@ class ReplayReport:
     transcripts: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
 
 
+def _decode(line: str, line_number: int) -> Any:
+    """``line`` decoded by json.loads, for a line the scan did not take whole."""
+    if not line.strip():
+        raise TrajectoryCorrupt(f"line {line_number}: blank line")
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TrajectoryCorrupt(f"line {line_number}: {exc}") from exc
+
+
+def _event(line: str, line_number: int) -> dict[str, Any]:
+    """The event one line holds, its shape checked.
+
+    The decoder builds exact dicts, lists and strs, so ``type() is`` checks
+    suffice; ``type()`` also keeps JSON ``true`` from passing as an int.
+    """
+    try:
+        event, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        event = _decode(line, line_number)
+    else:
+        if line[end:] != "\n":
+            event = _decode(line, line_number)
+    if type(event) is not dict:
+        raise TrajectoryCorrupt(f"line {line_number}: not a JSON object")
+    # Each test first asks for the type the recorder writes, then for the rarer one.
+    payload = event.get("payload")
+    if type(payload) is not dict and payload is not None:
+        raise TrajectoryCorrupt(f"line {line_number}: payload is not an object")
+    usage = event.get("usage")
+    if usage is not None:
+        if type(usage) is not dict:
+            raise TrajectoryCorrupt(f"line {line_number}: usage is not an object")
+        for key in _COUNTS:
+            if type(usage.get(key, 0)) is not int:
+                raise TrajectoryCorrupt(f"line {line_number}: usage {key} is not an integer")
+    slot = event.get("slot")
+    if type(slot) is not str and slot is not None:
+        raise TrajectoryCorrupt(f"line {line_number}: slot is not a string")
+    agent = event.get("agent")
+    if type(agent) is not str and agent is not None:
+        raise TrajectoryCorrupt(f"line {line_number}: agent is not a string")
+    if type(event.get("seq")) is not int:
+        raise TrajectoryCorrupt(f"line {line_number}: seq is not an integer")
+    kind = event.get("kind")
+    if type(kind) is not str or kind not in _KINDS:
+        raise TrajectoryCorrupt(f"line {line_number}: kind is not an event kind")
+    turn = event.get("turn")
+    if type(turn) is not int and turn is not None:
+        raise TrajectoryCorrupt(f"line {line_number}: turn is not an integer")
+    if kind == "run_end" and payload:
+        totals = payload.get("usage_totals")
+        if type(totals) is dict:
+            for key in _COUNTS:
+                if type(totals.get(key, 0)) is not int:
+                    raise TrajectoryCorrupt(
+                        f"line {line_number}: usage_totals {key} is not an integer"
+                    )
+    return event
+
+
 def _read_events(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield each line of a trajectory as an event, checking its shape."""
-    # surrogateescape turns a byte that is not UTF-8 into a lone surrogate
-    # instead of failing the whole read, so the line holding it can be named.
-    # No valid line holds one: the recorder writes surrogates as escapes.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.isascii():
+    line_number = 0
+    # A set buffer size spares open() its isatty() probe, a system call.
+    with open(path, "rb", buffering=io.DEFAULT_BUFFER_SIZE) as handle:
+        for data in handle:
+            try:
+                line = data.decode("utf-8")
+            except UnicodeDecodeError:
+                line = None  # the path below names the line the bad byte is on
+            if line is not None and "\r" not in line:
+                line_number += 1
+                yield _event(line, line_number)
+                continue
+            # Split as text mode's universal newlines split: a \r\n or a lone
+            # \r ends a line as \n does, and reads as \n.
+            for piece in data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(True):
+                line_number += 1
                 try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    line = piece.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise TrajectoryCorrupt(f"line {line_number}: {exc}") from exc
-            if not line.strip():
-                raise TrajectoryCorrupt(f"line {line_number}: blank line")
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TrajectoryCorrupt(f"line {line_number}: {exc}") from exc
-            if not isinstance(event, dict):
-                raise TrajectoryCorrupt(f"line {line_number}: not a JSON object")
-            payload = event.get("payload")
-            if payload is not None and not isinstance(payload, dict):
-                raise TrajectoryCorrupt(f"line {line_number}: payload is not an object")
-            usage = event.get("usage")
-            if usage is not None:
-                if not isinstance(usage, dict):
-                    raise TrajectoryCorrupt(f"line {line_number}: usage is not an object")
-                for key in ("prompt_tokens", "completion_tokens"):
-                    # type() rather than isinstance(): JSON true is no count.
-                    if type(usage.get(key, 0)) is not int:
-                        raise TrajectoryCorrupt(
-                            f"line {line_number}: usage {key} is not an integer"
-                        )
-            for key in ("slot", "agent"):
-                value = event.get(key)
-                if value is not None and not isinstance(value, str):
-                    raise TrajectoryCorrupt(f"line {line_number}: {key} is not a string")
-            yield event
+                yield _event(line, line_number)
 
 
 def _open_calls(payload: dict[str, Any], line: int) -> dict[Any, int]:
     """The ids of the calls a turn event lists, counted."""
     calls = payload.get("tool_calls", [])
-    if not isinstance(calls, list):
+    if type(calls) is not list:
         raise TrajectoryCorrupt(f"line {line}: tool_calls is not an array of objects")
     ids: dict[Any, int] = {}
     for call in calls:
-        if not isinstance(call, dict):
+        if type(call) is not dict:
             raise TrajectoryCorrupt(f"line {line}: tool_calls is not an array of objects")
         call_id = call.get("id")
-        if isinstance(call_id, (list, dict)):
+        if type(call_id) is list or type(call_id) is dict:
             raise TrajectoryCorrupt(f"line {line}: tool_calls id is an array or object")
         ids[call_id] = ids.get(call_id, 0) + 1
     return ids
@@ -115,30 +179,31 @@ def replay(path: str | Path) -> ReplayReport:
     events = 0
     seq_head: list[Any] = []  # the first 20 seqs, quoted by the gap message
     gap_free = True
-    first_kind = last_kind = None
+    first_kind = kind = None
     starts = ends = 0
     totals: Any = None  # the first run_end's usage_totals
     prompt_sum = completion_sum = 0  # usage, checked against the run_end totals
-    # Per (slot, agent) conversation: its latest turn's number and the ids of
-    # that turn's calls no observation has answered yet.
-    open_calls: dict[tuple, tuple[Any, dict[Any, int]]] = {}
-    unpaired: Counter = Counter()
-    orphans: Counter = Counter()
+    # Per (slot, agent) conversation: [its latest turn's number, the ids of
+    # that turn's calls no observation has answered yet, its transcript, its
+    # turn numbers]. Each is made at the conversation's first transcribed event.
+    conversations: dict[tuple, list[Any]] = {}
+    turned: list[tuple] = []  # (scope, state) in the order of their first turn
+    unpaired: dict[tuple, int] = {}  # (scope, call id) -> count
+    orphans: dict[tuple, int] = {}
     turns_by_scope: dict[tuple, list[Any]] = {}
+    turns_contiguous = True
     transcripts: dict[str, list[dict[str, Any]]] = {}
 
     for event in _read_events(path):
         events += 1
-        seq = event.get("seq")
+        seq = event["seq"]
+        kind = event["kind"]
         if events <= 20:
             seq_head.append(seq)
-        if gap_free and seq != events:
+            if events == 1:
+                first_kind = kind
+        if seq != events:
             gap_free = False
-
-        kind = event.get("kind")
-        if events == 1:
-            first_kind = kind
-        last_kind = kind
         payload = event.get("payload") or {}
         if kind == "run_end":
             ends += 1
@@ -152,38 +217,53 @@ def replay(path: str | Path) -> ReplayReport:
         if kind == "run_start":
             starts += 1
             continue
+        name = _TRANSCRIBED.get(kind)
+        if name is None:
+            continue
 
         scope = (event.get("slot"), event.get("agent"))
-        if kind == "turn":
-            for call_id, count in open_calls.get(scope, _NO_CALLS)[1].items():  # unanswered
-                unpaired[scope, call_id] += count
-            open_calls[scope] = (event.get("turn"), _open_calls(payload, events))
-            if event.get("turn") is not None:
-                turns_by_scope.setdefault(scope, []).append(event["turn"])
-        elif kind == "observation":
-            action_id = payload.get("action_id")
-            if isinstance(action_id, (list, dict)):
-                raise TrajectoryCorrupt(f"line {events}: action_id is an array or object")
-            turn, calls = open_calls.get(scope, _NO_CALLS)
-            if action_id in calls and turn == event.get("turn"):
-                calls[action_id] -= 1
-                if not calls[action_id]:
-                    del calls[action_id]
-            else:
-                orphans[scope, action_id] += 1
-        if kind in ("turn", "observation", "critique"):
+        state = conversations.get(scope)
+        if state is None:
             slot = scope[0] or "(run)"
             key = f"{slot}/{scope[1]}" if scope[1] else slot
-            # The interned kind: one string per kind, not one per event.
-            entry = {"kind": sys.intern(kind), "turn": event.get("turn"),
-                     "content": payload.get("content", "")}
-            transcripts.setdefault(key, []).append(entry)
+            state = conversations[scope] = [None, _NO_CALLS, transcripts.setdefault(key, []), []]
+        turn = event.get("turn")
+        if kind == "turn":
+            calls = state[1]
+            if calls is _NO_CALLS:
+                turned.append((scope, state))
+            for call_id, count in calls.items():  # unanswered
+                unpaired[scope, call_id] = unpaired.get((scope, call_id), 0) + count
+            state[0] = turn
+            state[1] = _open_calls(payload, events)
+            if turn is not None:
+                turns = state[3]
+                if not turns:
+                    turns_by_scope[scope] = turns
+                turns.append(turn)
+                if turn != len(turns):
+                    turns_contiguous = False
+        elif kind == "observation":
+            action_id = payload.get("action_id")
+            if type(action_id) is list or type(action_id) is dict:
+                raise TrajectoryCorrupt(f"line {events}: action_id is an array or object")
+            calls = state[1]
+            if action_id in calls and state[0] == turn:
+                left = calls[action_id] - 1
+                if left:
+                    calls[action_id] = left
+                else:
+                    del calls[action_id]
+            else:
+                orphans[scope, action_id] = orphans.get((scope, action_id), 0) + 1
+        state[2].append({"kind": name, "turn": turn, "content": payload.get("content", "")})
 
     if not events:
         return ReplayReport(False, ["empty trajectory"], 0)
-    for scope, (_, left) in open_calls.items():
-        for call_id, count in left.items():
-            unpaired[scope, call_id] += count
+    last_kind = kind  # the loop leaves the last event's kind behind
+    for scope, state in turned:
+        for call_id, count in state[1].items():
+            unpaired[scope, call_id] = unpaired.get((scope, call_id), 0) + count
 
     violations: list[str] = []
     if not gap_free:
@@ -209,9 +289,10 @@ def replay(path: str | Path) -> ReplayReport:
                 f"({totals.get('prompt_tokens')}, {totals.get('completion_tokens')})"
             )
     # Per-turn contiguity within each conversation.
-    for scope, turns in turns_by_scope.items():
-        if turns != list(range(1, len(turns) + 1)):
-            violations.append(f"turn numbers not contiguous for {scope}: {turns}")
+    if not turns_contiguous:
+        for scope, turns in turns_by_scope.items():
+            if turns != list(range(1, len(turns) + 1)):
+                violations.append(f"turn numbers not contiguous for {scope}: {turns}")
 
     return ReplayReport(
         complete=not violations,

@@ -54,3 +54,35 @@ def make_services(
         cache=cache,
         deadline=deadline,
     )
+
+
+def web_search_manifest(tmp_path: Path) -> Path:
+    """A 40-turn web_search run that critiques every 5 turns and compresses."""
+    inputs = tmp_path / "inputs"
+    corpus = inputs / "corpus"
+    corpus.mkdir(parents=True)
+    script = []
+    for i in range(8):
+        query = f"r\u00e9cif-{i}"
+        (corpus / f"search-{query}.txt").write_text(
+            f"result {i} \u73ca\u745a \U0001f41f \"quoted\" \\ " + "reef " * 120, encoding="utf-8")
+        script.append({"content": f"note {i} caf\u00e9 " + "n" * 100,
+                       "tool_calls": [{"name": "web_search", "arguments": {"query": query}}]})
+    (inputs / "researcher.script").write_text(json.dumps(script), encoding="utf-8")
+    manifest = {
+        "experiment": {"name": "parity", "task": "Survey the reef.", "seed": 3},
+        "llm": {"profiles": [{"name": "m", "provider": "scripted", "model": "scripted-v1",
+                              "script_path": "researcher.script"}]},
+        "tools": {"builtin": ["web_search"], "corpus": "corpus"},
+        "playground": {
+            "name": "single_agent_research",
+            "params": {"tool_pack": ["web_search"]},
+            "slots": [{"slot_name": "researcher", "role": "researcher", "llm_profile": "m",
+                       "max_turns": 40, "critique_every": 5,
+                       "budget": {"max_tokens": 2048, "compress_at": 0.8,
+                                  "strategy": "summarize"}}],
+        },
+    }
+    path = inputs / "parity.yaml"
+    path.write_text(json.dumps(manifest), encoding="utf-8")  # JSON is YAML
+    return path

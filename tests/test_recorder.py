@@ -26,7 +26,7 @@ from evokit.harness import (
 )
 from evokit.harness.recorder import dump_utf8
 from evokit.harness.replay import mask_volatile
-from helpers import FIXTURES, make_services, scripted_gateway
+from helpers import FIXTURES, make_services, scripted_gateway, web_search_manifest
 
 
 def test_first_event_gets_seq_one(tmp_path) -> None:
@@ -376,38 +376,6 @@ def test_lines_stay_exact_under_threads(tmp_path) -> None:
     )
 
 
-def _web_search_manifest(tmp_path) -> Path:
-    """A 40-turn web_search run that critiques every 5 turns and compresses."""
-    inputs = tmp_path / "inputs"
-    corpus = inputs / "corpus"
-    corpus.mkdir(parents=True)
-    script = []
-    for i in range(8):
-        query = f"r\u00e9cif-{i}"
-        (corpus / f"search-{query}.txt").write_text(
-            f"result {i} \u73ca\u745a \U0001f41f \"quoted\" \\ " + "reef " * 120, encoding="utf-8")
-        script.append({"content": f"note {i} caf\u00e9 " + "n" * 100,
-                       "tool_calls": [{"name": "web_search", "arguments": {"query": query}}]})
-    (inputs / "researcher.script").write_text(json.dumps(script), encoding="utf-8")
-    manifest = {
-        "experiment": {"name": "parity", "task": "Survey the reef.", "seed": 3},
-        "llm": {"profiles": [{"name": "m", "provider": "scripted", "model": "scripted-v1",
-                              "script_path": "researcher.script"}]},
-        "tools": {"builtin": ["web_search"], "corpus": "corpus"},
-        "playground": {
-            "name": "single_agent_research",
-            "params": {"tool_pack": ["web_search"]},
-            "slots": [{"slot_name": "researcher", "role": "researcher", "llm_profile": "m",
-                       "max_turns": 40, "critique_every": 5,
-                       "budget": {"max_tokens": 2048, "compress_at": 0.8,
-                                  "strategy": "summarize"}}],
-        },
-    }
-    path = inputs / "parity.yaml"
-    path.write_text(json.dumps(manifest), encoding="utf-8")  # JSON is YAML
-    return path
-
-
 def test_every_harness_line_is_its_json_round_trip(tmp_path, monkeypatch) -> None:
     """What the harness writes, line by line, is what json.dumps writes for
     the event the line decodes to: the envelope built from parts drifts from
@@ -416,7 +384,7 @@ def test_every_harness_line_is_its_json_round_trip(tmp_path, monkeypatch) -> Non
     manifests = [FIXTURES / "golden" / f"{name}.yaml" for name in
                  ("draft_improve", "planner_executor", "research", "solve_critique")]
     manifests += sorted((FIXTURES / "configs").glob("adversarial_*.yaml"))
-    manifests.append(_web_search_manifest(tmp_path))
+    manifests.append(web_search_manifest(tmp_path))
     kinds = set()
     for index, manifest in enumerate(manifests):
         config = load_config(manifest)
@@ -639,6 +607,9 @@ BAD_SHAPES = [
     *((key, value) for key in ("slot", "agent") for value in ([], {}, 2)),
     *(("usage", {"prompt_tokens": value}) for value in ("7", 1.5, None, True)),
     ("usage", {"prompt_tokens": 1, "completion_tokens": "1"}),
+    *(("seq", value) for value in (None, True, 2.0, "2")),
+    *(("turn", value) for value in (True, 1.0, "1", [])),
+    *(("kind", value) for value in (None, 3, ["turn"], "Turn", "critic", "tool_calls")),
 ]
 
 
