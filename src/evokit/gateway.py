@@ -247,7 +247,7 @@ class Script:
 def parse_script(text: str, source: str = "<script>") -> Script:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, or an int too long
         raise ScriptParseError(f"{source}: invalid JSON ({exc})") from exc
     if not isinstance(data, list) or not data:
         raise ScriptParseError(f"{source}: expected a non-empty JSON array")

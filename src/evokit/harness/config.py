@@ -12,6 +12,17 @@ is parsed once, by the scripted ``ModelProfile`` and the ``SkillsSection``
 that name it; the run uses what load parsed, so it never fails halfway
 through on a typo or on a file edited since. Relative paths resolve against
 the manifest's own directory, which keeps configs shareable.
+
+The YAML is parsed by ``_LOADER``, and the data is built straight from its
+parser's events: each untagged scalar gets the tag the loader's resolver
+picks and the value the loader's constructor builds, so the data is exactly
+what ``yaml.load`` returns. A document the event builder does not build
+itself (an anchor, alias, explicit tag, ``<<`` or ``=`` key, collection key,
+second document or syntax error) goes to ``yaml.load``. Nesting deeper than
+``_MAX_DEPTH`` levels, and a value the constructor cannot build, is a
+ParseError naming its line. Where an integer is expected, a bool or a float
+with a fraction is a ValidationError naming the key (``2.0`` reads as 2),
+and where a number is expected, a bool is one.
 """
 
 from __future__ import annotations
@@ -21,9 +32,14 @@ import os
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 import yaml
+from yaml.events import (
+    DocumentEndEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, SequenceEndEvent,
+    SequenceStartEvent, StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 from yaml.reader import Reader, ReaderError
 
 from ..context import ContextBudget
@@ -43,6 +59,20 @@ DEFAULT_MAX_WALL_SECONDS = 86_400  # 24 h
 # one. Both resolve tags and construct with the same Python classes, so they
 # build equal data; libyaml only parses faster.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# Manifests nest at most 5 levels. A document nested deeper is refused before
+# a composer sees it: the libyaml binding's composer recurses in C, and 30,000
+# levels overflow the C stack; the pure-Python one hits the recursion limit.
+_MAX_DEPTH = 64
+_STR_TAG = "tag:yaml.org,2002:str"
+# The other tags of an untagged scalar that the event builder builds itself,
+# each with the loader's own constructor for it.
+_SCALAR_TAGS = frozenset(
+    f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float", "timestamp")
+)
+# What PyYAML's scalar constructors raise on text they cannot build: an int
+# or a date out of range (ValueError), or an explicit !!bool, !!int, !!float
+# or !!timestamp on text of another form (KeyError, IndexError, AttributeError).
+_UNBUILDABLE = (ValueError, LookupError, AttributeError)
 
 T = TypeVar("T")
 
@@ -57,6 +87,20 @@ class ValidationError(EvokitError):
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(value: Any) -> int:
+    """A manifest integer: ``2.0`` reads as 2, but a bool or a fraction is no integer."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, not {value!r}")
+    return int(value)
+
+
+def _float(value: Any) -> float:
+    """A manifest number; a bool is none."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, not {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -144,8 +188,11 @@ class ExperimentConfig:
 
 
 @cache
-def _init_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.init)
+def _field_table(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The manifest keys of ``cls`` in field order, and those it has no default for."""
+    keys = [f for f in fields(cls) if f.init]
+    required = (f.name for f in keys if f.default is MISSING and f.default_factory is MISSING)
+    return tuple(f.name for f in keys), tuple(required)
 
 
 def _manifest_keys(section: Any) -> dict[str, Any]:
@@ -153,7 +200,7 @@ def _manifest_keys(section: Any) -> dict[str, Any]:
 
     Each value is a scalar (the constructors check or coerce them), so no copy is needed.
     """
-    return {name: getattr(section, name) for name in _init_names(type(section))}
+    return {name: getattr(section, name) for name in _field_table(type(section))[0]}
 
 
 def _slot_to_dict(slot: AgentSlot) -> dict[str, Any]:
@@ -177,8 +224,8 @@ _TOP_KEYS = {"experiment", "llm", "tools", "skills", "playground"}
 # manifest leaves out takes the AgentSpec/ContextBudget default.
 _SLOT_FIELDS = {
     "tools": ("tool_names", lambda tools: tuple(map(str, _require_list(tools, "tools")))),
-    "max_turns": ("max_turns", int),
-    "critique_every": ("critique_every", int),
+    "max_turns": ("max_turns", _int),
+    "critique_every": ("critique_every", _int),
     "final_marker": ("final_marker", str),
 }
 _SLOT_KEYS = {"slot_name", "role", "llm_profile", "system_prompt", "budget", *_SLOT_FIELDS}
@@ -201,8 +248,8 @@ def _require_list(value: Any, where: str) -> list:
     return value
 
 
-def _check_keys(mapping: dict, allowed: set[str], where: str, lenient: bool) -> None:
-    unknown = set(mapping) - allowed
+def _check_keys(mapping: dict, allowed: Iterable[str], where: str, lenient: bool) -> None:
+    unknown = set(mapping).difference(allowed)
     if unknown and not lenient:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
@@ -219,18 +266,28 @@ def _build(cls: type[T], raw: Any, where: str, lenient: bool, **coerce: Callable
     function applied to its value first, and the constructor runs the checks.
     """
     raw = _require(raw, where)
-    keys = [f for f in fields(cls) if f.init]
-    names = {f.name for f in keys}
+    names, required = _field_table(cls)
     _check_keys(raw, names, where, lenient)
-    for f in keys:
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
-            raise ValidationError(f"{where} needs {f.name!r}")
+    for name in required:
+        if name not in raw:
+            raise ValidationError(f"{where} needs {name!r}")
     try:
-        return cls(**{k: coerce[k](v) if k in coerce else v for k, v in raw.items() if k in names})
+        return cls(**{
+            k: _coerced(coerce[k], k, v) if k in coerce else v
+            for k, v in raw.items() if k in names
+        })
     except ValidationError:  # from a nested section or this module's types: names its key
         raise
     except (EvokitError, TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _coerced(coerce: Callable[[Any], T], key: str, value: Any) -> T:
+    """``coerce(value)``; its TypeError or ValueError is a ValueError naming ``key``."""
+    try:
+        return coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _reject_duplicates(names: list[str], what: str) -> None:
@@ -258,10 +315,156 @@ def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
     except OSError as exc:
         raise ParseError(f"{path}: cannot read manifest ({exc})") from exc
     try:
-        data = yaml.load(text, Loader=_LOADER)
+        data = _parse_yaml(text, path)
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: YAML parse error{_location(exc, text)}: {exc}") from exc
     return from_dict(data, base_dir=os.path.dirname(path) or ".", lenient=lenient)
+
+
+class _Fallback(Exception):
+    """The event builder met ``event``, with ``depth`` collections open, and cannot go on."""
+
+    def __init__(self, event: Any, depth: int) -> None:
+        super().__init__()
+        self.event = event
+        self.depth = depth
+
+
+def _parse_yaml(text: str, source: str) -> Any:
+    """The data ``yaml.load(text, Loader=_LOADER)`` returns, built from the parser's events.
+
+    A document of plain mappings, sequences and untagged scalars is built
+    straight from the events of ``_LOADER``'s parser (``_document``). Any
+    other document, and any stream the parser rejects, goes to
+    ``yaml.load`` itself, which returns that data or raises that
+    ``YAMLError``. Either way, nesting deeper than ``_MAX_DEPTH`` and a
+    scalar the loader's constructor cannot build are a ParseError naming
+    their line.
+    """
+    bad = None  # (event, error) of the first scalar the constructor cannot build
+    try:
+        loader = _LOADER(text)
+        try:
+            return _document(loader)
+        except _Fallback as fallback:
+            bad = _check_rest(loader, fallback.event, fallback.depth, source)
+        finally:
+            loader.dispose()
+    except yaml.YAMLError:
+        pass  # yaml.load raises it again, or an earlier error of its composer
+    try:
+        return yaml.load(text, Loader=_LOADER)
+    except _UNBUILDABLE as exc:
+        event, error = bad or (None, exc)
+        raise ParseError(f"{source}: YAML value error{_event_location(event)}: {error}") from exc
+
+
+def _document(loader: Any) -> Any:
+    """The single document of ``loader``'s stream, built from its events.
+
+    It builds what the composer and ``SafeConstructor`` build: a mapping is
+    a dict in key order whose last duplicate key wins, a sequence a list, a
+    str scalar its text, and a null, bool, int, float or timestamp scalar
+    what the loader's constructor makes of it. Raises _Fallback on anything
+    else: an anchor or alias, an explicit tag, a scalar of another resolved
+    tag (``<<``, ``=``), a collection as a key, a second document, a scalar
+    the constructor cannot build, or nesting past ``_MAX_DEPTH``.
+    """
+    get_event, resolve, constructors = loader.get_event, loader.resolve, loader.yaml_constructors
+    get_event()  # StreamStartEvent
+    if type(get_event()) is StreamEndEvent:  # else the DocumentStartEvent
+        return None
+    stack: list[tuple[Any, Any]] = []  # (collection, its pending key) of the outer ones
+    top: Any = None  # the innermost open collection
+    key: Any = stack  # top's pending key; stack itself while it has none
+    root = None
+    while True:
+        event = get_event()
+        kind = type(event)
+        if kind is ScalarEvent:
+            tag = event.tag
+            if event.anchor is not None or (tag is not None and tag != "!"):
+                raise _Fallback(event, len(stack))
+            value = event.value
+            tag = resolve(ScalarNode, value, event.implicit)
+            if tag != _STR_TAG:
+                if tag not in _SCALAR_TAGS:
+                    raise _Fallback(event, len(stack))
+                try:
+                    value = constructors[tag](loader, ScalarNode(tag, value))
+                except _UNBUILDABLE:
+                    raise _Fallback(event, len(stack)) from None
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            tag = event.tag
+            if (
+                event.anchor is not None
+                or (tag is not None and tag != "!")
+                or (key is stack and type(top) is dict)  # a collection as a key
+                or len(stack) == _MAX_DEPTH
+            ):
+                raise _Fallback(event, len(stack))
+            stack.append((top, key))
+            top, key = ({} if kind is MappingStartEvent else []), stack
+            continue
+        elif kind is MappingEndEvent or kind is SequenceEndEvent:
+            value = top
+            top, key = stack.pop()
+        elif kind is DocumentEndEvent:
+            event = get_event()
+            if type(event) is not StreamEndEvent:  # a second document
+                raise _Fallback(event, 0)
+            return root
+        else:  # an AliasEvent
+            raise _Fallback(event, len(stack))
+        if top is None:
+            root = value
+        elif type(top) is list:
+            top.append(value)
+        elif key is stack:
+            key = value
+        else:
+            top[key] = value
+            key = stack
+
+
+def _check_rest(loader: Any, event: Any, depth: int, source: str) -> tuple[Any, Exception] | None:
+    """Read the stream on from ``event`` (``depth`` collections open), before yaml.load does.
+
+    Nesting past ``_MAX_DEPTH`` is a ParseError, so no composer receives it.
+    Returns the first scalar the loader's constructor cannot build, with its
+    error, so that yaml.load's error for it can name its line.
+    """
+    bad = None
+    while type(event) is not StreamEndEvent:
+        kind = type(event)
+        if kind is MappingStartEvent or kind is SequenceStartEvent:
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise ParseError(
+                    f"{source}: YAML parse error{_event_location(event)}: "
+                    f"nested deeper than {_MAX_DEPTH} levels"
+                )
+        elif kind is MappingEndEvent or kind is SequenceEndEvent:
+            depth -= 1
+        elif kind is ScalarEvent and bad is None:
+            tag = event.tag
+            if tag is None or tag == "!":
+                tag = loader.resolve(ScalarNode, event.value, event.implicit)
+            if tag in _SCALAR_TAGS:
+                try:
+                    loader.yaml_constructors[tag](loader, ScalarNode(tag, event.value))
+                except _UNBUILDABLE as exc:
+                    bad = event, exc
+        event = loader.get_event()
+    return bad
+
+
+def _event_location(event: Any) -> str:
+    """Where a parser event starts, as `` at line L, column C``, or ``""`` for no event."""
+    if event is None:
+        return ""
+    mark = event.start_mark
+    return f" at line {mark.line + 1}, column {mark.column + 1}"
 
 
 def _location(exc: yaml.YAMLError, text: str) -> str:
@@ -308,7 +511,7 @@ def from_dict(
         profiles.append(_build(
             ModelProfile, raw, f"profile {raw.get('name')!r}", lenient,
             name=_text, provider=_text, model=_text,
-            temperature=float, max_output_tokens=int, script_path=optional_path,
+            temperature=_float, max_output_tokens=_int, script_path=optional_path,
         ))
     if not profiles:
         raise ValidationError("llm.profiles must be a non-empty list")
@@ -369,14 +572,17 @@ def _parse_slot(raw: dict, lenient: bool) -> AgentSlot:
     try:
         budget = _build(
             ContextBudget, raw.get("budget", {}), "budget", lenient,
-            max_tokens=int, compress_at=float, strategy=str,
+            max_tokens=_int, compress_at=_float, strategy=str,
         )
         spec = AgentSpec(
             name=name,
             system_prompt=str(raw.get("system_prompt", "")),
             llm_profile=str(raw["llm_profile"]),
             budget=budget,
-            **{attr: coerce(raw[k]) for k, (attr, coerce) in _SLOT_FIELDS.items() if k in raw},
+            **{
+                attr: _coerced(coerce, k, raw[k])
+                for k, (attr, coerce) in _SLOT_FIELDS.items() if k in raw
+            },
         )
     except (EvokitError, TypeError, ValueError) as exc:
         raise ValidationError(f"slot {name!r}: {exc}") from exc

@@ -22,16 +22,18 @@ BOM, a missing final newline, extra data, invalid JSON) is decoded again by
 ``json.loads``, which accepts it or names what is wrong with it.
 
 A line that is blank, not UTF-8 or not a JSON object raises
-TrajectoryCorrupt naming the line, and so does a line whose ``seq`` is not an
-integer, whose ``kind`` is not one of ``EVENT_KINDS`` (or the older
-``tool_call``), whose ``turn`` is neither an integer nor null, whose
-``payload`` or ``usage`` is neither an object nor null, whose ``slot`` or
-``agent`` is neither a string nor null, or whose usage ``prompt_tokens`` or
-``completion_tokens`` is not an integer; so does a ``run_end`` whose
-``usage_totals`` holds a count that is not an integer, a turn's
-``tool_calls`` that is not an array of objects, and a call ``id`` or an
-observation's ``action_id`` that is an array or an object. JSON ``true`` and
-``1.0`` are no integers here, although they compare equal to ``1``.
+TrajectoryCorrupt naming the line, as does one the decoder rejects for
+nesting past the recursion limit or for an integer of more than 4,300
+digits. So does a line whose ``seq`` is not an integer, whose ``kind`` is
+not one of ``EVENT_KINDS`` (or the older ``tool_call``), whose ``turn`` is
+neither an integer nor null, whose ``payload`` or ``usage`` is neither an
+object nor null, whose ``slot`` or ``agent`` is neither a string nor null,
+or whose usage ``prompt_tokens`` or ``completion_tokens`` is not an
+integer; so does a ``run_end`` whose ``usage_totals`` holds a count that
+is not an integer, a turn's ``tool_calls`` that is not an array of objects,
+and a call ``id`` or an observation's ``action_id`` that is an array or an
+object. JSON ``true`` and ``1.0`` are no integers here, although they
+compare equal to ``1``.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _decode(line: str, line_number: int) -> Any:
         raise TrajectoryCorrupt(f"line {line_number}: blank line")
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, or an int too long
         raise TrajectoryCorrupt(f"line {line_number}: {exc}") from exc
 
 
@@ -91,7 +93,7 @@ def _event(line: str, line_number: int) -> dict[str, Any]:
     """
     try:
         event, end = _scan_once(line, 0)
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         event = _decode(line, line_number)
     else:
         if line[end:] != "\n":

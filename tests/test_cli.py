@@ -183,6 +183,17 @@ def test_bad_manifest_rejected_at_load(tmp_path, capsys, golden, edit, named) ->
     assert not runs.exists()
 
 
+def test_script_the_decoder_rejects_exits_2(tmp_path, capsys) -> None:
+    script = tmp_path / "deep.script"
+    script.write_text("[" * 100_000, encoding="utf-8")
+    manifest = load_config(FIXTURES / "golden/research.yaml").to_dict()
+    manifest["llm"]["profiles"][0]["script_path"] = str(script)
+    path = tmp_path / "bad.yaml"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert f"{script}: invalid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("secs", ["0", "-5"])
 def test_max_wall_secs_override_checked(tmp_path, capsys, secs) -> None:
     runs = tmp_path / "runs"

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -146,6 +150,213 @@ def test_disallowed_character_reports_location(
         load_config(path)
 
 
+# -- the event builder against yaml.load ------------------------------------------
+
+
+def _oracle(text: str, loader: type) -> object:
+    """What the loader gave before the event builder: its data, or its error."""
+    return yaml.load(text, Loader=loader)
+
+
+def _outcome(parse, *args) -> tuple:
+    try:
+        return "data", repr(parse(*args))
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def _no_fallback(*args, **kwargs):
+    raise AssertionError("fell back to yaml.load")
+
+
+# Every YAML 1.1 form of an int, float, bool, null and timestamp, and strings
+# that look like one.
+SCALARS = [
+    "0", "42", "-17", "+7", "0x1F", "-0x1f", "0o17", "017", "0b1010", "1_000", "1:30",
+    "-190:20:30", "3.5", "-1.5e3", "6.8523015e+5", "1_000.5", ".5", "1.", ".inf", "-.Inf",
+    "+.INF", ".nan", ".NaN", "1:30.5", "yes", "Yes", "NO", "on", "Off", "true", "False",
+    "~", "null", "Null", "NULL", "", "2024-01-02", "2024-01-02T03:04:05Z",
+    "2024-01-02 03:04:05.123 -05:00", "2001-12-14t21:59:43.10-05:00", "2024-1-2 3:04:05",
+    "plain text", "y", "n", "12abc", "1.2.3", "0x", "0b2", "'0x1F'", '"yes"', "'~'",
+    "'single ''quoted'''", '"double \\"quoted\\" \\u00e9 \\t"', "é", "-", "=x", "<<x",
+]
+
+DOCUMENTS = {
+    "empty stream": "",
+    "comment only": "# nothing here\n\n",
+    "empty document": "---\n...\n",
+    "scalar root": "just text\n",
+    "sequence root": "- 1\n- [a, {b: c}]\n",
+    "literal, folded and quoted": (
+        "a: |\n  line one\n   line two\nb: >\n  folded\n  text\n\n  next\nc: |-\n  kept\n"
+        "d: >+\n  keep\n\ne: 'it''s'\nf: \"tab\\tend\"\ng: \"multi\n  line\"\n"
+    ),
+    "duplicate keys": "a: 1\nb: 2\na: 3\nb: {x: 1}\n",
+    "int, bool and null keys": "1: one\ntrue: yes\n~: nothing\n1.0: float one\n2: two\n",
+    "empty values": "a:\nb: []\nc: {}\nd: ''\ne: [a, , b]\n",
+    "block collections": "a:\n  - x\n  - - y\n    - z\n  - k: v\n    l: [1, 2]\nb:\n  c:\n    d: e\n",
+    "explicit keys": "? a\n: 1\n? b\n",
+    "anchor and alias": "base: &b {x: 1}\nuse: *b\n",
+    "anchored scalar": "a: &n 5\nb: *n\n",
+    "merge": "base: &b {x: 1, y: 2}\nuse:\n  <<: *b\n  y: 3\n",
+    "merge list": "a: &a {x: 1}\nb: &b {y: 2}\nc:\n  <<: [*a, *b]\n",
+    "merge without alias": "a:\n  <<: {x: 1}\n  y: 2\n",
+    "merge as a value": "a: <<\n",
+    "value key": "=: a\nb: c\n",
+    "value as a value": "a: =\n",
+    "str tag": "a: !!str 12\nb: !!str\n",
+    "int tag": "a: !!int '12'\n",
+    "binary": "a: !!binary aGVsbG8=\n",
+    "set": "a: !!set {x, y}\n",
+    "omap": "a: !!omap [x: 1, y: 2]\n",
+    "local tag": "a: !custom 1\n",
+    "bang tag": "a: ! 12\nb: ! [1, 2]\nc: ! {d: 1}\n",
+    "tag directive": "%TAG !e! tag:yaml.org,2002:\n---\na: !e!int 12\n",
+    "version directive": "%YAML 1.1\n---\na: 1\n",
+    "sequence key": "? [a, b]\n: c\n",
+    "mapping key": "? {a: 1}\n: c\n",
+    "flow sequence as a key": "{[a]: b}\n",
+    "two documents": "a: 1\n---\nb: 2\n",
+    "document end then another": "a: 1\n...\n---\n",
+    "unclosed flow": "a: [1, 2\n",
+    "bad indentation": "a:\n  b: 1\n c: 2\n",
+    "tab indentation": "a:\n\tb: 1\n",
+    "undefined alias": "a: *nope\n",
+    "duplicate anchor": "a: &x 1\nb: &x 2\n",
+    "control character": "a: b\x07\n",
+    "unterminated quote": "a: 'open\n",
+    "syntax error after a value": "a: 1\nb: [\n",
+}
+
+
+def _flow(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(SCALARS)
+    items = range(rng.randrange(4))
+    if rng.random() < 0.5:
+        return "[" + ", ".join(_flow(rng, depth - 1) for _ in items) + "]"
+    return "{" + ", ".join(f"{rng.choice(SCALARS)}: {_flow(rng, depth - 1)}" for _ in items) + "}"
+
+
+def _generated(seed: int) -> str:
+    """A seeded manifest-shaped document: block mappings and sequences of flow values."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(rng.randrange(1, 6)):
+        lines.append(f"{rng.choice(SCALARS)}:")
+        if rng.random() < 0.3:
+            lines += [f"  - {_flow(rng, 2)}" for _ in range(rng.randrange(1, 4))]
+        elif rng.random() < 0.3:
+            lines += [f"  {rng.choice(SCALARS)}: {_flow(rng, 2)}" for _ in range(rng.randrange(1, 4))]
+        else:
+            lines[-1] += f" {_flow(rng, 3)}"
+    return "\n".join(lines) + "\n"
+
+
+CORPUS = {
+    **{str(path.relative_to(FIXTURES)): path.read_text(encoding="utf-8") for path in MANIFESTS},
+    "indented JSON manifest": json.dumps(
+        yaml.safe_load((FIXTURES / "golden/research.yaml").read_text(encoding="utf-8")), indent=1
+    ),
+    **{
+        f"scalar {text!r}": f"value: {text}\n{text}: key\nlist: [{text}, {{{text}: {text}}}]\n"
+        for text in SCALARS
+    },
+    **DOCUMENTS,
+    **{f"generated {seed}": _generated(seed) for seed in range(40)},
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("text", CORPUS.values(), ids=CORPUS.keys())
+def test_event_builder_gives_what_yaml_load_gives(monkeypatch, loader, text) -> None:
+    monkeypatch.setattr(config_module, "_LOADER", loader)
+    expected = _outcome(_oracle, text, loader)
+    assert _outcome(config_module._parse_yaml, text, "m.yaml") == expected
+
+
+def test_generated_corpus_mostly_takes_the_fast_path(monkeypatch) -> None:
+    monkeypatch.setattr(yaml, "load", _no_fallback)
+    built = [
+        _outcome(config_module._parse_yaml, _generated(seed), "m.yaml")[0] == "data"
+        for seed in range(40)
+    ]
+    assert sum(built) >= 30
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_fixture_manifests_never_reach_the_fallback(monkeypatch, json_manifest, loader) -> None:
+    """Every manifest the tests and the benchmark load takes the event builder."""
+    monkeypatch.setattr(yaml, "load", _no_fallback)
+    for path in [*MANIFESTS, json_manifest]:
+        _load_with(monkeypatch, loader, path)
+
+
+# A value PyYAML resolves but cannot build. The anchor sends the document to yaml.load.
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("value", ["2024-02-30", "1" * 5000], ids=["feb_30", "5000_digit_int"])
+@pytest.mark.parametrize("prefix", ["", "top: &a 1\n"], ids=["fast_path", "fallback"])
+def test_unbuildable_value_is_a_parse_error_naming_its_line(
+    monkeypatch, tmp_path, capsys, loader, value, prefix
+) -> None:
+    monkeypatch.setattr(config_module, "_LOADER", loader)
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"{prefix}experiment:\n  name: n\n  seed: {value}\n", encoding="utf-8")
+    where = f"at line {prefix.count(chr(10)) + 3}, column 9: "
+    with pytest.raises(ParseError, match=where):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert where in capsys.readouterr().err
+
+
+def _deep(levels: int, alias: bool = False) -> str:
+    """A manifest nesting ``levels`` sequences, after an alias if ``alias``."""
+    head = "anchor: &a 1\nalias: *a\n" if alias else ""
+    return f"{head}experiment: " + "[" * levels + "]" * levels + "\n"
+
+
+@pytest.mark.parametrize("alias", [False, True], ids=["plain", "with_alias"])
+def test_deep_sequence_is_a_parse_error_in_a_subprocess(tmp_path, alias) -> None:
+    path = tmp_path / "deep.yaml"
+    path.write_text(_deep(100_000, alias), encoding="utf-8")
+    src = Path(config_module.__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-m", "evokit.cli", "validate", "--config", str(path)],
+        capture_output=True, text=True, timeout=120, cwd=src,
+    )
+    assert result.returncode == 2, result.stderr
+    line = 3 if alias else 1
+    assert f"at line {line}, column 76: nested deeper than 64 levels" in result.stderr
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize(
+    "text, location",
+    [
+        ("".join("  " * i + f"k{i}:\n" for i in range(3_000)), "line 65, column 129"),
+        (_deep(3_000, alias=True), "line 3, column 76"),
+    ],
+    ids=["mapping_3000", "sequence_3000_with_alias"],
+)
+def test_deep_document_never_reaches_a_composer(
+    monkeypatch, tmp_path, loader, text, location
+) -> None:
+    monkeypatch.setattr(config_module, "_LOADER", loader)
+    monkeypatch.setattr(yaml, "load", _no_fallback)
+    path = tmp_path / "deep.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"at {location}: nested deeper than 64 levels"):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+
+
+def test_nesting_up_to_the_limit_loads(monkeypatch) -> None:
+    text = "a: " + "[" * 63 + "]" * 63 + "\n"
+    for loader in LOADERS:
+        monkeypatch.setattr(config_module, "_LOADER", loader)
+        assert config_module._parse_yaml(text, "m.yaml") == _oracle(text, loader)
+
+
 def _min_data() -> dict:
     return {
         "experiment": {"name": "n", "task": "t", "seed": 2},
@@ -257,8 +468,17 @@ def test_snapshot_shares_nothing_with_the_config() -> None:
         {"budget": {"compress_at": 7}},
         {"budget": {"max_tokens": -5}},
         {"max_turns": "many"},
+        {"max_turns": True},
+        {"critique_every": 2.5},
+        {"budget": {"max_tokens": 1.5}},
+        {"budget": {"compress_at": True}},
+        {"max_turns": float("inf")},
     ],
-    ids=["max_turns", "critique_every", "strategy", "compress_at", "max_tokens", "not_an_int"],
+    ids=[
+        "max_turns", "critique_every", "strategy", "compress_at", "max_tokens", "not_an_int",
+        "max_turns_bool", "critique_every_fraction", "max_tokens_fraction", "compress_at_bool",
+        "max_turns_inf",
+    ],
 )
 def test_invalid_slot_values_rejected_at_load(tmp_path, bad) -> None:
     data = _min_data()
@@ -266,6 +486,8 @@ def test_invalid_slot_values_rejected_at_load(tmp_path, bad) -> None:
     with pytest.raises(ValidationError) as excinfo:
         from_dict(data)
     assert "slot 'w'" in str(excinfo.value)
+    key, value = next(iter(bad.items()))
+    assert (next(iter(value)) if isinstance(value, dict) else key) in str(excinfo.value)
     path = tmp_path / "bad.yaml"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 2
@@ -273,6 +495,29 @@ def test_invalid_slot_values_rejected_at_load(tmp_path, bad) -> None:
     runs = tmp_path / "runs"
     assert main(["run", "--config", str(path), "--out", str(runs)]) == 2
     assert not runs.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("temperature", True), ("max_output_tokens", True), ("max_output_tokens", 1.5)],
+    ids=["temperature_bool", "max_output_tokens_bool", "max_output_tokens_fraction"],
+)
+def test_bool_or_fraction_rejected_in_profile(key, value) -> None:
+    data = _min_data()
+    data["llm"]["profiles"][0][key] = value
+    with pytest.raises(ValidationError, match=f"^profile 'p': {key}: must be "):
+        from_dict(data)
+
+
+def test_integral_float_reads_as_int_and_text_is_left_alone() -> None:
+    data = _min_data()
+    data["llm"]["profiles"][0].update(max_output_tokens=64.0, temperature="0.5")
+    data["playground"]["slots"][0].update(max_turns=2.0, budget={"max_tokens": "512"})
+    config = from_dict(data)
+    spec = config.playground.slots[0].spec
+    assert [type(v) for v in (spec.max_turns, spec.budget.max_tokens)] == [int, int]
+    assert (spec.max_turns, spec.budget.max_tokens) == (2, 512)
+    assert (config.profiles[0].max_output_tokens, config.profiles[0].temperature) == (64, 0.5)
 
 
 def test_null_slot_text_takes_the_default() -> None:

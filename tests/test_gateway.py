@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +204,16 @@ def test_malformed_script_raises(tmp_path) -> None:
         parse_script('[{"content": "x", "match": "(unclosed"}]')
     with pytest.raises(ScriptParseError):
         load_script(tmp_path / "missing.script")
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, "[" + "1" * 5000 + "]"], ids=["100,000 nested arrays", "5000-digit int"]
+)
+def test_script_the_decoder_rejects_raises(tmp_path, text) -> None:
+    path = tmp_path / "deep.script"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ScriptParseError, match=f"^{re.escape(str(path))}: invalid JSON"):
+        load_script(path)
 
 
 def test_scripted_complete_is_deterministic(tmp_path) -> None:

@@ -419,3 +419,23 @@ def test_edits_the_oracle_missed_are_corrupt(trajectories, tmp_path, capsys, cas
             read(path)
     assert main(["replay", "--trajectory", str(path)]) == 3
     assert f"trajectory corrupt: line {index + 1}: {message}" in capsys.readouterr().err
+
+
+# A line the decoder rejects with a ValueError that is no JSONDecodeError, or
+# with a RecursionError, first in the scanner and then in json.loads.
+UNDECODABLE_LINES = {
+    "5000-digit int": b'{"seq": ' + b"1" * 5000 + b"}\n",
+    "100,000 nested arrays": b"[" * 100_000 + b"\n",
+}
+
+
+@pytest.mark.parametrize("line", UNDECODABLE_LINES.values(), ids=UNDECODABLE_LINES.keys())
+def test_lines_the_decoder_rejects_are_corrupt(trajectories, tmp_path, capsys, line) -> None:
+    lines = trajectories["research"].read_bytes().splitlines(keepends=True)
+    path = tmp_path / "edited.jsonl"
+    path.write_bytes(b"".join([lines[0], line, *lines[2:]]))
+    for read in (replay, masked_lines):
+        with pytest.raises(TrajectoryCorrupt, match="^line 2: "):
+            read(path)
+    assert main(["replay", "--trajectory", str(path)]) == 3
+    assert "trajectory corrupt: line 2: " in capsys.readouterr().err
