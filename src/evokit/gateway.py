@@ -26,6 +26,9 @@ ROLES = ("system", "user", "assistant", "tool")
 PROVIDERS = ("scripted", "http-openai-compatible")
 FINISH_REASONS = ("stop", "tool_call", "length")
 HTTP_TIMEOUT_S = 30.0  # per chat-completions request
+# A script's tool-call arguments nest at most this deep. A playback copies
+# them with deepcopy and the recorder and replay walk them, all recursively.
+_MAX_ARG_DEPTH = 64
 
 
 class DuplicateProfile(EvokitError):
@@ -274,9 +277,35 @@ def parse_script(text: str, source: str = "<script>") -> Script:
             args = call.get("arguments", {})
             if not isinstance(args, dict):
                 raise ScriptParseError(f"{source}: entry {i} arguments must be an object")
+            if nested_deeper_than(args, _MAX_ARG_DEPTH):
+                raise ScriptParseError(
+                    f"{source}: entry {i} arguments nest deeper than {_MAX_ARG_DEPTH} levels"
+                )
             calls.append((str(call["name"]), args))
         entries.append(ScriptEntry(content, tuple(calls), pattern))
     return Script(tuple(entries))
+
+
+def nested_deeper_than(value: Any, limit: int) -> bool:
+    """Whether dicts, lists and tuples in ``value`` nest more than ``limit`` deep.
+
+    The walk is iterative, so any depth is safe to check. A container met
+    again is walked again only when met deeper than before, so containers
+    shared through YAML aliases cost at most ``limit`` walks each, and a
+    container that holds itself counts as too deep.
+    """
+    deepest: dict[int, int] = {}  # id of each container walked -> its deepest depth
+    stack = [(value, 1)]
+    while stack:
+        item, depth = stack.pop()
+        if not isinstance(item, (dict, list, tuple)) or deepest.get(id(item), 0) >= depth:
+            continue
+        if depth > limit:
+            return True
+        deepest[id(item)] = depth
+        children = item.values() if isinstance(item, dict) else item
+        stack.extend((child, depth + 1) for child in children)
+    return False
 
 
 def load_script(path: str | Path) -> Script:

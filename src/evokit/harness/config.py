@@ -20,7 +20,8 @@ what ``yaml.load`` returns. A document the event builder does not build
 itself (an anchor, alias, explicit tag, ``<<`` or ``=`` key, collection key,
 second document or syntax error) goes to ``yaml.load``. Nesting deeper than
 ``_MAX_DEPTH`` levels, and a value the constructor cannot build, is a
-ParseError naming its line. Where an integer is expected, a bool or a float
+ParseError naming its line, and so is data that aliases nest deeper than
+that, without a line. Where an integer is expected, a bool or a float
 with a fraction is a ValidationError naming the key (``2.0`` reads as 2),
 and where a number is expected, a bool is one.
 """
@@ -45,7 +46,7 @@ from yaml.reader import Reader, ReaderError
 from ..context import ContextBudget
 from ..engine import AgentSpec
 from ..errors import EvokitError
-from ..gateway import ModelProfile
+from ..gateway import ModelProfile, nested_deeper_than
 from ..mcp import McpEndpoint
 from ..playgrounds import (
     TOOL_NAMES, AgentSlot, InvalidParams, PlaygroundDefinition, PlaygroundNotFound,
@@ -337,9 +338,9 @@ def _parse_yaml(text: str, source: str) -> Any:
     straight from the events of ``_LOADER``'s parser (``_document``). Any
     other document, and any stream the parser rejects, goes to
     ``yaml.load`` itself, which returns that data or raises that
-    ``YAMLError``. Either way, nesting deeper than ``_MAX_DEPTH`` and a
-    scalar the loader's constructor cannot build are a ParseError naming
-    their line.
+    ``YAMLError``. Either way, nesting deeper than ``_MAX_DEPTH``, in the
+    text or through aliases, and a scalar the loader's constructor cannot
+    build are a ParseError.
     """
     bad = None  # (event, error) of the first scalar the constructor cannot build
     try:
@@ -353,10 +354,15 @@ def _parse_yaml(text: str, source: str) -> Any:
     except yaml.YAMLError:
         pass  # yaml.load raises it again, or an earlier error of its composer
     try:
-        return yaml.load(text, Loader=_LOADER)
+        data = yaml.load(text, Loader=_LOADER)
     except _UNBUILDABLE as exc:
         event, error = bad or (None, exc)
         raise ParseError(f"{source}: YAML value error{_event_location(event)}: {error}") from exc
+    if nested_deeper_than(data, _MAX_DEPTH):  # aliases nest data deeper than its text
+        raise ParseError(
+            f"{source}: YAML parse error: aliases nest the data deeper than {_MAX_DEPTH} levels"
+        )
+    return data
 
 
 def _document(loader: Any) -> Any:

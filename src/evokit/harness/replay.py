@@ -326,8 +326,14 @@ def _mask_payload(value: Any) -> Any:
 
 
 def masked_lines(path: str | Path) -> list[str]:
-    """The trajectory as canonical JSON lines with volatile fields masked."""
-    return [
-        json.dumps(mask_volatile(event), ensure_ascii=False, sort_keys=True)
-        for event in _read_events(path)
-    ]
+    """The trajectory as canonical JSON lines with volatile fields masked.
+
+    A payload nested too deep to mask is a TrajectoryCorrupt naming its line.
+    """
+    lines = []
+    for line_number, event in enumerate(_read_events(path), 1):
+        try:
+            lines.append(json.dumps(mask_volatile(event), ensure_ascii=False, sort_keys=True))
+        except RecursionError as exc:
+            raise TrajectoryCorrupt(f"line {line_number}: nested too deep to mask") from exc
+    return lines

@@ -4,7 +4,8 @@ A playground is a named workflow over agent slots. Slots are declarative:
 each binds a role to its own AgentSpec (model profile, tools, prompt, loop
 limits), and nothing mutable is shared between them. Workflow functions
 receive the task, validated params, the configured slots, and the run
-services, and return a PlaygroundResult.
+services, and return their definition's ``result``: the runs they consumed
+and their answer. ``PlaygroundDefinition.result`` alone decides the status.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from ..engine import AgentOutcome, AgentRun, AgentSpec, RunServices
 from ..errors import EvokitError
 from ..tools import _dispatch
 
-RESULT_STATUSES = ("ok", "partial", "failed")
+RESULT_STATUSES = ("ok", "partial", "failed")  # from best to worst
+DEFAULT_ROLE_EFFECTS = ("partial", "partial")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -78,12 +80,45 @@ class PlaygroundDefinition:
     param to its type, to ``(int, role)`` for a count capped by that role's
     slots, or to ``TOOL_NAMES``. Int params are >= 1, list params non-empty.
     An empty table constrains nothing; ``check_inputs`` applies the rules.
+    ``role_effects`` maps a role to what a run of it that did not answer
+    does to the status, after ``error`` and after any other end: ``failed``,
+    ``partial`` or None for nothing. Other roles take DEFAULT_ROLE_EFFECTS.
     """
 
     name: str
     workflow: WorkflowFn
     params_schema: dict[str, type | tuple[type, str]] = field(default_factory=dict)
     slot_roles: dict[str, tuple[int, int | None]] = field(default_factory=dict)
+    role_effects: dict[str, tuple[str | None, str | None]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for role, effects in self.role_effects.items():
+            if len(effects) != 2 or not set(effects) <= {None, "partial", "failed"}:
+                raise ValueError(f"role {role!r} effects must be two of 'failed', 'partial', None")
+
+    def result(
+        self, runs: Sequence[tuple[AgentSlot, AgentRun]], answer: str, rounds: int,
+        finished: bool = True,
+    ) -> PlaygroundResult:
+        """``answer`` with the status decided by the one rule for every workflow.
+
+        ``runs`` are the (slot, run) pairs the workflow consumed, in order. The
+        status starts ``ok``, or ``partial`` if the workflow did not finish
+        (deadline passed, or last round used with no closing answer); each run
+        that did not answer worsens it by its role's effect; an empty answer is
+        ``failed``. ``per_slot_outcomes`` keeps each slot's last outcome.
+        """
+        status = "ok" if finished else "partial"
+        outcomes: dict[str, AgentOutcome] = {}
+        for slot, run in runs:
+            outcome = outcomes[slot.slot_name] = run.outcome
+            if outcome.status != "answered":
+                on_error, on_other = self.role_effects.get(slot.role, DEFAULT_ROLE_EFFECTS)
+                effect = on_error if outcome.status == "error" else on_other
+                status = max(status, effect or status, key=RESULT_STATUSES.index)
+        if not answer:
+            status = "failed"
+        return PlaygroundResult(answer, status, outcomes, rounds_used=rounds)
 
 
 class PlaygroundRegistry:
@@ -195,10 +230,7 @@ def single_slot(slots: list[AgentSlot], role: str) -> AgentSlot:
 
 def answer_or_note(state: AgentRun) -> str:
     outcome = state.outcome
-    assert outcome is not None
-    if outcome.status == "answered":
-        return outcome.final_answer or ""
-    return f"failed: {outcome.status}"
+    return f"failed: {outcome.status}" if outcome.final_answer is None else outcome.final_answer
 
 
 def parse_score(content: str) -> float:

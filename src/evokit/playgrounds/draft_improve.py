@@ -7,8 +7,8 @@ evaluator score its proposal as soon as its improver answers, so the scores
 are computed concurrently too. The round adopts the argmax of the
 evaluator's ``SCORE: <real>`` lines (ties break to the lowest slot name) and
 promotes its findings to the cache. At the end the run's wisdom is promoted
-to the cross-run store for the next run to prefetch. A drafter that does not
-answer leaves the run at best partial.
+to the cross-run store for the next run to prefetch. An evaluator that ends
+``error`` ends the loop.
 """
 
 from __future__ import annotations
@@ -54,45 +54,41 @@ def draft_and_improve(
         notes = ("Wisdom from previous runs:\n" + "\n---\n".join(wisdom),)
 
     draft_state = run_slot(drafter, task, services, pinned_notes=notes)
-    outcomes = {drafter.slot_name: draft_state.outcome}
+    runs = [(drafter, draft_state)]
     if draft_state.outcome.status == "error":
-        return PlaygroundResult("", "failed", outcomes, rounds_used=0)
-    solution = draft_state.outcome.final_answer or draft_state.last_assistant_content
+        return DEFINITION.result(runs, "", 0)
+    solution = draft_state.outcome.final_answer
+    if solution is None:
+        solution = draft_state.last_assistant_content
 
-    status = "ok" if draft_state.outcome.status == "answered" else "partial"
     rounds_used = 0
+    finished = True
     for round_index in range(1, max_rounds + 1):
         if services.out_of_time():
-            status = "partial"
+            finished = False
             break
         improve_task = f"{task}\n\nCurrent solution:\n{solution}\n\nPropose an improved version."
 
         def improve_and_score(slot: AgentSlot):
             state = run_slot(slot, improve_task, services)
-            if state.outcome.status != "answered":
+            if state.outcome.final_answer is None:
                 return state, None
             evaluate_task = (
-                f"{task}\n\nCandidate solution:\n{state.outcome.final_answer or ''}\n\n"
+                f"{task}\n\nCandidate solution:\n{state.outcome.final_answer}\n\n"
                 "Reply with a line 'SCORE: <number>'."
             )
             return state, run_slot(evaluator_slot, evaluate_task, services)
 
+        branches = fan_out(improve_and_score, improvers)
         proposals, scores = {}, {}
-        evaluator_failed = False
-        for slot, (state, eval_state) in zip(improvers, fan_out(improve_and_score, improvers)):
-            name = slot.slot_name
-            outcomes[name] = state.outcome
-            scores[name] = float("-inf")
-            if eval_state is None:
-                continue
-            proposals[name] = state.outcome.final_answer or ""
-            outcomes[evaluator.slot_name] = eval_state.outcome
-            if eval_state.outcome.status == "error":
-                evaluator_failed = True
-            else:
-                scores[name] = parse_score(eval_state.last_assistant_content)
-        if evaluator_failed:
-            status = "partial"
+        for slot, (state, eval_state) in zip(improvers, branches):
+            runs.append((slot, state))
+            scores[slot.slot_name] = float("-inf")
+            if eval_state is not None:
+                runs.append((evaluator_slot, eval_state))
+                proposals[slot.slot_name] = state.outcome.final_answer
+                scores[slot.slot_name] = parse_score(eval_state.last_assistant_content)
+        if any(e is not None and e.outcome.status == "error" for _, e in branches):
             break
 
         adopted = select_best(scores)
@@ -110,9 +106,7 @@ def draft_and_improve(
     if services.cache:
         services.cache.promote_run(solution)
     emit({"tier": "run", "wisdom": solution})
-    if not solution:
-        status = "failed"
-    return PlaygroundResult(solution, status, outcomes, rounds_used=rounds_used)
+    return DEFINITION.result(runs, solution, rounds_used, finished)
 
 
 DEFINITION = PlaygroundDefinition(
@@ -120,4 +114,6 @@ DEFINITION = PlaygroundDefinition(
     workflow=draft_and_improve,
     params_schema={"max_rounds": int, "branches": (int, "improver")},
     slot_roles={"drafter": (1, 1), "improver": (1, None), "evaluator": (1, 1)},
+    role_effects={"drafter": ("failed", "partial"), "improver": (None, None),
+                  "evaluator": ("partial", None)},
 )

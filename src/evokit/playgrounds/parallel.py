@@ -22,20 +22,13 @@ def parallel_explore(
     aggregator = single_slot(slots, "aggregator")
     explorers = slots_by_role(slots, "explorer")
 
-    runs = fan_out(lambda slot: run_slot(slot, task, services), explorers)
-    states = {slot.slot_name: state for slot, state in zip(explorers, runs)}
-
-    outcomes = {name: state.outcome for name, state in states.items()}
-    degraded = any(outcome.status != "answered" for outcome in outcomes.values())
-    lines = [f"[{name}] {answer_or_note(states[name])}" for name in sorted(states)]
+    runs = list(zip(explorers, fan_out(lambda slot: run_slot(slot, task, services), explorers)))
+    lines = [f"[{slot.slot_name}] {answer_or_note(state)}" for slot, state in runs]
 
     aggregate_task = f"{task}\n\nCandidate answers:\n" + "\n".join(lines)
     agg_state = run_slot(aggregator, aggregate_task, services)
-    outcomes[aggregator.slot_name] = agg_state.outcome
-    if agg_state.outcome.status != "answered":
-        return PlaygroundResult("", "failed", outcomes, rounds_used=1)
-    status = "partial" if degraded else "ok"
-    return PlaygroundResult(agg_state.outcome.final_answer or "", status, outcomes, rounds_used=1)
+    runs.append((aggregator, agg_state))
+    return DEFINITION.result(runs, agg_state.outcome.final_answer or "", 1)
 
 
 DEFINITION = PlaygroundDefinition(

@@ -36,39 +36,29 @@ def planner_executor(
         planner.slot_name, planner.role, replace(planner.spec, max_turns=1)
     )
 
-    outcomes = {}
-    findings: list[str] = []
-    for round_index in range(1, max_rounds + 1):
+    runs = []
+    findings: list[str] = []  # one per finished round
+    for _ in range(max_rounds):
         if services.out_of_time():
-            return PlaygroundResult(
-                "\n".join(findings), "partial", outcomes, rounds_used=round_index - 1
-            )
+            break
         planner_task = task
         if findings:
             numbered = "\n".join(f"{i + 1}. {f}" for i, f in enumerate(findings))
             planner_task = f"{task}\n\nFindings so far:\n{numbered}"
         planner_state = run_slot(planner_slot, planner_task, services)
-        outcomes[planner.slot_name] = planner_state.outcome
-        if planner_state.outcome.status == "answered":
-            return PlaygroundResult(
-                planner_state.outcome.final_answer or "",
-                "ok",
-                outcomes,
-                rounds_used=round_index,
-            )
-        if planner_state.outcome.status == "error":
-            return PlaygroundResult(
-                "\n".join(findings), "failed", outcomes, rounds_used=round_index
-            )
+        runs.append((planner_slot, planner_state))
+        outcome = planner_state.outcome
+        if outcome.final_answer is not None:
+            return DEFINITION.result(runs, outcome.final_answer, len(findings) + 1)
+        if outcome.status == "error":
+            return DEFINITION.result(runs, "\n".join(findings), len(findings) + 1)
         plan = planner_state.last_assistant_content
 
         executor_state = run_slot(executor, f"{task}\n\nSearch plan:\n{plan}", services)
-        outcomes[executor.slot_name] = executor_state.outcome
+        runs.append((executor, executor_state))
         findings.append(answer_or_note(executor_state))
 
-    return PlaygroundResult(
-        "\n".join(findings), "partial", outcomes, rounds_used=max_rounds
-    )
+    return DEFINITION.result(runs, "\n".join(findings), len(findings), finished=False)
 
 
 DEFINITION = PlaygroundDefinition(
@@ -76,4 +66,5 @@ DEFINITION = PlaygroundDefinition(
     workflow=planner_executor,
     params_schema={"max_rounds": int},
     slot_roles={"planner": (1, 1), "executor": (1, 1)},
+    role_effects={"planner": ("failed", None), "executor": (None, None)},
 )

@@ -30,18 +30,13 @@ def single_agent_research(
         tool_names=tuple(params.get("tool_pack", researcher.spec.tool_names)),
         system_prompt=researcher.spec.system_prompt or RESEARCH_PROMPT,
     )
-    state = run_slot(AgentSlot(researcher.slot_name, researcher.role, spec), task, services)
+    slot = AgentSlot(researcher.slot_name, researcher.role, spec)
+    state = run_slot(slot, task, services)
     outcome = state.outcome
-    outcomes = {researcher.slot_name: outcome}
-    if outcome.status == "answered":
-        return PlaygroundResult(
-            outcome.final_answer or "", "ok", outcomes, rounds_used=outcome.turns
-        )
-    if outcome.status == "error":
-        return PlaygroundResult("", "failed", outcomes, rounds_used=outcome.turns)
-    return PlaygroundResult(
-        state.last_assistant_content, "partial", outcomes, rounds_used=outcome.turns
-    )
+    answer = outcome.final_answer
+    if answer is None:
+        answer = "" if outcome.status == "error" else state.last_assistant_content
+    return DEFINITION.result([(slot, state)], answer, outcome.turns)
 
 
 DEFINITION = PlaygroundDefinition(
@@ -49,4 +44,5 @@ DEFINITION = PlaygroundDefinition(
     workflow=single_agent_research,
     params_schema={"tool_pack": TOOL_NAMES},
     slot_roles={"researcher": (1, 1)},
+    role_effects={"researcher": ("failed", "partial")},
 )

@@ -10,24 +10,22 @@ def sequential_handoff(
     task: str, params: dict, slots: list[AgentSlot], services: RunServices
 ) -> PlaygroundResult:
     del params
-    outcomes = {}
+    runs = []
     answer = ""
     current_task = task
-    for index, slot in enumerate(slots):
+    for slot in slots:
         state = run_slot(slot, current_task, services)
-        outcome = state.outcome
-        outcomes[slot.slot_name] = outcome
-        if outcome.status == "error":
-            return PlaygroundResult(answer, "failed", outcomes, rounds_used=index)
-        if outcome.status != "answered":
-            return PlaygroundResult(answer, "partial", outcomes, rounds_used=index)
-        answer = outcome.final_answer or ""
+        runs.append((slot, state))
+        if state.outcome.final_answer is None:
+            return DEFINITION.result(runs, answer, len(runs) - 1)
+        answer = state.outcome.final_answer
         current_task = f"{task}\n\nPrior result:\n{answer}"
-    return PlaygroundResult(answer, "ok", outcomes, rounds_used=len(slots))
+    return DEFINITION.result(runs, answer, len(runs))
 
 
 DEFINITION = PlaygroundDefinition(
     name="sequential_handoff",
     workflow=sequential_handoff,
     slot_roles={"worker": (1, None)},
+    role_effects={"worker": ("failed", "partial")},
 )

@@ -1,12 +1,11 @@
 """Four-phase refinement pipeline: solve, critique, rewrite, select.
 
 Solvers draft candidates in parallel; a solver that does not answer
-contributes no candidate and marks the run partial, and the run fails if
-none answers. Each round, the critic reviews every candidate and the
-rewriter revises it under that critique; a critic verdict of NO ISSUES
-skips the rewrite for that candidate. A critic that does not answer also
-skips it and marks the run partial. After the last round the selector picks
-exactly one candidate by number, returned verbatim.
+contributes no candidate. Each round, the critic reviews every candidate
+and the rewriter revises it under that critique; a critic verdict of NO
+ISSUES, or no answer from the critic, skips the rewrite for that candidate.
+After the last round the selector picks exactly one candidate by number,
+returned verbatim.
 """
 
 from __future__ import annotations
@@ -36,50 +35,38 @@ def solve_critique_rewrite_select(
     n_rounds = params.get("n_rounds", 1)
     solvers = solvers[: params.get("n_solvers", len(solvers))]
 
-    outcomes = {}
-    degraded = False
-    candidates = []
-    for slot, state in zip(solvers, fan_out(lambda s: run_slot(s, task, services), solvers)):
-        outcomes[slot.slot_name] = state.outcome
-        if state.outcome.status == "answered":
-            candidates.append(state.outcome.final_answer or "")
-        else:
-            degraded = True
+    runs = list(zip(solvers, fan_out(lambda s: run_slot(s, task, services), solvers)))
+    candidates = [
+        state.outcome.final_answer for _, state in runs if state.outcome.final_answer is not None
+    ]
     if not candidates:
-        return PlaygroundResult("", "failed", outcomes, rounds_used=0)
+        return DEFINITION.result(runs, "", 0)
 
     for _ in range(n_rounds):
         for index, candidate in enumerate(candidates):
             critic_task = f"{task}\n\nCandidate solution:\n{candidate}"
             critic_state = run_slot(critic, critic_task, services)
-            outcomes[critic.slot_name] = critic_state.outcome
-            if critic_state.outcome.status != "answered":
-                degraded = True
-                continue
-            critique = critic_state.outcome.final_answer or ""
-            if critique.strip() == NO_ISSUES:
+            runs.append((critic, critic_state))
+            critique = critic_state.outcome.final_answer
+            if critique is None or critique.strip() == NO_ISSUES:
                 continue
             rewrite_task = (
                 f"{task}\n\nCandidate solution:\n{candidate}\n\nCritique:\n{critique}"
             )
             rewrite_state = run_slot(rewriter, rewrite_task, services)
-            outcomes[rewriter.slot_name] = rewrite_state.outcome
-            if rewrite_state.outcome.status == "answered":
-                candidates[index] = rewrite_state.outcome.final_answer or ""
-            else:
-                degraded = True
+            runs.append((rewriter, rewrite_state))
+            if rewrite_state.outcome.final_answer is not None:
+                candidates[index] = rewrite_state.outcome.final_answer
 
     numbered = "\n".join(f"{i + 1}. {c}" for i, c in enumerate(candidates))
     select_task = (
         f"{task}\n\nPick the best candidate and answer with its number only.\n{numbered}"
     )
     select_state = run_slot(selector, select_task, services)
-    outcomes[selector.slot_name] = select_state.outcome
+    runs.append((selector, select_state))
     choice = _parse_choice(select_state.outcome.final_answer, len(candidates))
-    if choice is None:
-        return PlaygroundResult("", "failed", outcomes, rounds_used=n_rounds)
-    status = "partial" if degraded else "ok"
-    return PlaygroundResult(candidates[choice - 1], status, outcomes, rounds_used=n_rounds)
+    answer = "" if choice is None else candidates[choice - 1]
+    return DEFINITION.result(runs, answer, n_rounds)
 
 
 def _parse_choice(answer: str | None, count: int) -> int | None:

@@ -6,6 +6,7 @@ report lines as they execute.
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 import re
@@ -104,6 +105,31 @@ def test_c03_reference_workflows_within_line_budget() -> None:
             source = (package_dir / module_name).read_text(encoding="utf-8")
             non_blank = [line for line in source.splitlines() if line.strip()]
             assert len(non_blank) <= 150, (module_name, len(non_blank))
+
+
+def test_builtin_workflows_leave_the_status_to_their_definition() -> None:
+    # A workflow returns its definition's result(); only base.py decides a
+    # status. The role_effects declaration beside slot_roles is data.
+    import evokit.playgrounds as playgrounds_pkg
+    from evokit.playgrounds.base import RESULT_STATUSES
+
+    package_dir = Path(playgrounds_pkg.__file__).parent
+    for definition in playgrounds_pkg.BUILTIN_DEFINITIONS:
+        module_name = definition.workflow.__module__.rsplit(".", 1)[-1]
+        tree = ast.parse((package_dir / f"{module_name}.py").read_text(encoding="utf-8"))
+        declared = {
+            id(node)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "PlaygroundDefinition"
+            for keyword in call.keywords
+            if keyword.arg == "role_effects"
+            for node in ast.walk(keyword.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                assert getattr(node.func, "id", None) != "PlaygroundResult", module_name
+            if isinstance(node, ast.Constant) and id(node) not in declared:
+                assert node.value not in RESULT_STATUSES, (module_name, node.lineno)
 
 
 # -- 4. trajectory completeness + mutation detection ----------------------------------------

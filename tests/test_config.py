@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,52 @@ def test_pure_python_loader_without_libyaml(monkeypatch, tmp_path) -> None:
     path.write_text("experiment:\n  name: [unclosed\n", encoding="utf-8")
     with pytest.raises(ParseError, match="at line 3, column 1"):
         load_config(path)
+
+
+def _aliased_tool_pack(entries: int, levels: int) -> str:
+    """The golden research manifest whose tool_pack nests each entry's alias in the next.
+
+    Each of ``entries`` anchored entries nests ``levels`` sequences around an
+    alias of the one before, so the text nests ``levels`` + 3 deep and the
+    built data about ``entries`` * ``levels`` deep.
+    """
+    text = (FIXTURES / "golden/research.yaml").read_text(encoding="utf-8")
+    pack = ["      - &a0 " + "[" * levels + "web_search" + "]" * levels]
+    pack += [
+        f"      - &a{i} " + "[" * levels + f"*a{i - 1}" + "]" * levels for i in range(1, entries)
+    ]
+    old = "    tool_pack: [web_search, web_fetch, pdf_extract]\n"
+    assert old in text
+    return text.replace(old, "    tool_pack:\n" + "\n".join(pack) + "\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_data_aliases_nest_too_deep_is_a_parse_error_in_a_subprocess(tmp_path, command) -> None:
+    for name in ("scripts", "corpus"):  # what the manifest's relative paths name
+        shutil.copytree(FIXTURES / "golden" / name, tmp_path / name)
+    path = tmp_path / "deep.yaml"
+    path.write_text(_aliased_tool_pack(25, 60), encoding="utf-8")
+    out = ["--out", str(tmp_path / "runs")] if command == "run" else []
+    src = Path(config_module.__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-m", "evokit.cli", command, "--config", str(path), *out],
+        capture_output=True, text=True, timeout=120, cwd=src,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "aliases nest the data deeper than 64 levels" in result.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_data_aliases_nest_up_to_the_limit_loads(monkeypatch, loader) -> None:
+    monkeypatch.setattr(config_module, "_LOADER", loader)
+    # The mapping, b's list and the 62 aliased sequences nest 64 collections deep.
+    text = "a: &x " + "[" * 62 + "]" * 62 + "\nb: [*x]\n"
+    assert config_module._parse_yaml(text, "m.yaml") == _oracle(text, loader)
+    with pytest.raises(ParseError, match="aliases nest the data deeper than 64 levels"):
+        config_module._parse_yaml(text.replace("[*x]", "[[*x]]"), "m.yaml")
+    with pytest.raises(ParseError, match="aliases nest the data deeper than 64 levels"):
+        config_module._parse_yaml("a: &x [1, *x]\n", "m.yaml")  # a list that holds itself
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)

@@ -26,6 +26,7 @@ from evokit.gateway import (
     TokenUsage,
     estimate_tokens,
     load_script,
+    nested_deeper_than,
     parse_script,
     scripted_step,
 )
@@ -214,6 +215,41 @@ def test_script_the_decoder_rejects_raises(tmp_path, text) -> None:
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ScriptParseError, match=f"^{re.escape(str(path))}: invalid JSON"):
         load_script(path)
+
+
+def _deep_args_script(levels: int) -> str:
+    """A script whose one tool call's arguments object nests ``levels`` deep in all."""
+    args = {"a": json.loads("[" * (levels - 1) + "]" * (levels - 1))}
+    return json.dumps([{"tool_calls": [{"name": "exec", "arguments": args}]}])
+
+
+def test_script_arguments_nested_too_deep_raise_at_load(tmp_path) -> None:
+    # 700 levels decode, but a playback's deepcopy of them would recurse past the limit.
+    path = tmp_path / "deep.script"
+    path.write_text(_deep_args_script(700), encoding="utf-8")
+    with pytest.raises(ScriptParseError, match="entry 0 arguments nest deeper than 64 levels"):
+        load_script(path)
+    with pytest.raises(ScriptParseError):
+        parse_script(_deep_args_script(65))
+    script = parse_script(_deep_args_script(64))
+    assert scripted_step(script, [ChatMessage("user", "go")]).tool_calls[0].tool == "exec"
+
+
+def test_nested_deeper_than_walks_shared_and_cyclic_containers() -> None:
+    shared: list = []
+    for _ in range(40):  # 2**40 paths, 40 containers
+        shared = [shared, shared]
+    assert not nested_deeper_than(shared, 41)
+    assert nested_deeper_than(shared, 40)
+    # Met shallow first (the walk takes the last value first) and deep later,
+    # a container still counts at its deepest: 1 + 3 + 3 levels.
+    inner = [[[]]]
+    assert nested_deeper_than({"deep": [[[inner]]], "shallow": inner}, 6)
+    assert not nested_deeper_than({"deep": [[[inner]]], "shallow": inner}, 7)
+    cycle: list = []
+    cycle.append(cycle)
+    assert nested_deeper_than({"k": cycle}, 64)
+    assert not nested_deeper_than("text", 0)
 
 
 def test_scripted_complete_is_deterministic(tmp_path) -> None:

@@ -56,6 +56,19 @@ def test_min_run_completes_and_replays(tmp_path) -> None:
     assert saved["result"]["final_answer"] == "pong"
 
 
+def test_an_empty_final_answer_is_a_failed_run_not_an_error(tmp_path) -> None:
+    snapshot = load_config(FIXTURES / "configs/min.yaml").to_dict()
+    script = write_script(tmp_path, "empty.script", [{"content": "FINAL:"}])
+    snapshot["llm"]["profiles"][0]["script_path"] = str(script)
+    snapshot["experiment"]["output_dir"] = str(tmp_path / "runs")
+    record = run_experiment(from_dict(snapshot))
+    saved = json.loads(Path(record.record_path).read_text(encoding="utf-8"))
+    assert (saved["status"], saved["result"]["status"]) == ("failed", "failed")
+    assert saved["result"]["final_answer"] == ""
+    events = [json.loads(line) for line in Path(record.trajectory_path).read_text().splitlines()]
+    assert not [e for e in events if e["kind"] == "error"]
+
+
 def test_run_start_snapshot_revalidates(tmp_path) -> None:
     for name in ("configs/min.yaml", "configs/skills.yaml"):
         record = run_experiment(_load(name, tmp_path))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from evokit.engine import AgentSpec, ConfigError
 from evokit.gateway import ModelProfile
 from evokit.harness import TrajectoryRecorder
 from evokit.playgrounds import (
+    BUILTIN_DEFINITIONS,
     AgentSlot,
     DuplicatePlayground,
     InvalidParams,
@@ -23,7 +26,9 @@ from evokit.playgrounds import (
     fan_out,
     install_builtin_playgrounds,
     run_playground,
+    run_slot,
 )
+from evokit.playgrounds.base import DEFAULT_ROLE_EFFECTS
 from evokit.playgrounds.parallel import parallel_explore
 from evokit.playgrounds.sequential import sequential_handoff
 from helpers import make_services, scripted_gateway
@@ -322,3 +327,116 @@ def test_fan_out_raises_the_first_error_in_input_order_after_all_calls() -> None
 def test_playground_result_ok_requires_answer() -> None:
     with pytest.raises(ValueError):
         PlaygroundResult("", "ok")
+
+
+# -- the one status rule --------------------------------------------------------
+
+# For each built-in, slots whose closing agent answers with an empty ``FINAL:``:
+# (role, profile) per slot, and the params.
+EMPTY_FINAL_CASES = {
+    "sequential_handoff": ([("worker", "answer"), ("worker", "empty")], {}),
+    "parallel_explore": (
+        [("explorer", "answer"), ("explorer", "answer"), ("aggregator", "empty")], {}
+    ),
+    # The selector names candidate 1, and that candidate is the empty answer.
+    "solve_critique_rewrite_select": (
+        [("solver", "empty"), ("critic", "no_issues"), ("rewriter", "answer"),
+         ("selector", "one")],
+        {},
+    ),
+    "planner_executor": ([("planner", "empty"), ("executor", "answer")], {}),
+    # No improver answers, so the solution stays the drafter's empty answer.
+    "draft_and_improve": (
+        [("drafter", "empty"), ("improver", "mute"), ("evaluator", "score")],
+        {"max_rounds": 1},
+    ),
+    "single_agent_research": ([("researcher", "empty")], {}),
+}
+
+
+def _empty_final_gateway(tmp_path):
+    return scripted_gateway(
+        tmp_path,
+        empty=[{"content": "FINAL:"}],
+        answer=[{"content": "FINAL: an answer"}],
+        no_issues=[{"content": "FINAL: NO ISSUES"}],
+        one=[{"content": "FINAL: 1"}],
+        score=[{"content": "SCORE: 1"}],
+        mute=[{"content": "still working"}],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_FINAL_CASES))
+def test_an_empty_final_answer_fails_the_run(tmp_path, name) -> None:
+    roles, params = EMPTY_FINAL_CASES[name]
+    slots = [_slot(f"{role}-{i}", role, profile) for i, (role, profile) in enumerate(roles)]
+    services = make_services(tmp_path, _empty_final_gateway(tmp_path))
+    result = run_playground(name, "t", params, slots, services)
+    assert (result.status, result.final_answer) == ("failed", "")
+
+
+def test_first_worker_ending_without_an_answer_fails_the_handoff(tmp_path) -> None:
+    services = make_services(tmp_path, _empty_final_gateway(tmp_path))
+    slots = [_slot("a", "worker", "mute"), _slot("b", "worker", "answer")]
+    result = run_playground("sequential_handoff", "t", {}, slots, services)
+    assert (result.status, result.final_answer, result.rounds_used) == ("failed", "", 0)
+    assert result.per_slot_outcomes["a"].status == "max_turns"
+
+
+def test_planner_deadline_before_a_finding_fails_the_run(tmp_path) -> None:
+    services = make_services(
+        tmp_path, _empty_final_gateway(tmp_path), deadline=time.monotonic() - 1
+    )
+    slots = [_slot("planner", "planner", "answer"), _slot("executor", "executor", "answer")]
+    result = run_playground("planner_executor", "t", {}, slots, services)
+    assert (result.status, result.final_answer, result.rounds_used) == ("failed", "", 0)
+
+
+def test_role_effects_decide_the_status_of_a_custom_workflow(tmp_path) -> None:
+    definition = PlaygroundDefinition(
+        name="custom",
+        workflow=lambda task, params, slots, services: None,
+        role_effects={"judge": (None, "failed"), "scout": ("failed", None)},
+    )
+    services = make_services(tmp_path, _empty_final_gateway(tmp_path))
+    runs = [
+        (slot, run_slot(slot, "t", services))
+        for slot in (_slot("scout", "scout", "mute"), _slot("writer", "writer", "answer"))
+    ]
+    # The scout's effect after an end other than error is none.
+    assert definition.result(runs, "x", 1).status == "ok"
+    assert definition.result(runs, "x", 1, finished=False).status == "partial"
+    assert definition.result(runs, "", 1).status == "failed"
+    # An undeclared role takes the default, partial.
+    helper = _slot("helper", "helper", "mute")
+    assert definition.result([*runs, (helper, runs[0][1])], "x", 1).status == "partial"
+    judge = _slot("judge", "judge", "mute")
+    result = definition.result([*runs, (judge, run_slot(judge, "t", services))], "x", 2)
+    assert (result.status, result.rounds_used) == ("failed", 2)
+    assert list(result.per_slot_outcomes) == ["scout", "writer", "judge"]
+
+
+def test_role_effects_must_be_pairs_of_statuses() -> None:
+    for effects in [("failed",), ("ok", None), ("partial", "fail")]:
+        with pytest.raises(ValueError, match="effects"):
+            PlaygroundDefinition(
+                name="bad", workflow=lambda *args: None, role_effects={"r": effects}
+            )
+
+
+def test_readme_states_every_built_in_roles_effects() -> None:
+    declared = {}
+    for definition in BUILTIN_DEFINITIONS:
+        for role in definition.slot_roles:
+            declared[role] = definition.role_effects.get(role, DEFAULT_ROLE_EFFECTS)
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"\| roles \| after `error` \| after any other end \|\n\|.*\n((?:\|.*\n)+)",
+                      readme)
+    assert table is not None
+    stated = {}
+    for row in table.group(1).splitlines():
+        roles, *effects = (cell.strip() for cell in row.strip("|").split("|"))
+        pair = tuple(None if e == "none" else e.strip("`") for e in effects)
+        for role in re.findall(r"`(\w+)`", roles):
+            stated[role] = pair
+    assert stated == declared

@@ -439,3 +439,15 @@ def test_lines_the_decoder_rejects_are_corrupt(trajectories, tmp_path, capsys, l
             read(path)
     assert main(["replay", "--trajectory", str(path)]) == 3
     assert "trajectory corrupt: line 2: " in capsys.readouterr().err
+
+
+def test_payload_too_deep_to_mask_is_corrupt(trajectories, tmp_path, capsys) -> None:
+    # The decoder takes 700 nested arrays, but masking them would recurse past the limit.
+    lines = trajectories["research"].read_bytes().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    first["payload"]["deep"] = json.loads("[" * 700 + "]" * 700)
+    path = tmp_path / "deep.jsonl"
+    path.write_bytes(b"".join([json.dumps(first).encode() + b"\n", *lines[1:]]))
+    assert replay(path).complete
+    with pytest.raises(TrajectoryCorrupt, match="^line 1: nested too deep to mask$"):
+        masked_lines(path)
