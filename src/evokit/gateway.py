@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .errors import EvokitError
-from .tools import Action, ToolDescriptor, descriptor_wire_form
+from .tools import Action, ToolDescriptor, descriptor_wire_form, read_utf8
 
 ROLES = ("system", "user", "assistant", "tool")
 PROVIDERS = ("scripted", "http-openai-compatible")
@@ -310,10 +310,13 @@ def nested_deeper_than(value: Any, limit: int) -> bool:
 
 def load_script(path: str | Path) -> Script:
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = read_utf8(path)
     except OSError as exc:
         raise ScriptParseError(f"{path}: cannot read script ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ScriptParseError(
+            f"{path}: script is not UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from exc
     return parse_script(text, source=os.fspath(path))
 
 
@@ -443,7 +446,8 @@ class LlmGateway:
             )
         try:
             return _parse_reply(json.loads(reply))
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError) as exc:
+            # RecursionError: a reply nested past the JSON decoder's limit.
             raise ProviderError(f"malformed provider response: {exc}") from exc
 
 

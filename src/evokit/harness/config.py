@@ -13,23 +13,27 @@ that name it; the run uses what load parsed, so it never fails halfway
 through on a typo or on a file edited since. Relative paths resolve against
 the manifest's own directory, which keeps configs shareable.
 
-The YAML is parsed by ``_LOADER``, and the data is built straight from its
-parser's events: each untagged scalar gets the tag the loader's resolver
-picks and the value the loader's constructor builds, so the data is exactly
-what ``yaml.load`` returns. A document the event builder does not build
-itself (an anchor, alias, explicit tag, ``<<`` or ``=`` key, collection key,
-second document or syntax error) goes to ``yaml.load``. Nesting deeper than
-``_MAX_DEPTH`` levels, and a value the constructor cannot build, is a
-ParseError naming its line, and so is data that aliases nest deeper than
-that, without a line. Where an integer is expected, a bool or a float
-with a fraction is a ValidationError naming the key (``2.0`` reads as 2),
-and where a number is expected, a bool is one.
+A manifest, like a script, is read as strict UTF-8 with ``\r\n`` and a lone
+``\r`` read as ``\n``; bytes that are not UTF-8 are a ParseError naming the
+first one's offset. The YAML is parsed by ``_LOADER``, and the data is built
+straight from its parser's events: each untagged scalar gets the tag the
+loader's resolver picks and the value the loader's constructor builds (a
+null, bool or plain decimal int is built directly, as the constructor builds
+it), so the data is exactly what ``yaml.load`` returns. A document the event
+builder does not build itself (an anchor, alias, explicit tag, ``<<`` or
+``=`` key, collection key, second document or syntax error) goes to
+``yaml.load``. Nesting deeper than ``_MAX_DEPTH`` levels, and a value the
+constructor cannot build, is a ParseError naming its line, and so is data
+that aliases nest deeper than that, without a line. Where an integer is
+expected, a bool or a float with a fraction is a ValidationError naming the
+key (``2.0`` reads as 2), and where a number is expected, a bool is one.
 """
 
 from __future__ import annotations
 
 import copy
 import os
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
@@ -53,7 +57,7 @@ from ..playgrounds import (
     SlotConfigError, check_inputs, default_registry,
 )
 from ..skills import SKILL_TOOL_NAME, ManifestParseError, SkillIndex, discover
-from ..tools import BUILTIN_TOOL_NAMES
+from ..tools import BUILTIN_TOOL_NAMES, read_utf8
 
 DEFAULT_MAX_WALL_SECONDS = 86_400  # 24 h
 # libyaml's safe loader when PyYAML was built with it, else the pure-Python
@@ -65,11 +69,17 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # levels overflow the C stack; the pure-Python one hits the recursion limit.
 _MAX_DEPTH = 64
 _STR_TAG = "tag:yaml.org,2002:str"
-# The other tags of an untagged scalar that the event builder builds itself,
-# each with the loader's own constructor for it.
+_NULL_TAG, _BOOL_TAG, _INT_TAG = (f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int"))
+# The other tags of an untagged scalar that the event builder builds itself:
+# a null, a bool and a plain decimal int directly, the rest with the loader's
+# own constructor for its tag.
 _SCALAR_TAGS = frozenset(
-    f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float", "timestamp")
+    (_NULL_TAG, _BOOL_TAG, _INT_TAG, "tag:yaml.org,2002:float", "tag:yaml.org,2002:timestamp")
 )
+# An int tag's text that int() reads as the constructor does: no sign,
+# underscore, base prefix, leading zero or colon, and no more digits than
+# CPython converts to an int by default.
+_DECIMAL = re.compile(r"[1-9][0-9]{0,4299}|0").fullmatch
 # What PyYAML's scalar constructors raise on text they cannot build: an int
 # or a date out of range (ValueError), or an explicit !!bool, !!int, !!float
 # or !!timestamp on text of another form (KeyError, IndexError, AttributeError).
@@ -311,10 +321,13 @@ def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
     """Parse and fully validate a manifest file."""
     path = os.fspath(path)  # opened and split as text, as _resolve joins
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = read_utf8(path)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read manifest ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: manifest is not UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from exc
     try:
         data = _parse_yaml(text, path)
     except yaml.YAMLError as exc:
@@ -365,18 +378,41 @@ def _parse_yaml(text: str, source: str) -> Any:
     return data
 
 
+@cache
+def _implicit_resolvers(loader: type) -> tuple[dict[str, tuple], tuple]:
+    """``loader``'s ``(tag, regexp)`` resolvers of a plain scalar, by its first character.
+
+    Each character's entries come first, then the wildcard ones, in the
+    loader's order; a character with no entries of its own gets the wildcard
+    ones alone. That is the list ``BaseResolver.resolve`` builds on each call
+    (keyed ``""`` for the empty text), so the first entry whose regexp
+    matches gives the tag it picks. The safe loaders have no path resolvers,
+    so a scalar no entry matches is a str.
+    """
+    resolvers = loader.yaml_implicit_resolvers
+    wildcard = tuple(resolvers.get(None, ()))
+    table = {
+        first: (*entries, *wildcard) for first, entries in resolvers.items() if first is not None
+    }
+    return table, wildcard
+
+
 def _document(loader: Any) -> Any:
     """The single document of ``loader``'s stream, built from its events.
 
     It builds what the composer and ``SafeConstructor`` build: a mapping is
     a dict in key order whose last duplicate key wins, a sequence a list, a
-    str scalar its text, and a null, bool, int, float or timestamp scalar
-    what the loader's constructor makes of it. Raises _Fallback on anything
-    else: an anchor or alias, an explicit tag, a scalar of another resolved
-    tag (``<<``, ``=``), a collection as a key, a second document, a scalar
-    the constructor cannot build, or nesting past ``_MAX_DEPTH``.
+    str scalar its text, a null None, a bool ``bool_values[text.lower()]``,
+    a plain decimal int ``int(text)``, and any other int, float or
+    timestamp scalar what the loader's constructor makes of it. Raises
+    _Fallback on anything else: an anchor or alias, an explicit tag, a
+    scalar of another resolved tag (``<<``, ``=``), a collection as a key, a
+    second document, a scalar that cannot be built, or nesting past
+    ``_MAX_DEPTH``.
     """
-    get_event, resolve, constructors = loader.get_event, loader.resolve, loader.yaml_constructors
+    get_event, constructors = loader.get_event, loader.yaml_constructors
+    bool_values = loader.bool_values
+    resolvers, wildcard = _implicit_resolvers(type(loader))
     get_event()  # StreamStartEvent
     if type(get_event()) is StreamEndEvent:  # else the DocumentStartEvent
         return None
@@ -392,12 +428,24 @@ def _document(loader: Any) -> Any:
             if event.anchor is not None or (tag is not None and tag != "!"):
                 raise _Fallback(event, len(stack))
             value = event.value
-            tag = resolve(ScalarNode, value, event.implicit)
+            tag = _STR_TAG
+            if event.implicit[0]:  # plain or tagged "!"; a quoted scalar is a str
+                for resolved, regexp in resolvers.get(value[:1], wildcard):
+                    if regexp.match(value):
+                        tag = resolved
+                        break
             if tag != _STR_TAG:
                 if tag not in _SCALAR_TAGS:
                     raise _Fallback(event, len(stack))
                 try:
-                    value = constructors[tag](loader, ScalarNode(tag, value))
+                    if tag == _INT_TAG and _DECIMAL(value):
+                        value = int(value)
+                    elif tag == _BOOL_TAG:
+                        value = bool_values[value.lower()]
+                    elif tag == _NULL_TAG:
+                        value = None
+                    else:
+                        value = constructors[tag](loader, ScalarNode(tag, value))
                 except _UNBUILDABLE:
                     raise _Fallback(event, len(stack)) from None
         elif kind is MappingStartEvent or kind is SequenceStartEvent:

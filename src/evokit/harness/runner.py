@@ -1,13 +1,15 @@
 """Single-experiment lifecycle: build services, run the playground, record everything.
 
 Creates the run directory exclusively (an id whose directory already exists
-is drawn again, so two runs never share one), snapshots the resolved config
-into the trajectory's run_start event, wires the gateway/tool/skill/cache
-services, enforces the wall-clock limit through a cooperative deadline
-checked at turn and round boundaries, closes the run's HTTP connections when
-the playground returns, and guarantees that run_end is always written —
-faults become status=error in the record, never an unrecorded abort.
-record.json is written as one JSON line.
+is drawn again, so two runs never share one), and its ``workspace/`` only
+when the run installs a builtin tool that works there (exec, file_read or
+file_write). Snapshots the resolved config into the trajectory's run_start
+event, wires the gateway/tool/skill/cache services, enforces the wall-clock
+limit through a cooperative deadline checked at turn and round boundaries,
+closes the run's HTTP connections when the playground returns, and
+guarantees that run_end is always written — faults become status=error in
+the record, never an unrecorded abort. record.json is written as one JSON
+line.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, fields
+from functools import cache
 
 from ..engine import RunServices
 from ..gateway import ConnectionPool, LlmGateway
@@ -27,6 +30,8 @@ from .recorder import TrajectoryRecorder, dump_utf8
 
 RECORD_FILENAME = "record.json"
 TRAJECTORY_FILENAME = "trajectory.jsonl"
+# The builtin tools that work in <run_dir>/workspace; a run without them has none.
+_WORKSPACE_TOOLS = frozenset({"exec", "file_read", "file_write"})
 
 
 @dataclass
@@ -76,7 +81,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     # Paths are joined as text: pathlib would intern the run id on every run.
     run_id, run_dir = _make_run_dir(config.experiment.output_dir, config.experiment.name)
     workspace = os.path.join(run_dir, "workspace")
-    os.mkdir(workspace)
+    if not _WORKSPACE_TOOLS.isdisjoint(config.tools.builtin):
+        os.mkdir(workspace)
     trajectory_path = os.path.join(run_dir, TRAJECTORY_FILENAME)
     started = time.monotonic()
 
@@ -164,10 +170,15 @@ def _build_services(
     )
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _fields(value: object) -> dict:
     """A dataclass as the encoder writes it: ``dataclasses.asdict``'s object,
     built one level at a time as the encoder reaches it, with no copies."""
-    return {f.name: getattr(value, f.name) for f in fields(value)}
+    return {name: getattr(value, name) for name in _field_names(type(value))}
 
 
 def _write_record(record: ExperimentRecord) -> None:

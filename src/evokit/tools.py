@@ -372,10 +372,26 @@ class LocalCorpusFetcher:
                 chunks.append(chunk)
         finally:
             os.close(fd)
-        text = b"".join(chunks).decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return text
+        return decode_utf8(b"".join(chunks))
+
+
+def decode_utf8(data: bytes) -> str:
+    """``data`` as a file opened in text mode as UTF-8 reads it.
+
+    The decoding is strict, so bytes that are not UTF-8 raise
+    UnicodeDecodeError; ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, and a
+    BOM is kept.
+    """
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of the file ``path``, from one binary read, as ``decode_utf8`` reads it."""
+    with open(path, "rb", buffering=0) as handle:
+        return decode_utf8(handle.read())
 
 
 # The errnos ``Path.is_file()`` reads as "no such file" rather than raising.

@@ -194,6 +194,30 @@ def test_script_the_decoder_rejects_exits_2(tmp_path, capsys) -> None:
     assert f"{script}: invalid JSON" in capsys.readouterr().err
 
 
+def test_manifest_that_is_not_utf8_exits_2(tmp_path, capsys) -> None:
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"name: n\xff\n")
+    assert main(["validate", "--config", str(path)]) == 2
+    expected = f"{path}: manifest is not UTF-8 (byte 7: invalid start byte)"
+    assert expected in capsys.readouterr().err
+    runs = tmp_path / "runs"
+    assert main(["run", "--config", str(path), "--out", str(runs)]) == 2
+    assert "manifest is not UTF-8" in capsys.readouterr().err
+    assert not runs.exists()
+
+
+def test_script_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys) -> None:
+    script = tmp_path / "latin1.script"
+    script.write_bytes(b'[{"content": "caf\xe9"}]')
+    manifest = load_config(MIN).to_dict()
+    manifest["llm"]["profiles"][0]["script_path"] = str(script)
+    path = tmp_path / "bad.yaml"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    expected = f"{script}: script is not UTF-8 (byte 17: invalid continuation byte)"
+    assert f"profile 'worker-m': {expected}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("secs", ["0", "-5"])
 def test_max_wall_secs_override_checked(tmp_path, capsys, secs) -> None:
     runs = tmp_path / "runs"

@@ -12,6 +12,7 @@ import yaml
 
 import evokit.harness.config as config_module
 from evokit.cli import main
+from evokit.gateway import ScriptParseError, load_script
 from evokit.prompts import DEFAULT_FINAL_MARKER
 from evokit.harness import (
     DEFAULT_MAX_WALL_SECONDS,
@@ -197,6 +198,58 @@ def test_disallowed_character_reports_location(
         load_config(path)
 
 
+_ENDINGS_MANIFEST = """\
+# Each line break below is written as \\n, \\r\\n or \\r.
+experiment:
+  name: endings
+  task: |
+    First line.
+    Second line.
+  seed: 3
+llm:
+  profiles:
+    - name: p
+      provider: scripted
+      model: m
+      script_path: endings.script
+playground:
+  name: sequential_handoff
+  params: {}
+  slots:
+    - slot_name: w
+      role: worker
+      llm_profile: p
+      system_prompt: >
+        Folded
+        prompt.
+"""
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_endings_read_as_newlines(tmp_path, ending) -> None:
+    manifest, script = tmp_path / "endings.yaml", tmp_path / "endings.script"
+    broken = tmp_path / "broken.script"
+    entries = [{"match": "line", "content": "FINAL: ok"}, {"content": "FINAL: {{last}}"}]
+    script_text = json.dumps(entries, indent=2)
+    texts = {manifest: _ENDINGS_MANIFEST, script: script_text, broken: script_text + "\n,\n"}
+
+    def load() -> tuple:
+        config = load_config(manifest)
+        # The decoder's message counts lines and characters.
+        with pytest.raises(ScriptParseError, match="Extra data") as excinfo:
+            load_script(broken)
+        return config.to_dict(), config.profiles[0].script, str(excinfo.value)
+
+    for path, text in texts.items():
+        path.write_bytes(text.encode("utf-8"))
+    expected = load()
+    assert expected[0]["experiment"]["task"] == "First line.\nSecond line.\n"
+    assert expected[0]["playground"]["slots"][0]["system_prompt"] == "Folded prompt.\n"
+    for path, text in texts.items():
+        path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+    assert load() == expected
+
+
 # -- the event builder against yaml.load ------------------------------------------
 
 
@@ -273,6 +326,7 @@ DOCUMENTS = {
     "control character": "a: b\x07\n",
     "unterminated quote": "a: 'open\n",
     "syntax error after a value": "a: 1\nb: [\n",
+    "decimal int at the digit limit": "a: " + "9" * 4300 + "\n",
 }
 
 

@@ -388,6 +388,14 @@ def test_http_provider_error_carries_status_and_body() -> None:
     assert "boom" in str(excinfo.value)
 
 
+def test_http_reply_nested_past_the_decoder_limit_is_a_provider_error() -> None:
+    with ChatCompletionsStub(raw_body=b"[" * 100_000) as stub:
+        gateway = _http_gateway(stub.url)
+        with pytest.raises(ProviderError, match="^malformed provider response: ") as excinfo:
+            gateway.complete("remote", [ChatMessage("user", "hi")])
+    assert isinstance(excinfo.value.__cause__, RecursionError)
+
+
 def test_http_provider_requires_api_key_env(monkeypatch) -> None:
     monkeypatch.delenv("EVOKIT_TEST_KEY", raising=False)
     with ChatCompletionsStub() as stub:

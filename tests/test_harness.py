@@ -262,8 +262,9 @@ def test_a_run_makes_each_directory_with_one_mkdir(tmp_path, monkeypatch) -> Non
         for parent, names, _ in os.walk(root)
         for name in names
     ]
-    # output_dir, run dir, workspace; cache root, runs, runs/<id>, rounds, wisdom.
-    assert len(created) == 8
+    # output_dir and run dir (no workspace: the manifest installs no tool that
+    # works in one); cache root, runs, runs/<id>, rounds and wisdom.
+    assert len(created) == 7
     assert sorted(calls) == sorted(created)
     assert failures == []
 
@@ -274,6 +275,74 @@ def test_a_run_makes_each_directory_with_one_mkdir(tmp_path, monkeypatch) -> Non
     cache.promote_round(1, "again")
     TrajectoryRecorder(os.path.join(record.run_dir, "again.jsonl"), "again").close()
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "builtin, made",
+    [
+        ([], False),
+        (["web_search", "web_fetch", "pdf_extract"], False),
+        (["exec"], True),
+        (["file_read"], True),
+        (["web_search", "file_write"], True),
+    ],
+    ids=["none", "retrieval_only", "exec", "file_read", "file_write"],
+)
+def test_a_run_makes_a_workspace_only_for_the_tools_that_work_in_it(
+    tmp_path, builtin, made
+) -> None:
+    manifest = load_config(FIXTURES / "configs/min.yaml").to_dict()
+    manifest["experiment"]["output_dir"] = str(tmp_path)
+    manifest["tools"]["builtin"] = builtin
+    record = run_experiment(from_dict(manifest))
+    assert record.status == "ok"
+    assert (Path(record.run_dir) / "workspace").is_dir() is made
+
+
+def test_file_tools_work_in_the_workspace_the_run_makes(tmp_path) -> None:
+    script = write_script(tmp_path, "w.script", [
+        {"content": "", "tool_calls": [
+            {"name": "file_write", "arguments": {"path": "notes/a.txt", "content": "kept"}},
+        ]},
+        {"content": "", "tool_calls": [
+            {"name": "file_read", "arguments": {"path": "notes/a.txt"}},
+        ]},
+        {"content": "FINAL: {{last}}"},
+    ])
+    record = run_experiment(from_dict({
+        "experiment": {"name": "files", "task": "Write.", "output_dir": str(tmp_path / "runs")},
+        "llm": {"profiles": [{"name": "m", "provider": "scripted", "model": "m",
+                              "script_path": str(script)}]},
+        "tools": {"builtin": ["file_write", "file_read"]},
+        "playground": {"name": "sequential_handoff", "params": {}, "slots": [
+            {"slot_name": "w", "role": "worker", "llm_profile": "m", "max_turns": 3,
+             "critique_every": 99, "tools": ["file_write", "file_read"]}]},
+    }))
+    assert record.status == "ok"
+    assert record.result is not None and record.result.final_answer == "kept"
+    assert (Path(record.run_dir) / "workspace/notes/a.txt").read_text(encoding="utf-8") == "kept"
+
+
+def test_reply_nested_past_the_decoder_limit_is_recorded_and_retried(tmp_path) -> None:
+    with ChatCompletionsStub(raw_body=b"[" * 100_000) as stub:
+        record = run_experiment(from_dict({
+            "experiment": {"name": "deep", "task": "Answer.", "output_dir": str(tmp_path)},
+            "llm": {"profiles": [{"name": "m", "provider": "http-openai-compatible",
+                                  "model": "m", "base_url": stub.url}]},
+            "tools": {"builtin": []},
+            "playground": {"name": "sequential_handoff", "params": {}, "slots": [
+                {"slot_name": "w", "role": "worker", "llm_profile": "m", "max_turns": 2}]},
+        }))
+        assert len(stub.requests) == 2  # the call and its one retry
+    events = [json.loads(line) for line in Path(record.trajectory_path).read_text().splitlines()]
+    errors = [e["payload"] for e in events if e["kind"] == "error"]
+    assert [e.get("retrying") for e in errors] == [True, None]
+    assert all(e["error"].startswith("malformed provider response: ") for e in errors)
+    assert record.result is not None
+    assert record.result.per_slot_outcomes["w"].status == "error"
+    assert record.status == "failed"
+    report = replay(record.trajectory_path)
+    assert report.complete, report.violations
 
 
 def test_reply_with_a_lone_surrogate_is_recorded_and_replays(tmp_path) -> None:
