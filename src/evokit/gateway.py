@@ -248,8 +248,9 @@ class Script:
 
 
 def parse_script(text: str, source: str = "<script>") -> Script:
+    """The script in the JSON ``text``; one leading BOM is skipped, as YAML's reader skips it."""
     try:
-        data = json.loads(text)
+        data = json.loads(text.removeprefix("\ufeff"))
     except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, or an int too long
         raise ScriptParseError(f"{source}: invalid JSON ({exc})") from exc
     if not isinstance(data, list) or not data:
@@ -290,9 +291,9 @@ def nested_deeper_than(value: Any, limit: int) -> bool:
     """Whether dicts, lists and tuples in ``value`` nest more than ``limit`` deep.
 
     The walk is iterative, so any depth is safe to check. A container met
-    again is walked again only when met deeper than before, so containers
-    shared through YAML aliases cost at most ``limit`` walks each, and a
-    container that holds itself counts as too deep.
+    again is walked again only when met deeper than before, so a shared
+    container costs at most ``limit`` walks, and a container that holds
+    itself counts as too deep.
     """
     deepest: dict[int, int] = {}  # id of each container walked -> its deepest depth
     stack = [(value, 1)]

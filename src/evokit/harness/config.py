@@ -15,18 +15,19 @@ the manifest's own directory, which keeps configs shareable.
 
 A manifest, like a script, is read as strict UTF-8 with ``\r\n`` and a lone
 ``\r`` read as ``\n``; bytes that are not UTF-8 are a ParseError naming the
-first one's offset. The YAML is parsed by ``_LOADER``, and the data is built
-straight from its parser's events: each untagged scalar gets the tag the
-loader's resolver picks and the value the loader's constructor builds (a
-null, bool or plain decimal int is built directly, as the constructor builds
-it), so the data is exactly what ``yaml.load`` returns. A document the event
-builder does not build itself (an anchor, alias, explicit tag, ``<<`` or
-``=`` key, collection key, second document or syntax error) goes to
-``yaml.load``. Nesting deeper than ``_MAX_DEPTH`` levels, and a value the
-constructor cannot build, is a ParseError naming its line, and so is data
-that aliases nest deeper than that, without a line. Where an integer is
-expected, a bool or a float with a fraction is a ValidationError naming the
-key (``2.0`` reads as 2), and where a number is expected, a bool is one.
+first one's offset. A manifest is the JSON-shaped part of YAML: block or
+flow mappings and sequences of untagged scalars, in one document, so every
+JSON manifest is one. The data is built straight from ``_LOADER``'s parser
+events: each scalar gets the tag the loader's resolver picks and the value
+the loader's constructor builds (a null, bool or plain decimal int is built
+directly, as the constructor builds it), so it is exactly what ``yaml.load``
+returns for that document. An anchor, alias, explicit tag, ``<<`` or ``=``
+scalar, collection used as a key or second document is a ParseError naming
+its line, column and construct, and so is nesting deeper than
+``_MAX_DEPTH`` levels and a value the constructor cannot build. Where an
+integer is expected, a bool or a float with a fraction is a ValidationError
+naming the key (``2.0`` reads as 2), and where a number is expected, a bool
+is one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from yaml.reader import Reader, ReaderError
 from ..context import ContextBudget
 from ..engine import AgentSpec
 from ..errors import EvokitError
-from ..gateway import ModelProfile, nested_deeper_than
+from ..gateway import ModelProfile
 from ..mcp import McpEndpoint
 from ..playgrounds import (
     TOOL_NAMES, AgentSlot, InvalidParams, PlaygroundDefinition, PlaygroundNotFound,
@@ -64,9 +65,9 @@ DEFAULT_MAX_WALL_SECONDS = 86_400  # 24 h
 # one. Both resolve tags and construct with the same Python classes, so they
 # build equal data; libyaml only parses faster.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# Manifests nest at most 5 levels. A document nested deeper is refused before
-# a composer sees it: the libyaml binding's composer recurses in C, and 30,000
-# levels overflow the C stack; the pure-Python one hits the recursion limit.
+# Manifests nest at most 5 levels. A document nested deeper is refused as its
+# events are read, before any code that recurses through the data (the
+# snapshot's deepcopy and json.dumps) could hit the recursion limit.
 _MAX_DEPTH = 64
 _STR_TAG = "tag:yaml.org,2002:str"
 _NULL_TAG, _BOOL_TAG, _INT_TAG = (f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int"))
@@ -80,10 +81,10 @@ _SCALAR_TAGS = frozenset(
 # underscore, base prefix, leading zero or colon, and no more digits than
 # CPython converts to an int by default.
 _DECIMAL = re.compile(r"[1-9][0-9]{0,4299}|0").fullmatch
-# What PyYAML's scalar constructors raise on text they cannot build: an int
-# or a date out of range (ValueError), or an explicit !!bool, !!int, !!float
-# or !!timestamp on text of another form (KeyError, IndexError, AttributeError).
-_UNBUILDABLE = (ValueError, LookupError, AttributeError)
+# What PyYAML's constructor raises on an untagged scalar it cannot build: an
+# int of more digits than CPython converts, or a date or time zone out of
+# range. The resolver's patterns let no other text reach it.
+_UNBUILDABLE = ValueError
 
 T = TypeVar("T")
 
@@ -335,47 +336,13 @@ def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
     return from_dict(data, base_dir=os.path.dirname(path) or ".", lenient=lenient)
 
 
-class _Fallback(Exception):
-    """The event builder met ``event``, with ``depth`` collections open, and cannot go on."""
-
-    def __init__(self, event: Any, depth: int) -> None:
-        super().__init__()
-        self.event = event
-        self.depth = depth
-
-
 def _parse_yaml(text: str, source: str) -> Any:
-    """The data ``yaml.load(text, Loader=_LOADER)`` returns, built from the parser's events.
-
-    A document of plain mappings, sequences and untagged scalars is built
-    straight from the events of ``_LOADER``'s parser (``_document``). Any
-    other document, and any stream the parser rejects, goes to
-    ``yaml.load`` itself, which returns that data or raises that
-    ``YAMLError``. Either way, nesting deeper than ``_MAX_DEPTH``, in the
-    text or through aliases, and a scalar the loader's constructor cannot
-    build are a ParseError.
-    """
-    bad = None  # (event, error) of the first scalar the constructor cannot build
+    """The data of the manifest ``text``, built from the events of ``_LOADER``'s parser."""
+    loader = _LOADER(text)
     try:
-        loader = _LOADER(text)
-        try:
-            return _document(loader)
-        except _Fallback as fallback:
-            bad = _check_rest(loader, fallback.event, fallback.depth, source)
-        finally:
-            loader.dispose()
-    except yaml.YAMLError:
-        pass  # yaml.load raises it again, or an earlier error of its composer
-    try:
-        data = yaml.load(text, Loader=_LOADER)
-    except _UNBUILDABLE as exc:
-        event, error = bad or (None, exc)
-        raise ParseError(f"{source}: YAML value error{_event_location(event)}: {error}") from exc
-    if nested_deeper_than(data, _MAX_DEPTH):  # aliases nest data deeper than its text
-        raise ParseError(
-            f"{source}: YAML parse error: aliases nest the data deeper than {_MAX_DEPTH} levels"
-        )
-    return data
+        return _document(loader, source)
+    finally:
+        loader.dispose()
 
 
 @cache
@@ -397,18 +364,19 @@ def _implicit_resolvers(loader: type) -> tuple[dict[str, tuple], tuple]:
     return table, wildcard
 
 
-def _document(loader: Any) -> Any:
+def _document(loader: Any, source: str) -> Any:
     """The single document of ``loader``'s stream, built from its events.
 
     It builds what the composer and ``SafeConstructor`` build: a mapping is
     a dict in key order whose last duplicate key wins, a sequence a list, a
     str scalar its text, a null None, a bool ``bool_values[text.lower()]``,
     a plain decimal int ``int(text)``, and any other int, float or
-    timestamp scalar what the loader's constructor makes of it. Raises
-    _Fallback on anything else: an anchor or alias, an explicit tag, a
-    scalar of another resolved tag (``<<``, ``=``), a collection as a key, a
-    second document, a scalar that cannot be built, or nesting past
-    ``_MAX_DEPTH``.
+    timestamp scalar what the loader's constructor makes of it. Anything
+    else is a ParseError naming the line and column of the event where it
+    starts: an anchor or alias, an explicit tag, a scalar of another
+    resolved tag (``<<``, ``=``), a collection as a key, a second document,
+    a scalar that cannot be built, or nesting past ``_MAX_DEPTH``. A syntax
+    error is the parser's YAMLError.
     """
     get_event, constructors = loader.get_event, loader.yaml_constructors
     bool_values = loader.bool_values
@@ -426,7 +394,7 @@ def _document(loader: Any) -> Any:
         if kind is ScalarEvent:
             tag = event.tag
             if event.anchor is not None or (tag is not None and tag != "!"):
-                raise _Fallback(event, len(stack))
+                raise _refused(source, event)
             value = event.value
             tag = _STR_TAG
             if event.implicit[0]:  # plain or tagged "!"; a quoted scalar is a str
@@ -435,8 +403,8 @@ def _document(loader: Any) -> Any:
                         tag = resolved
                         break
             if tag != _STR_TAG:
-                if tag not in _SCALAR_TAGS:
-                    raise _Fallback(event, len(stack))
+                if tag not in _SCALAR_TAGS:  # a merge key "<<" or a value key "="
+                    raise _refused(source, event, f"a {value!r} scalar")
                 try:
                     if tag == _INT_TAG and _DECIMAL(value):
                         value = int(value)
@@ -446,17 +414,16 @@ def _document(loader: Any) -> Any:
                         value = None
                     else:
                         value = constructors[tag](loader, ScalarNode(tag, value))
-                except _UNBUILDABLE:
-                    raise _Fallback(event, len(stack)) from None
+                except _UNBUILDABLE as exc:
+                    raise _error(source, event, "value", exc) from exc
         elif kind is MappingStartEvent or kind is SequenceStartEvent:
             tag = event.tag
-            if (
-                event.anchor is not None
-                or (tag is not None and tag != "!")
-                or (key is stack and type(top) is dict)  # a collection as a key
-                or len(stack) == _MAX_DEPTH
-            ):
-                raise _Fallback(event, len(stack))
+            if event.anchor is not None or (tag is not None and tag != "!"):
+                raise _refused(source, event)
+            if key is stack and type(top) is dict:
+                raise _refused(source, event, "a collection used as a key")
+            if len(stack) == _MAX_DEPTH:
+                raise _error(source, event, "parse", f"nested deeper than {_MAX_DEPTH} levels")
             stack.append((top, key))
             top, key = ({} if kind is MappingStartEvent else []), stack
             continue
@@ -465,11 +432,11 @@ def _document(loader: Any) -> Any:
             top, key = stack.pop()
         elif kind is DocumentEndEvent:
             event = get_event()
-            if type(event) is not StreamEndEvent:  # a second document
-                raise _Fallback(event, 0)
+            if type(event) is not StreamEndEvent:
+                raise _refused(source, event, "a second document")
             return root
         else:  # an AliasEvent
-            raise _Fallback(event, len(stack))
+            raise _refused(source, event, "an alias")
         if top is None:
             root = value
         elif type(top) is list:
@@ -481,44 +448,19 @@ def _document(loader: Any) -> Any:
             key = stack
 
 
-def _check_rest(loader: Any, event: Any, depth: int, source: str) -> tuple[Any, Exception] | None:
-    """Read the stream on from ``event`` (``depth`` collections open), before yaml.load does.
-
-    Nesting past ``_MAX_DEPTH`` is a ParseError, so no composer receives it.
-    Returns the first scalar the loader's constructor cannot build, with its
-    error, so that yaml.load's error for it can name its line.
-    """
-    bad = None
-    while type(event) is not StreamEndEvent:
-        kind = type(event)
-        if kind is MappingStartEvent or kind is SequenceStartEvent:
-            depth += 1
-            if depth > _MAX_DEPTH:
-                raise ParseError(
-                    f"{source}: YAML parse error{_event_location(event)}: "
-                    f"nested deeper than {_MAX_DEPTH} levels"
-                )
-        elif kind is MappingEndEvent or kind is SequenceEndEvent:
-            depth -= 1
-        elif kind is ScalarEvent and bad is None:
-            tag = event.tag
-            if tag is None or tag == "!":
-                tag = loader.resolve(ScalarNode, event.value, event.implicit)
-            if tag in _SCALAR_TAGS:
-                try:
-                    loader.yaml_constructors[tag](loader, ScalarNode(tag, event.value))
-                except _UNBUILDABLE as exc:
-                    bad = event, exc
-        event = loader.get_event()
-    return bad
+def _refused(source: str, event: Any, construct: str | None = None) -> ParseError:
+    """The ParseError for a construct outside manifests; by default ``event``'s anchor or tag."""
+    if construct is None:
+        construct = "an anchor" if event.anchor is not None else f"the explicit tag {event.tag!r}"
+    return _error(source, event, "parse", f"{construct} is not allowed in a manifest")
 
 
-def _event_location(event: Any) -> str:
-    """Where a parser event starts, as `` at line L, column C``, or ``""`` for no event."""
-    if event is None:
-        return ""
+def _error(source: str, event: Any, kind: str, problem: object) -> ParseError:
+    """A ParseError for ``problem`` at the line and column where ``event`` starts."""
     mark = event.start_mark
-    return f" at line {mark.line + 1}, column {mark.column + 1}"
+    return ParseError(
+        f"{source}: YAML {kind} error at line {mark.line + 1}, column {mark.column + 1}: {problem}"
+    )
 
 
 def _location(exc: yaml.YAMLError, text: str) -> str:

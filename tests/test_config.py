@@ -150,10 +150,13 @@ def _aliased_tool_pack(entries: int, levels: int) -> str:
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_data_aliases_nest_too_deep_is_a_parse_error_in_a_subprocess(tmp_path, command) -> None:
+    """A manifest holds no alias: the first anchor is refused, before any run starts."""
     for name in ("scripts", "corpus"):  # what the manifest's relative paths name
         shutil.copytree(FIXTURES / "golden" / name, tmp_path / name)
     path = tmp_path / "deep.yaml"
-    path.write_text(_aliased_tool_pack(25, 60), encoding="utf-8")
+    text = _aliased_tool_pack(25, 60)
+    path.write_text(text, encoding="utf-8")
+    line = text[: text.index("&a0")].count("\n") + 1
     out = ["--out", str(tmp_path / "runs")] if command == "run" else []
     src = Path(config_module.__file__).resolve().parents[2]
     result = subprocess.run(
@@ -161,20 +164,8 @@ def test_data_aliases_nest_too_deep_is_a_parse_error_in_a_subprocess(tmp_path, c
         capture_output=True, text=True, timeout=120, cwd=src,
     )
     assert result.returncode == 2, result.stderr
-    assert "aliases nest the data deeper than 64 levels" in result.stderr
+    assert f"at line {line}, column 9: an anchor is not allowed in a manifest" in result.stderr
     assert not (tmp_path / "runs").exists()
-
-
-@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
-def test_data_aliases_nest_up_to_the_limit_loads(monkeypatch, loader) -> None:
-    monkeypatch.setattr(config_module, "_LOADER", loader)
-    # The mapping, b's list and the 62 aliased sequences nest 64 collections deep.
-    text = "a: &x " + "[" * 62 + "]" * 62 + "\nb: [*x]\n"
-    assert config_module._parse_yaml(text, "m.yaml") == _oracle(text, loader)
-    with pytest.raises(ParseError, match="aliases nest the data deeper than 64 levels"):
-        config_module._parse_yaml(text.replace("[*x]", "[[*x]]"), "m.yaml")
-    with pytest.raises(ParseError, match="aliases nest the data deeper than 64 levels"):
-        config_module._parse_yaml("a: &x [1, *x]\n", "m.yaml")  # a list that holds itself
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
@@ -248,6 +239,17 @@ def test_line_endings_read_as_newlines(tmp_path, ending) -> None:
     for path, text in texts.items():
         path.write_bytes(text.replace("\n", ending).encode("utf-8"))
     assert load() == expected
+
+
+def test_a_leading_bom_is_skipped_in_manifests_and_scripts(tmp_path) -> None:
+    manifest, script = tmp_path / "endings.yaml", tmp_path / "endings.script"
+    loaded = []
+    for bom in ("", "\ufeff"):
+        manifest.write_text(bom + _ENDINGS_MANIFEST, encoding="utf-8")
+        script.write_text(bom + '[{"content": "FINAL: x"}]', encoding="utf-8")
+        config = load_config(manifest)
+        loaded.append((config.to_dict(), config.profiles[0].script, load_script(script)))
+    assert loaded[1] == loaded[0]
 
 
 # -- the event builder against yaml.load ------------------------------------------
@@ -329,6 +331,33 @@ DOCUMENTS = {
     "decimal int at the digit limit": "a: " + "9" * 4300 + "\n",
 }
 
+# The documents above outside the manifest subset: where the ParseError puts
+# each, and the construct it names.
+REFUSED = {
+    "anchor and alias": "line 1, column 7: an anchor",
+    "anchored scalar": "line 1, column 4: an anchor",
+    "merge": "line 1, column 7: an anchor",
+    "merge list": "line 1, column 4: an anchor",
+    "merge without alias": "line 2, column 3: a '<<' scalar",
+    "merge as a value": "line 1, column 4: a '<<' scalar",
+    "value key": "line 1, column 1: a '=' scalar",
+    "value as a value": "line 1, column 4: a '=' scalar",
+    "str tag": "line 1, column 4: the explicit tag 'tag:yaml.org,2002:str'",
+    "int tag": "line 1, column 4: the explicit tag 'tag:yaml.org,2002:int'",
+    "binary": "line 1, column 4: the explicit tag 'tag:yaml.org,2002:binary'",
+    "set": "line 1, column 4: the explicit tag 'tag:yaml.org,2002:set'",
+    "omap": "line 1, column 4: the explicit tag 'tag:yaml.org,2002:omap'",
+    "local tag": "line 1, column 4: the explicit tag '!custom'",
+    "tag directive": "line 3, column 4: the explicit tag 'tag:yaml.org,2002:int'",
+    "sequence key": "line 1, column 3: a collection used as a key",
+    "mapping key": "line 1, column 3: a collection used as a key",
+    "flow sequence as a key": "line 1, column 2: a collection used as a key",
+    "two documents": "line 2, column 1: a second document",
+    "document end then another": "line 3, column 1: a second document",
+    "undefined alias": "line 1, column 4: an alias",
+    "duplicate anchor": "line 1, column 4: an anchor",
+}
+
 
 def _flow(rng: random.Random, depth: int) -> str:
     if depth == 0 or rng.random() < 0.4:
@@ -368,12 +397,18 @@ CORPUS = {
 }
 
 
+def _expected(name: str, loader: type) -> tuple:
+    """yaml.load's outcome for a corpus document in the subset, else the refusal REFUSED names."""
+    if name in REFUSED:
+        return ParseError, f"m.yaml: YAML parse error at {REFUSED[name]} is not allowed in a manifest"
+    return _outcome(_oracle, CORPUS[name], loader)
+
+
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
-@pytest.mark.parametrize("text", CORPUS.values(), ids=CORPUS.keys())
-def test_event_builder_gives_what_yaml_load_gives(monkeypatch, loader, text) -> None:
+@pytest.mark.parametrize("name", CORPUS)
+def test_event_builder_gives_what_yaml_load_gives(monkeypatch, loader, name) -> None:
     monkeypatch.setattr(config_module, "_LOADER", loader)
-    expected = _outcome(_oracle, text, loader)
-    assert _outcome(config_module._parse_yaml, text, "m.yaml") == expected
+    assert _outcome(config_module._parse_yaml, CORPUS[name], "m.yaml") == _expected(name, loader)
 
 
 def test_generated_corpus_mostly_takes_the_fast_path(monkeypatch) -> None:
@@ -393,17 +428,24 @@ def test_fixture_manifests_never_reach_the_fallback(monkeypatch, json_manifest, 
         _load_with(monkeypatch, loader, path)
 
 
-# A value PyYAML resolves but cannot build. The anchor sends the document to yaml.load.
+# A value PyYAML resolves but cannot build. The `fallback` cases put an anchor
+# before it, which is refused first.
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 @pytest.mark.parametrize("value", ["2024-02-30", "1" * 5000], ids=["feb_30", "5000_digit_int"])
-@pytest.mark.parametrize("prefix", ["", "top: &a 1\n"], ids=["fast_path", "fallback"])
+@pytest.mark.parametrize(
+    "prefix, where",
+    [
+        ("", "YAML value error at line 3, column 9: "),
+        ("top: &a 1\n", "YAML parse error at line 1, column 6: an anchor is not allowed"),
+    ],
+    ids=["fast_path", "fallback"],
+)
 def test_unbuildable_value_is_a_parse_error_naming_its_line(
-    monkeypatch, tmp_path, capsys, loader, value, prefix
+    monkeypatch, tmp_path, capsys, loader, value, prefix, where
 ) -> None:
     monkeypatch.setattr(config_module, "_LOADER", loader)
     path = tmp_path / "bad.yaml"
     path.write_text(f"{prefix}experiment:\n  name: n\n  seed: {value}\n", encoding="utf-8")
-    where = f"at line {prefix.count(chr(10)) + 3}, column 9: "
     with pytest.raises(ParseError, match=where):
         load_config(path)
     assert main(["validate", "--config", str(path)]) == 2
@@ -426,27 +468,32 @@ def test_deep_sequence_is_a_parse_error_in_a_subprocess(tmp_path, alias) -> None
         capture_output=True, text=True, timeout=120, cwd=src,
     )
     assert result.returncode == 2, result.stderr
-    line = 3 if alias else 1
-    assert f"at line {line}, column 76: nested deeper than 64 levels" in result.stderr
+    if alias:  # refused at the anchor, before the deep part is read
+        assert "at line 1, column 9: an anchor is not allowed in a manifest" in result.stderr
+    else:
+        assert "at line 1, column 76: nested deeper than 64 levels" in result.stderr
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 @pytest.mark.parametrize(
-    "text, location",
+    "text, error",
     [
-        ("".join("  " * i + f"k{i}:\n" for i in range(3_000)), "line 65, column 129"),
-        (_deep(3_000, alias=True), "line 3, column 76"),
+        (
+            "".join("  " * i + f"k{i}:\n" for i in range(3_000)),
+            "line 65, column 129: nested deeper than 64 levels",
+        ),
+        (_deep(3_000, alias=True), "line 1, column 9: an anchor is not allowed in a manifest"),
     ],
     ids=["mapping_3000", "sequence_3000_with_alias"],
 )
 def test_deep_document_never_reaches_a_composer(
-    monkeypatch, tmp_path, loader, text, location
+    monkeypatch, tmp_path, loader, text, error
 ) -> None:
     monkeypatch.setattr(config_module, "_LOADER", loader)
     monkeypatch.setattr(yaml, "load", _no_fallback)
     path = tmp_path / "deep.yaml"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ParseError, match=f"at {location}: nested deeper than 64 levels"):
+    with pytest.raises(ParseError, match=f"at {error}"):
         load_config(path)
     assert main(["validate", "--config", str(path)]) == 2
 

@@ -25,6 +25,7 @@ from evokit.playgrounds import (
     default_registry,
     fan_out,
     install_builtin_playgrounds,
+    parse_score,
     run_playground,
     run_slot,
 )
@@ -109,6 +110,37 @@ def test_validate_params_rejects_unknown_and_mistyped(tmp_path) -> None:
     with pytest.raises(InvalidParams, match="max_rounds"):
         run_playground("planner_executor", "task", {"max_rounds": "ten"}, slots, services)
     check_inputs(default_registry().get("planner_executor"), {"max_rounds": 3}, slots)
+
+
+def test_a_bool_is_no_int_param() -> None:
+    slots = [_slot("d", "drafter", "m"), _slot("i", "improver", "m"), _slot("e", "evaluator", "m")]
+    with pytest.raises(InvalidParams, match="max_rounds"):
+        check_inputs(default_registry().get("draft_and_improve"), {"max_rounds": True}, slots)
+    definition = PlaygroundDefinition(
+        name="flags", workflow=lambda *args: None, params_schema={"verbose": bool, "n": int}
+    )
+    check_inputs(definition, {"verbose": True, "n": 2}, [])
+    with pytest.raises(InvalidParams, match="'n' must be int"):
+        check_inputs(definition, {"n": False}, [])
+
+
+@pytest.mark.parametrize(
+    "content, score",
+    [
+        ("SCORE: 0.5", 0.5),
+        ("Fine work.\nSCORE: 2\nSCORE: 9", 2.0),  # only the first line-start SCORE: counts
+        ("Overall SCORE: 9\nSCORE: 1.5", 1.5),
+        ("SCORE: nan", float("-inf")),
+        ("SCORE: inf", float("-inf")),
+        ("SCORE: -inf", float("-inf")),
+        ("SCORE: abc", float("-inf")),
+        ("SCORE: abc\nSCORE: 3", float("-inf")),
+        ("no score given", float("-inf")),
+    ],
+    ids=["real", "first", "line_start", "nan", "inf", "minus_inf", "text", "first_is_text", "none"],
+)
+def test_parse_score_reads_one_finite_score(content, score) -> None:
+    assert parse_score(content) == score
 
 
 # -- sequential handoff ------------------------------------------------------------

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from evokit.engine import AgentSpec
 from evokit.gateway import ModelProfile
 from evokit.playgrounds import AgentSlot, CognitiveCache, InvalidParams, run_playground
+from evokit.playgrounds import draft_improve
 from evokit.playgrounds.draft_improve import draft_and_improve
 from evokit.playgrounds.planner_executor import planner_executor
 from evokit.playgrounds.research import single_agent_research
@@ -38,9 +40,9 @@ def _with_mute(gateway):
 # -- solve / critique / rewrite / select ---------------------------------------
 
 
-def _scrs_gateway(tmp_path):
-    return scripted_gateway(
-        tmp_path,
+def _scrs_gateway(tmp_path, **scripts):
+    """The sum task's gateway; ``scripts`` replace a profile's script."""
+    defaults = dict(
         sol1=[{"content": "FINAL: The sum is 41."}],
         sol2=[{"content": "FINAL: The sum is 42."}],
         critic=[
@@ -50,6 +52,7 @@ def _scrs_gateway(tmp_path):
         rewriter=[{"content": "FINAL: 17 + 25 = 42."}],
         selector=[{"content": "FINAL: 2"}],
     )
+    return scripted_gateway(tmp_path, **{**defaults, **scripts})
 
 
 def _scrs_slots() -> list[AgentSlot]:
@@ -71,6 +74,16 @@ def test_selector_choice_returned_verbatim(tmp_path) -> None:
     # Candidate 2 went through an untouched NO ISSUES round; byte-equal check.
     assert result.final_answer == "The sum is 42."
     assert result.rounds_used == 1
+
+
+def test_answered_rewrite_replaces_its_candidate(tmp_path) -> None:
+    gateway = _scrs_gateway(tmp_path, selector=[{"content": "FINAL: 1"}])
+    services = make_services(tmp_path, gateway)
+    result = solve_critique_rewrite_select(
+        "Compute the sum of 17 and 25.", {}, _scrs_slots(), services
+    )
+    # Candidate 1 was critiqued, so the selector's pick is the rewriter's text.
+    assert (result.status, result.final_answer) == ("ok", "17 + 25 = 42.")
 
 
 def test_no_issues_skips_rewrite(tmp_path) -> None:
@@ -286,6 +299,21 @@ def test_unanswered_draft_makes_run_partial(tmp_path) -> None:
     assert (result.status, result.final_answer, result.rounds_used) == ("partial", "a2", 1)
 
 
+def test_deadline_after_the_draft_makes_run_partial(tmp_path, monkeypatch) -> None:
+    services = make_services(tmp_path, _di_gateway(tmp_path))
+    real_run_slot = draft_improve.run_slot
+
+    def run_slot(slot, task, services, **kwargs):
+        state = real_run_slot(slot, task, services, **kwargs)
+        if slot.role == "drafter":  # the deadline passes before round 1
+            services.deadline = time.monotonic() - 1
+        return state
+
+    monkeypatch.setattr(draft_improve, "run_slot", run_slot)
+    result = draft_and_improve("Write a tagline.", {"max_rounds": 2}, _di_slots(), services)
+    assert (result.status, result.final_answer, result.rounds_used) == ("partial", "v0", 0)
+
+
 def test_tie_breaks_to_lowest_slot_name(tmp_path) -> None:
     gateway = scripted_gateway(
         tmp_path,
@@ -441,3 +469,12 @@ def test_retrieval_404_keeps_run_alive(tmp_path) -> None:
     )
     assert result.status == "ok"
     assert result.final_answer == "noted the missing source"
+
+
+def test_researcher_out_of_turns_answers_with_its_last_content(tmp_path) -> None:
+    services = make_services(tmp_path, _with_mute(scripted_gateway(tmp_path)))
+    slot = _slot("researcher", "researcher", "mute", max_turns=2)
+    result = run_playground("single_agent_research", "t", {}, [slot], services)
+    # The researcher's effect on an end other than error is partial.
+    assert result.per_slot_outcomes["researcher"].status == "max_turns"
+    assert (result.status, result.final_answer) == ("partial", "still working")
