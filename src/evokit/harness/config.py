@@ -3,15 +3,23 @@
 A manifest has five top-level sections: ``experiment``, ``llm``, ``tools``,
 ``skills``, and ``playground``. Each is built with the constructor of the
 type it configures, so its keys are that type's fields, its defaults are the
-type's defaults and its value checks are the type's own. Unknown keys are a
+type's defaults and its value checks are the type's own; unknown keys are a
 ValidationError unless lenient mode is on. Slots become AgentSlots holding
-the engine's AgentSpec and ContextBudget, and the playground's registered
-definition checks its slot roles and params (``check_inputs``). Every
-cross-reference is resolved at load time, and each script and skill manifest
-is parsed once, by the scripted ``ModelProfile`` and the ``SkillsSection``
-that name it; the run uses what load parsed, so it never fails halfway
-through on a typo or on a file edited since. Relative paths resolve against
-the manifest's own directory, which keeps configs shareable.
+the engine's AgentSpec and ContextBudget, and the playground's definition
+checks its slot roles and params (``check_inputs``). Cross-references are
+resolved, and scripts and skill manifests parsed, once, at load time, so a
+run never fails halfway on a typo or a file edited since.
+
+Each value is read by the rule of its field's declared type, else it is a
+ValidationError naming the section and key. ``str``: a string (``2024`` must
+be quoted); the paths ``output_dir``, ``script_path``, ``corpus`` and
+``skills.paths`` resolve against the manifest's directory, and an empty
+``corpus`` or ``script_path`` is unset. ``int``: an int, an integral float
+(``2.0`` is 2) or text ``int()`` reads, never a bool. ``float``: an int, a
+float or text ``float()`` reads, never a bool. A list: a list whose items
+are read by their type. ``playground.params``: a mapping. A section: its
+keys, by these rules. A null list or mapping is empty; any other null is the
+key left out, and a required key left out or empty is a ValidationError.
 
 A manifest, like a script, is read as strict UTF-8 with ``\r\n`` and a lone
 ``\r`` read as ``\n``; bytes that are not UTF-8 are a ParseError naming the
@@ -24,10 +32,7 @@ directly, as the constructor builds it), so it is exactly what ``yaml.load``
 returns for that document. An anchor, alias, explicit tag, ``<<`` or ``=``
 scalar, collection used as a key or second document is a ParseError naming
 its line, column and construct, and so is nesting deeper than
-``_MAX_DEPTH`` levels and a value the constructor cannot build. Where an
-integer is expected, a bool or a float with a fraction is a ValidationError
-naming the key (``2.0`` reads as 2), and where a number is expected, a bool
-is one.
+``_MAX_DEPTH`` levels and a value the constructor cannot build.
 """
 
 from __future__ import annotations
@@ -35,10 +40,11 @@ from __future__ import annotations
 import copy
 import os
 import re
-from dataclasses import MISSING, dataclass, field, fields
-from functools import cache, partial
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from types import NoneType, UnionType
+from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import yaml
 from yaml.events import (
@@ -48,7 +54,6 @@ from yaml.events import (
 from yaml.nodes import ScalarNode
 from yaml.reader import Reader, ReaderError
 
-from ..context import ContextBudget
 from ..engine import AgentSpec
 from ..errors import EvokitError
 from ..gateway import ModelProfile
@@ -86,8 +91,6 @@ _DECIMAL = re.compile(r"[1-9][0-9]{0,4299}|0").fullmatch
 # range. The resolver's patterns let no other text reach it.
 _UNBUILDABLE = ValueError
 
-T = TypeVar("T")
-
 
 class ParseError(EvokitError):
     pass
@@ -95,24 +98,6 @@ class ParseError(EvokitError):
 
 class ValidationError(EvokitError):
     pass
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int(value: Any) -> int:
-    """A manifest integer: ``2.0`` reads as 2, but a bool or a fraction is no integer."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"must be an integer, not {value!r}")
-    return int(value)
-
-
-def _float(value: Any) -> float:
-    """A manifest number; a bool is none."""
-    if isinstance(value, bool):
-        raise ValueError(f"must be a number, not {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -124,17 +109,12 @@ class ExperimentSection:
     output_dir: str = "runs"
 
     def __post_init__(self) -> None:
-        for key in ("name", "task"):
-            if not getattr(self, key):
-                raise ValidationError(f"experiment.{key} is required")
         # The run directory is <output_dir>/<name>-..., so the name must not leave it.
         if "/" in self.name or "\\" in self.name or self.name in (".", ".."):
             raise ValidationError(
                 f"experiment.name {self.name!r} must not contain '/' or '\\' or be '.' or '..'"
             )
-        if not _is_int(self.seed):
-            raise ValidationError("experiment.seed must be an integer")
-        if not _is_int(self.max_wall_seconds) or self.max_wall_seconds <= 0:
+        if self.max_wall_seconds <= 0:
             raise ValidationError("experiment.max_wall_seconds must be a positive integer")
 
 
@@ -148,6 +128,8 @@ class ToolsSection:
         unknown = set(self.builtin) - set(BUILTIN_TOOL_NAMES)
         if unknown:
             raise ValidationError(f"tools.builtin: unknown tools {sorted(unknown)}")
+        if self.corpus is not None and not os.path.isdir(self.corpus):
+            raise ValidationError(f"tools.corpus: {self.corpus!r} is not a directory")
 
 
 @dataclass
@@ -169,6 +151,20 @@ class PlaygroundSection:
     name: str
     params: dict[str, Any] = field(default_factory=dict)
     slots: list[AgentSlot] = field(default_factory=list)
+
+
+@dataclass
+class _Llm:
+    profiles: list[ModelProfile]
+
+
+@dataclass
+class _Manifest:  # a manifest's top level, read like its sections
+    experiment: ExperimentSection
+    llm: _Llm
+    playground: PlaygroundSection
+    tools: ToolsSection = field(default_factory=ToolsSection)
+    skills: SkillsSection = field(default_factory=SkillsSection)
 
 
 @dataclass
@@ -199,20 +195,9 @@ class ExperimentConfig:
         }
 
 
-@cache
-def _field_table(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The manifest keys of ``cls`` in field order, and those it has no default for."""
-    keys = [f for f in fields(cls) if f.init]
-    required = (f.name for f in keys if f.default is MISSING and f.default_factory is MISSING)
-    return tuple(f.name for f in keys), tuple(required)
-
-
 def _manifest_keys(section: Any) -> dict[str, Any]:
-    """A flat section's manifest keys, without the fields its constructor derives.
-
-    Each value is a scalar (the constructors check or coerce them), so no copy is needed.
-    """
-    return {name: getattr(section, name) for name in _field_table(type(section))[0]}
+    """A flat section's manifest keys, without derived fields; each value is a scalar."""
+    return {key: getattr(section, key) for key in _fields(type(section))[0]}
 
 
 def _slot_to_dict(slot: AgentSlot) -> dict[str, Any]:
@@ -231,96 +216,9 @@ def _slot_to_dict(slot: AgentSlot) -> dict[str, Any]:
     }
 
 
-_TOP_KEYS = {"experiment", "llm", "tools", "skills", "playground"}
-# Optional slot keys: manifest key -> (AgentSpec field, coercion). A key the
-# manifest leaves out takes the AgentSpec/ContextBudget default.
-_SLOT_FIELDS = {
-    "tools": ("tool_names", lambda tools: tuple(map(str, _require_list(tools, "tools")))),
-    "max_turns": ("max_turns", _int),
-    "critique_every": ("critique_every", _int),
-    "final_marker": ("final_marker", str),
-}
-_SLOT_KEYS = {"slot_name", "role", "llm_profile", "system_prompt", "budget", *_SLOT_FIELDS}
-# Slot text keys whose null (YAML ``key:`` with no value) reads as left out.
-_NULL_IS_UNSET = ("system_prompt", "final_marker")
-
-
-def _require(mapping: Any, where: str) -> dict:
-    if not isinstance(mapping, dict):
-        raise ValidationError(f"{where} must be a mapping")
-    return mapping
-
-
-def _require_list(value: Any, where: str) -> list:
-    """A manifest list; an empty (null) value is an empty list."""
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ValidationError(f"{where} must be a list")
-    return value
-
-
-def _check_keys(mapping: dict, allowed: Iterable[str], where: str, lenient: bool) -> None:
-    unknown = set(mapping).difference(allowed)
-    if unknown and not lenient:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _text(value: Any) -> str | None:
-    """Manifest text: a YAML scalar such as ``2024`` reads as ``"2024"``, null stays null."""
-    return None if value is None else str(value)
-
-
-def _build(cls: type[T], raw: Any, where: str, lenient: bool, **coerce: Callable) -> T:
-    """``cls`` built from the keys the manifest sets; the type's defaults fill the rest.
-
-    The allowed keys are the fields of ``cls``, ``coerce`` maps a key to a
-    function applied to its value first, and the constructor runs the checks.
-    """
-    raw = _require(raw, where)
-    names, required = _field_table(cls)
-    _check_keys(raw, names, where, lenient)
-    for name in required:
-        if name not in raw:
-            raise ValidationError(f"{where} needs {name!r}")
-    try:
-        return cls(**{
-            k: _coerced(coerce[k], k, v) if k in coerce else v
-            for k, v in raw.items() if k in names
-        })
-    except ValidationError:  # from a nested section or this module's types: names its key
-        raise
-    except (EvokitError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-
-
-def _coerced(coerce: Callable[[Any], T], key: str, value: Any) -> T:
-    """``coerce(value)``; its TypeError or ValueError is a ValueError naming ``key``."""
-    try:
-        return coerce(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{key}: {exc}") from exc
-
-
-def _reject_duplicates(names: list[str], what: str) -> None:
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValidationError(f"duplicate {what} name {name!r}")
-
-
-def _resolve(base_dir: str | Path | None, raw: Any) -> str:
-    # Joined as text: pathlib would intern each component of each path, and
-    # names that only a config holds then enter CPython's interned-string
-    # table again on every load.
-    path = str(raw)
-    if base_dir is not None and not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    return path
-
-
 def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
     """Parse and fully validate a manifest file."""
-    path = os.fspath(path)  # opened and split as text, as _resolve joins
+    path = os.fspath(path)  # opened and split as text, as _path joins
     try:
         text = read_utf8(path)
     except OSError as exc:
@@ -487,50 +385,10 @@ def from_dict(
     data: Any, base_dir: str | Path | None = None, lenient: bool = False
 ) -> ExperimentConfig:
     """Build and validate a config from parsed YAML/JSON data."""
-    data = _require(data, "manifest")
-    _check_keys(data, _TOP_KEYS, "manifest", lenient)
-    path = partial(_resolve, base_dir)
-
-    def optional_path(raw: Any) -> str | None:
-        return path(raw) if raw else None
-
-    experiment = _build(
-        ExperimentSection, data.get("experiment"), "experiment", lenient,
-        name=_text, task=_text, output_dir=path,
-    )
-
-    llm_raw = _require(data.get("llm"), "llm")
-    _check_keys(llm_raw, {"profiles"}, "llm", lenient)
-    profiles = []
-    for raw in _require_list(llm_raw.get("profiles"), "llm.profiles"):
-        raw = _require(raw, "llm.profiles entry")
-        profiles.append(_build(
-            ModelProfile, raw, f"profile {raw.get('name')!r}", lenient,
-            name=_text, provider=_text, model=_text,
-            temperature=_float, max_output_tokens=_int, script_path=optional_path,
-        ))
-    if not profiles:
-        raise ValidationError("llm.profiles must be a non-empty list")
+    manifest = _section(_Manifest, data, "manifest", _Load(base_dir, lenient))
+    profiles, playground = manifest.llm.profiles, manifest.playground
     _reject_duplicates([p.name for p in profiles], "profile")
-
-    tools = _build(
-        ToolsSection, data.get("tools", {}), "tools", lenient,
-        builtin=lambda raw: list(map(str, _require_list(raw, "tools.builtin"))),
-        mcp=lambda raw: [
-            _build(McpEndpoint, entry, "tools.mcp entry", lenient, alias=_text, endpoint=_text)
-            for entry in _require_list(raw, "tools.mcp")
-        ],
-        corpus=optional_path,
-    )
-    skills = _build(
-        SkillsSection, data.get("skills", {}), "skills", lenient,
-        paths=lambda raw: list(map(path, _require_list(raw, "skills.paths"))),
-    )
-    playground = _build(
-        PlaygroundSection, data.get("playground"), "playground", lenient,
-        name=_text, params=lambda raw: dict(_require(raw or {}, "playground.params")),
-        slots=lambda raw: _parse_slots(raw, lenient),
-    )
+    _reject_duplicates([slot.slot_name for slot in playground.slots], "slot")
     try:
         definition = default_registry().get(playground.name)
         check_inputs(definition, playground.params, playground.slots)
@@ -538,56 +396,188 @@ def from_dict(
         raise ValidationError(f"playground {playground.name!r}: {exc}") from exc
 
     config = ExperimentConfig(
-        experiment=experiment,
-        profiles=profiles,
-        tools=tools,
-        skills=skills,
-        playground=playground,
+        manifest.experiment, profiles, manifest.tools, manifest.skills, playground
     )
     _validate_references(config, definition)
     return config
 
 
-def _parse_slots(raw: Any, lenient: bool) -> list[AgentSlot]:
-    slots = [
-        _parse_slot(_require(entry, "playground.slots entry"), lenient)
-        for entry in _require_list(raw, "playground.slots")
-    ]
-    _reject_duplicates([slot.slot_name for slot in slots], "slot")
-    return slots
+class _Load(NamedTuple):  # what reading a manifest needs besides its data
+    base_dir: str | Path | None
+    lenient: bool
 
 
-def _parse_slot(raw: dict, lenient: bool) -> AgentSlot:
-    """One slot, with its AgentSpec and ContextBudget checks run at load time."""
-    _check_keys(raw, _SLOT_KEYS, f"slot {raw.get('slot_name')!r}", lenient)
-    for required in ("slot_name", "role", "llm_profile"):
-        if not raw.get(required):
-            raise ValidationError(f"slot entries need {required}")
-    name = str(raw["slot_name"])
-    raw = {k: v for k, v in raw.items() if v is not None or k not in _NULL_IS_UNSET}
+# A reader maps a value, its section's name and the load to the field's value;
+# its TypeError or ValueError names the section and key. A table maps each key
+# of a section to its field, reader and the factory of what a null gives it
+# (None: a null is the key left out), and lists the required keys.
+_ReadFn = Callable[[Any, str, _Load], Any]
+_Table = tuple[dict[str, tuple[str, _ReadFn, Callable[[], Any] | None]], tuple[str, ...]]
+# A slot is its AgentSpec's fields, these two under their manifest names, and its role.
+_SLOT_KEYS = {"name": "slot_name", "tool_names": "tools"}
+
+
+def _kwargs(table: _Table, raw: Any, where: str, load: _Load) -> dict[str, Any]:
+    """The field values that the section's manifest mapping ``raw`` sets."""
+    keys, required = table
+    if type(raw) is not dict:
+        raise ValidationError(f"{where}: must be a mapping, not {raw!r}")
+    if not load.lenient and not keys.keys() >= raw.keys():
+        raise ValidationError(f"{where}: unknown keys {sorted(raw.keys() - keys, key=str)}")
+    kwargs = {}
+    for key, value in raw.items():
+        entry = keys.get(key)
+        if entry is None:
+            continue
+        name, read, empty = entry
+        if value is None:
+            if empty is not None:
+                kwargs[name] = empty()
+            continue
+        try:
+            kwargs[name] = read(value, where, load)
+        except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
+            raise ValidationError(f"{where}: {key}: {exc}") from exc
+    for key in required:
+        if not raw.get(key):
+            raise ValidationError(f"{where} needs {key!r}")
+    return kwargs
+
+
+def _construct(cls: type, kwargs: dict[str, Any], where: str) -> Any:
+    """``cls(**kwargs)``, its own checks' errors a ValidationError naming ``where``."""
     try:
-        budget = _build(
-            ContextBudget, raw.get("budget", {}), "budget", lenient,
-            max_tokens=_int, compress_at=_float, strategy=str,
-        )
-        spec = AgentSpec(
-            name=name,
-            system_prompt=str(raw.get("system_prompt", "")),
-            llm_profile=str(raw["llm_profile"]),
-            budget=budget,
-            **{
-                attr: _coerced(coerce, k, raw[k])
-                for k, (attr, coerce) in _SLOT_FIELDS.items() if k in raw
-            },
-        )
+        return cls(**kwargs)
+    except ValidationError:  # from this module's sections: names its key
+        raise
     except (EvokitError, TypeError, ValueError) as exc:
-        raise ValidationError(f"slot {name!r}: {exc}") from exc
-    return AgentSlot(slot_name=name, role=str(raw["role"]), spec=spec)
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _validate_references(
-    config: ExperimentConfig, definition: PlaygroundDefinition
-) -> None:
+def _section(cls: type, raw: Any, where: str, load: _Load) -> Any:
+    """``cls`` built from the keys the manifest sets; the type's defaults fill the rest."""
+    return _construct(cls, _kwargs(_fields(cls), raw, where, load), where)
+
+
+def _profile(raw: Any, where: str, load: _Load) -> ModelProfile:
+    raw = _mapping(raw)
+    return _section(ModelProfile, raw, f"profile {raw.get('name')!r}", load)
+
+
+def _slot(raw: Any, where: str, load: _Load) -> AgentSlot:
+    """One slot, with its AgentSpec and ContextBudget checks run at load time."""
+    raw = _mapping(raw)
+    where = f"slot {raw.get('slot_name')!r}"
+    kwargs = _kwargs(_slot_fields(), raw, where, load)
+    role = kwargs.pop("role")
+    spec = _construct(AgentSpec, {"system_prompt": "", **kwargs}, where)
+    return AgentSlot(slot_name=spec.name, role=role, spec=spec)
+
+
+def _str(value: Any, *_: Any) -> str:
+    if type(value) is str:
+        return value
+    raise ValueError(f"must be a string, not {value!r}")
+
+
+def _int(value: Any, *_: Any) -> int:
+    """An int, an integral float or text ``int()`` reads; never a bool or a fraction."""
+    if type(value) in (int, str) or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"must be an integer, not {value!r}")
+
+
+def _float(value: Any, *_: Any) -> float:
+    """An int, a float or text ``float()`` reads; never a bool."""
+    if type(value) in (int, float, str):
+        return float(value)
+    raise ValueError(f"must be a number, not {value!r}")
+
+
+def _mapping(value: Any, *_: Any) -> dict:
+    if type(value) is dict:
+        return dict(value)
+    raise ValueError(f"must be a mapping, not {value!r}")
+
+
+def _path(value: Any, where: str, load: _Load) -> str:
+    # Joined as text: pathlib would intern each component of each path, and
+    # names that only a config holds then enter CPython's interned-string
+    # table again on every load.
+    path = _str(value)
+    if load.base_dir is not None and not os.path.isabs(path):
+        path = os.path.join(load.base_dir, path)
+    return path
+
+
+def _optional_path(value: Any, where: str, load: _Load) -> str | None:
+    return _path(value, where, load) if _str(value) else None
+
+
+def _list_of(item: _ReadFn, kind: type) -> _ReadFn:
+    def read(value: Any, where: str, load: _Load) -> Any:
+        if type(value) is not list:
+            raise ValueError(f"must be a list, not {value!r}")
+        return kind([item(v, where, load) for v in value])
+
+    return read
+
+
+def _nested(cls: type, key: str) -> _ReadFn:
+    """The reader of a section under ``key``; a top-level one is named by its key alone."""
+    return lambda value, where, load: _section(
+        cls, value, key if where == "manifest" else f"{where}: {key}", load
+    )
+
+
+# List entries whose errors are named by the entry's name.
+_ENTRIES = {AgentSlot: _slot, ModelProfile: _profile}
+# The text fields that hold a path, resolved against the manifest's directory.
+_PATHS = {
+    "output_dir": _path, "paths": _path, "script_path": _optional_path, "corpus": _optional_path
+}
+
+
+def _reader(hint: Any, key: str) -> tuple[_ReadFn, Callable[[], Any] | None]:
+    """The reader of ``key``'s values by its declared type, and what a null gives it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is list or origin is tuple:
+        return _list_of(_reader(args[0], key)[0], origin), origin
+    if hint is dict or origin is dict:
+        return _mapping, dict
+    if origin is UnionType:  # ``X | None``, whose null is left out like any other
+        (hint,) = set(args) - {NoneType}
+    if hint in _ENTRIES:
+        return _ENTRIES[hint], None
+    if is_dataclass(hint):
+        return _nested(hint, key), None
+    if key in _PATHS:
+        return _PATHS[key], None
+    return {str: _str, int: _int, float: _float}[hint], None
+
+
+@cache
+def _fields(cls: type) -> _Table:
+    """The table of ``cls``'s fields, in field order, read by their declared types."""
+    hints, init = get_type_hints(cls), [f for f in fields(cls) if f.init]
+    keys = {f.name: (f.name, *_reader(hints[f.name], f.name)) for f in init}
+    required = (f.name for f in init if f.default is MISSING and f.default_factory is MISSING)
+    return keys, tuple(required)
+
+
+@cache
+def _slot_fields() -> _Table:
+    keys = {_SLOT_KEYS.get(key, key): entry for key, entry in _fields(AgentSpec)[0].items()}
+    return {**keys, "role": ("role", _str, None)}, ("slot_name", "role", "llm_profile")
+
+
+def _reject_duplicates(names: list[str], what: str) -> None:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValidationError(f"duplicate {what} name {name!r}")
+
+
+def _validate_references(config: ExperimentConfig, definition: PlaygroundDefinition) -> None:
     profile_names = {p.name for p in config.profiles}
     # MCP tool names are only knowable after listing the endpoint, so when
     # any endpoint is configured unknown tool names are deferred to runtime.
@@ -598,7 +588,7 @@ def _validate_references(
         (f"param {key!r}", tool)
         for key, value in config.playground.params.items()
         if definition.params_schema[key] == TOOL_NAMES
-        for tool in map(str, value)
+        for tool in value
     ]
     for slot in config.playground.slots:
         if slot.spec.llm_profile not in profile_names:

@@ -175,6 +175,8 @@ def check_inputs(
             raise InvalidParams(f"param {key!r} must be >= 1")
         if expected is list and not value:
             raise InvalidParams(f"param {key!r} must be non-empty")
+        if rule == TOOL_NAMES and not all(isinstance(tool, str) for tool in value):
+            raise InvalidParams(f"param {key!r} must be a list of tool names")
         if expected is int and cap_role and value > counts[cap_role]:
             raise InvalidParams(f"param {key!r} exceeds the {counts[cap_role]} {cap_role!r} slots")
 

@@ -145,10 +145,10 @@ BAD_MANIFESTS = [
     ("research", _profile(temperature="hot"), "researcher-m"),
     ("research", _profile(max_output_tokens="many"), "researcher-m"),
     ("research", _set("tools", "builtin", [[1]]), "builtin"),
-    ("research", _set("skills", "paths", 5), "skills.paths"),
-    ("research", _set("tools", "mcp", 5), "tools.mcp"),
-    ("research", _set("playground", "slots", 5), "playground.slots"),
-    ("research", _slot_tools_string, "slot 'researcher': tools must be a list"),
+    ("research", _set("skills", "paths", 5), "skills: paths: must be a list"),
+    ("research", _set("tools", "mcp", 5), "tools: mcp: must be a list"),
+    ("research", _set("playground", "slots", 5), "playground: slots: must be a list"),
+    ("research", _slot_tools_string, "slot 'researcher': tools: must be a list"),
     ("research", _profile(script_path=str(FIXTURES / "scripts/bad_content.script")), "content"),
     ("research", _set("skills", "paths", [str(FIXTURES / "bad_skills")]), "front matter"),
     ("research", _profile(api_key_env=5), "api_key_env"),

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import functools
 import json
+import operator
 import random
 import shutil
 import subprocess
@@ -12,6 +15,7 @@ import yaml
 
 import evokit.harness.config as config_module
 from evokit.cli import main
+from evokit.context import ContextBudget
 from evokit.gateway import ScriptParseError, load_script
 from evokit.prompts import DEFAULT_FINAL_MARKER
 from evokit.harness import (
@@ -687,3 +691,112 @@ def test_lenient_accepts_unknown_budget_key(tmp_path) -> None:
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 2
     assert main(["validate", "--config", str(path), "--lenient"]) == 0
+
+
+GOLDEN = ("draft_improve", "planner_executor", "research", "solve_critique")
+WRONG_VALUES = [None, True, 0, -1, 2.5, float("nan"), "", "x", [], [1], {}, {"a": 1}]
+
+
+def _nodes(value, path=()):
+    """Each path below the root of manifest data, with the value found there."""
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield path + (key,), child
+            yield from _nodes(child, path + (key,))
+
+
+def _never_loads(original, wrong) -> bool:
+    """Whether ``wrong`` in place of ``original`` is a type the field can never take."""
+    if isinstance(original, str):  # text expected
+        return isinstance(wrong, (list, dict))
+    if type(original) in (int, float):  # a number expected
+        return isinstance(wrong, bool)
+    if isinstance(original, (list, dict)):  # a list, a section or params expected
+        return wrong is not None and type(wrong) is not type(original)
+    return False
+
+
+def test_every_value_set_to_a_wrong_one_loads_or_is_refused() -> None:
+    for name in GOLDEN:
+        snapshot = load_config(FIXTURES / f"golden/{name}.yaml").to_dict()
+        for path, original in _nodes(snapshot):
+            for wrong in WRONG_VALUES:
+                data = copy.deepcopy(snapshot)
+                parent = functools.reduce(operator.getitem, path[:-1], data)
+                parent[path[-1]] = wrong
+                try:
+                    from_dict(data)
+                except (ValidationError, ParseError):
+                    continue
+                assert not _never_loads(original, wrong), (name, path, wrong)
+
+
+def test_null_slot_values_take_the_defaults() -> None:
+    data = _min_data()
+    data["playground"]["slots"][0].update(max_turns=None, budget=None)
+    spec = from_dict(data).playground.slots[0].spec
+    assert spec.max_turns == 8
+    assert spec.budget == ContextBudget()
+
+
+def test_null_output_dir_runs_under_runs(tmp_path, monkeypatch) -> None:
+    data = _min_data()
+    data["experiment"]["output_dir"] = None
+    manifests = tmp_path / "manifests"
+    manifests.mkdir()
+    path = manifests / "null_output_dir.yaml"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EVO_HOME", raising=False)
+    assert main(["run", "--config", str(path)]) == 0
+    assert [p.name for p in (tmp_path / "runs").iterdir() if p.name.startswith("n-")]
+    assert sorted(p.name for p in manifests.iterdir()) == ["null_output_dir.yaml"]
+    assert not (tmp_path / "None").exists()
+
+
+def test_integral_float_seed_and_wall_limit_read_as_ints() -> None:
+    data = _min_data()
+    data["experiment"].update(seed=2.0, max_wall_seconds="60")
+    experiment = from_dict(data).experiment
+    assert (experiment.seed, experiment.max_wall_seconds) == (2, 60)
+    assert [type(experiment.seed), type(experiment.max_wall_seconds)] == [int, int]
+
+
+def test_corpus_must_be_an_existing_directory(tmp_path) -> None:
+    data = _min_data()
+    data["tools"] = {"corpus": "no/such/dir"}
+    with pytest.raises(ValidationError, match="tools.corpus: '.*no/such/dir' is not a directory"):
+        from_dict(data, base_dir=tmp_path)
+    (tmp_path / "no/such/dir").mkdir(parents=True)
+    assert from_dict(data, base_dir=tmp_path).tools.corpus == str(tmp_path / "no/such/dir")
+    data["tools"]["corpus"] = ""
+    assert from_dict(data, base_dir=tmp_path).tools.corpus is None
+
+
+def test_tool_pack_items_must_be_names_even_with_mcp() -> None:
+    data = _min_data()
+    data["tools"] = {"mcp": [{"alias": "stub", "endpoint": "http://127.0.0.1:9/"}]}
+    data["playground"].update(name="single_agent_research", params={"tool_pack": [[1]]})
+    data["playground"]["slots"][0]["role"] = "researcher"
+    with pytest.raises(ValidationError, match="param 'tool_pack' must be a list of tool names"):
+        from_dict(data)
+
+
+def test_json_exponents_read_by_the_declared_type(tmp_path) -> None:
+    # json.dumps writes 1e-05, which YAML 1.1 reads as the text "1e-05".
+    data = _min_data()
+    data["llm"]["profiles"][0]["temperature"] = 1e-05
+    path = tmp_path / "exponent.yaml"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert "1e-05" in path.read_text(encoding="utf-8")
+    assert load_config(path).profiles[0].temperature == 1e-05
+    data["playground"]["slots"][0]["budget"] = {"max_tokens": "1e+16"}
+    with pytest.raises(ValidationError, match="slot 'w': budget: max_tokens: "):
+        from_dict(data)
+
+
+def test_unknown_keys_of_mixed_types_are_named() -> None:
+    data = _min_data()
+    data["experiment"].update({1: "x", "zz": "y"})  # YAML reads the key 1 as an int
+    with pytest.raises(ValidationError, match=r"^experiment: unknown keys \[1, 'zz'\]$"):
+        from_dict(data)
