@@ -13,6 +13,7 @@ never mutated concurrently.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -59,8 +60,9 @@ class ContextBudget:
     strategy: str = "summarize"
 
     def __post_init__(self) -> None:
-        if self.max_tokens <= 0:
-            raise InvariantViolation("max_tokens must be positive")
+        # maybe_compress's threshold, compress_at * max_tokens, is a float.
+        if not 0 < self.max_tokens <= sys.float_info.max:
+            raise InvariantViolation("max_tokens must be positive and at most the largest float")
         if not 0.0 < self.compress_at <= 1.0:
             raise InvariantViolation("compress_at must be in (0, 1]")
         if self.strategy not in COMPRESSION_STRATEGIES:

@@ -13,13 +13,15 @@ run never fails halfway on a typo or a file edited since.
 Each value is read by the rule of its field's declared type, else it is a
 ValidationError naming the section and key. ``str``: a string (``2024`` must
 be quoted); the paths ``output_dir``, ``script_path``, ``corpus`` and
-``skills.paths`` resolve against the manifest's directory, and an empty
-``corpus`` or ``script_path`` is unset. ``int``: an int, an integral float
-(``2.0`` is 2) or text ``int()`` reads, never a bool. ``float``: an int, a
-float or text ``float()`` reads, never a bool. A list: a list whose items
-are read by their type. ``playground.params``: a mapping. A section: its
-keys, by these rules. A null list or mapping is empty; any other null is the
-key left out, and a required key left out or empty is a ValidationError.
+``skills.paths`` hold no NUL byte and resolve against the manifest's
+directory (the default ``output_dir``, ``runs``, is not written there, so it
+stays relative to the working directory), and an empty ``corpus`` or
+``script_path`` is unset. ``int``: an int, an integral float (``2.0`` is 2)
+or text ``int()`` reads, never a bool. ``float``: an int, a float or text
+``float()`` reads, never a bool. A list: a list whose items are read by
+their type. ``playground.params``: a mapping. A section: its keys, by these
+rules. A null list or mapping is empty; any other null is the key left out,
+and a required key left out or empty is a ValidationError.
 
 A manifest, like a script, is read as strict UTF-8 with ``\r\n`` and a lone
 ``\r`` read as ``\n``; bytes that are not UTF-8 are a ParseError naming the
@@ -42,6 +44,7 @@ import os
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -66,6 +69,8 @@ from ..skills import SKILL_TOOL_NAME, ManifestParseError, SkillIndex, discover
 from ..tools import BUILTIN_TOOL_NAMES, read_utf8
 
 DEFAULT_MAX_WALL_SECONDS = 86_400  # 24 h
+# A limit whose milliseconds stay a finite float: the engine rounds them with math.ceil.
+_MAX_WALL_SECONDS = 10**305
 # libyaml's safe loader when PyYAML was built with it, else the pure-Python
 # one. Both resolve tags and construct with the same Python classes, so they
 # build equal data; libyaml only parses faster.
@@ -109,13 +114,16 @@ class ExperimentSection:
     output_dir: str = "runs"
 
     def __post_init__(self) -> None:
-        # The run directory is <output_dir>/<name>-..., so the name must not leave it.
-        if "/" in self.name or "\\" in self.name or self.name in (".", ".."):
+        # The run directory is <output_dir>/<name>-..., so the name must not leave
+        # it, and os calls refuse a NUL byte in it.
+        if any(c in self.name for c in "/\\\0") or self.name in (".", ".."):
             raise ValidationError(
-                f"experiment.name {self.name!r} must not contain '/' or '\\' or be '.' or '..'"
+                f"experiment.name {self.name!r} must not hold '/', '\\' or NUL or be '.' or '..'"
             )
-        if self.max_wall_seconds <= 0:
-            raise ValidationError("experiment.max_wall_seconds must be a positive integer")
+        if not 0 < self.max_wall_seconds <= _MAX_WALL_SECONDS:
+            raise ValidationError(
+                f"experiment.max_wall_seconds must be an integer in [1, {_MAX_WALL_SECONDS:.0e}]"
+            )
 
 
 @dataclass
@@ -158,13 +166,13 @@ class _Llm:
     profiles: list[ModelProfile]
 
 
-@dataclass
-class _Manifest:  # a manifest's top level, read like its sections
+@dataclass(kw_only=True)
+class _Manifest:  # a manifest's top level, read and written like its sections
     experiment: ExperimentSection
     llm: _Llm
-    playground: PlaygroundSection
     tools: ToolsSection = field(default_factory=ToolsSection)
     skills: SkillsSection = field(default_factory=SkillsSection)
+    playground: PlaygroundSection
 
 
 @dataclass
@@ -177,43 +185,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """The config in its manifest shape; nothing in it is shared with the config."""
-        tools = self.tools
-        return {
-            "experiment": _manifest_keys(self.experiment),
-            "llm": {"profiles": [_manifest_keys(p) for p in self.profiles]},
-            "tools": {
-                "builtin": list(tools.builtin),
-                "mcp": [_manifest_keys(e) for e in tools.mcp],
-                "corpus": tools.corpus,
-            },
-            "skills": {"paths": list(self.skills.paths)},
-            "playground": {
-                "name": self.playground.name,
-                "params": copy.deepcopy(self.playground.params),
-                "slots": [_slot_to_dict(s) for s in self.playground.slots],
-            },
-        }
-
-
-def _manifest_keys(section: Any) -> dict[str, Any]:
-    """A flat section's manifest keys, without derived fields; each value is a scalar."""
-    return {key: getattr(section, key) for key in _fields(type(section))[0]}
-
-
-def _slot_to_dict(slot: AgentSlot) -> dict[str, Any]:
-    """A slot in its manifest shape and key order."""
-    spec = slot.spec
-    return {
-        "slot_name": slot.slot_name,
-        "role": slot.role,
-        "llm_profile": spec.llm_profile,
-        "system_prompt": spec.system_prompt,
-        "tools": list(spec.tool_names),
-        "max_turns": spec.max_turns,
-        "critique_every": spec.critique_every,
-        "final_marker": spec.final_marker,
-        "budget": _manifest_keys(spec.budget),
-    }
+        manifest = _Manifest(
+            experiment=self.experiment, llm=_Llm(self.profiles), tools=self.tools,
+            skills=self.skills, playground=self.playground,
+        )
+        return _writer(_Manifest)(manifest)
 
 
 def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
@@ -408,11 +384,13 @@ class _Load(NamedTuple):  # what reading a manifest needs besides its data
 
 
 # A reader maps a value, its section's name and the load to the field's value;
-# its TypeError or ValueError names the section and key. A table maps each key
-# of a section to its field, reader and the factory of what a null gives it
-# (None: a null is the key left out), and lists the required keys.
+# its TypeError or ValueError names the section and key. A writer maps the
+# field's value to its manifest value, sharing nothing with it. A table maps
+# each key of a section to its field, reader, the factory of what a null gives
+# it (None: a null is the key left out) and writer, and lists the required keys.
 _ReadFn = Callable[[Any, str, _Load], Any]
-_Table = tuple[dict[str, tuple[str, _ReadFn, Callable[[], Any] | None]], tuple[str, ...]]
+_WriteFn = Callable[[Any], Any]
+_Table = tuple[dict[str, tuple[str, _ReadFn, Callable[[], Any] | None, _WriteFn]], tuple[str, ...]]
 # A slot is its AgentSpec's fields, these two under their manifest names, and its role.
 _SLOT_KEYS = {"name": "slot_name", "tool_names": "tools"}
 
@@ -429,7 +407,7 @@ def _kwargs(table: _Table, raw: Any, where: str, load: _Load) -> dict[str, Any]:
         entry = keys.get(key)
         if entry is None:
             continue
-        name, read, empty = entry
+        name, read, empty, _ = entry
         if value is None:
             if empty is not None:
                 kwargs[name] = empty()
@@ -505,6 +483,8 @@ def _path(value: Any, where: str, load: _Load) -> str:
     # names that only a config holds then enter CPython's interned-string
     # table again on every load.
     path = _str(value)
+    if "\0" in path:  # os calls raise on it only at run time
+        raise ValueError(f"must not contain a NUL byte: {path!r}")
     if load.base_dir is not None and not os.path.isabs(path):
         path = os.path.join(load.base_dir, path)
     return path
@@ -538,22 +518,25 @@ _PATHS = {
 }
 
 
-def _reader(hint: Any, key: str) -> tuple[_ReadFn, Callable[[], Any] | None]:
-    """The reader of ``key``'s values by its declared type, and what a null gives it."""
+def _same(value: Any) -> Any:
+    return value
+
+
+def _reader(hint: Any, key: str) -> tuple[_ReadFn, Callable[[], Any] | None, _WriteFn]:
+    """The reader of ``key``'s values by its declared type, what a null gives it, its writer."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is list or origin is tuple:
-        return _list_of(_reader(args[0], key)[0], origin), origin
+        read, _, write = _reader(args[0], key)
+        return _list_of(read, origin), origin, lambda value: [write(v) for v in value]
     if hint is dict or origin is dict:
-        return _mapping, dict
+        return _mapping, dict, copy.deepcopy
     if origin is UnionType:  # ``X | None``, whose null is left out like any other
         (hint,) = set(args) - {NoneType}
     if hint in _ENTRIES:
-        return _ENTRIES[hint], None
+        return _ENTRIES[hint], None, _writer(hint)
     if is_dataclass(hint):
-        return _nested(hint, key), None
-    if key in _PATHS:
-        return _PATHS[key], None
-    return {str: _str, int: _int, float: _float}[hint], None
+        return _nested(hint, key), None, _writer(hint)
+    return _PATHS.get(key) or {str: _str, int: _int, float: _float}[hint], None, _same
 
 
 @cache
@@ -568,7 +551,19 @@ def _fields(cls: type) -> _Table:
 @cache
 def _slot_fields() -> _Table:
     keys = {_SLOT_KEYS.get(key, key): entry for key, entry in _fields(AgentSpec)[0].items()}
-    return {**keys, "role": ("role", _str, None)}, ("slot_name", "role", "llm_profile")
+    return {**keys, "role": ("role", _str, None, _same)}, ("slot_name", "role", "llm_profile")
+
+
+@cache
+def _writer(cls: type) -> _WriteFn:
+    """``cls``'s writer, by its table; a slot's ``role`` is its own, its other keys its spec's."""
+    spec = "spec." if cls is AgentSlot else ""
+    keys = (_slot_fields() if spec else _fields(cls))[0]
+    items = tuple(
+        (key, attrgetter(name if name == "role" else spec + name), write)
+        for key, (name, _, _, write) in keys.items()
+    )
+    return lambda value: {key: write(get(value)) for key, get, write in items}
 
 
 def _reject_duplicates(names: list[str], what: str) -> None:

@@ -85,12 +85,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
         os.mkdir(workspace)
     trajectory_path = os.path.join(run_dir, TRAJECTORY_FILENAME)
     started = time.monotonic()
+    deadline = started + config.experiment.max_wall_seconds
 
     recorder = TrajectoryRecorder(trajectory_path, run_id)
     recorder.record("run_start", {"config_snapshot": config.to_dict()})
 
     result: PlaygroundResult | None = None
-    deadline = started + config.experiment.max_wall_seconds
     pool = ConnectionPool()
     try:
         services = _build_services(config, recorder, workspace, run_id, deadline, pool)

@@ -154,6 +154,12 @@ BAD_MANIFESTS = [
     ("research", _profile(api_key_env=5), "api_key_env"),
     ("research", _set("experiment", "name", "../escaped/x"), "'../escaped/x'"),
     ("research", _empty_final_marker, "slot 'researcher': researcher: final_marker"),
+    ("research", _set("experiment", "name", "a\0b"), "experiment.name 'a\\x00b' must not hold"),
+    ("research", _set("experiment", "output_dir", "ru\0ns"), "output_dir: must not contain a NUL"),
+    ("research", _set("tools", "corpus", "cor\0pus"), "corpus: must not contain a NUL"),
+    ("research", _set("skills", "paths", ["sk\0"]), "paths: must not contain a NUL"),
+    ("research", _profile(script_path="m\0.script"), "script_path: must not contain a NUL"),
+    ("research", _set("experiment", "max_wall_seconds", int("9" * 400)), "max_wall_seconds"),
 ]
 
 
@@ -167,7 +173,8 @@ BAD_MANIFESTS = [
         "temperature_hot", "max_output_tokens_many", "builtin_nested_list",
         "skills_paths_int", "mcp_int", "slots_int", "slot_tools_string",
         "malformed_script", "malformed_skill", "api_key_env_int", "name_escapes_output_dir",
-        "empty_final_marker",
+        "empty_final_marker", "name_nul", "output_dir_nul", "corpus_nul", "skills_paths_nul",
+        "script_path_nul", "max_wall_seconds_overflow",
     ],
 )
 def test_bad_manifest_rejected_at_load(tmp_path, capsys, golden, edit, named) -> None:
@@ -218,7 +225,7 @@ def test_script_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys) -> None:
     assert f"profile 'worker-m': {expected}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("secs", ["0", "-5"])
+@pytest.mark.parametrize("secs", ["0", "-5", pytest.param("9" * 400, id="overflow")])
 def test_max_wall_secs_override_checked(tmp_path, capsys, secs) -> None:
     runs = tmp_path / "runs"
     assert main(["run", "--config", MIN, "--out", str(runs), "--max-wall-secs", secs]) == 2

@@ -5,6 +5,7 @@ import functools
 import json
 import operator
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,8 @@ import yaml
 import evokit.harness.config as config_module
 from evokit.cli import main
 from evokit.context import ContextBudget
-from evokit.gateway import ScriptParseError, load_script
+from evokit.gateway import ModelProfile, ScriptParseError, load_script
+from evokit.mcp import McpEndpoint
 from evokit.prompts import DEFAULT_FINAL_MARKER
 from evokit.harness import (
     DEFAULT_MAX_WALL_SECONDS,
@@ -24,6 +26,8 @@ from evokit.harness import (
     ValidationError,
     from_dict,
     load_config,
+    replay,
+    run_experiment,
 )
 from helpers import FIXTURES
 
@@ -578,12 +582,52 @@ def test_seed_must_be_integer() -> None:
         from_dict(data)
 
 
-def test_snapshot_round_trip_is_identical() -> None:
-    config = load_config(MIN)
+# Every fixture manifest that loads; bad-ref.yaml names an unknown profile.
+MANIFESTS = sorted(
+    path
+    for path in (*FIXTURES.glob("configs/*.yaml"), *FIXTURES.glob("golden/*.yaml"))
+    if path.name != "bad-ref.yaml"
+)
+
+
+@pytest.mark.parametrize("path", MANIFESTS, ids=lambda path: f"{path.parent.name}-{path.stem}")
+def test_snapshot_round_trip_is_identical(path) -> None:
+    config = load_config(path)
     snapshot = config.to_dict()
     rebuilt = from_dict(snapshot)
     assert rebuilt == config
-    assert rebuilt.to_dict() == snapshot
+    # The same data in the same key order.
+    assert json.dumps(rebuilt.to_dict()) == json.dumps(snapshot)
+
+
+def _readme_manifest() -> dict:
+    """README's manifest reference, a commented-out ``key: value`` line read as a key."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```yaml\nexperiment:", 1)[1].split("```", 1)[0]
+    return yaml.safe_load("experiment:" + re.sub(r"(?m)^( *)# (?=\w+:)", r"\1", block))
+
+
+def test_readme_manifest_names_each_table_key_in_table_order() -> None:
+    manifest = _readme_manifest()
+    slots = manifest["playground"]["slots"]
+    sections = [
+        ([manifest], config_module._Manifest),
+        ([manifest["experiment"]], config_module.ExperimentSection),
+        ([manifest["llm"]], config_module._Llm),
+        (manifest["llm"]["profiles"], ModelProfile),
+        ([manifest["tools"]], config_module.ToolsSection),
+        (manifest["tools"]["mcp"], McpEndpoint),
+        ([manifest["skills"]], config_module.SkillsSection),
+        ([manifest["playground"]], config_module.PlaygroundSection),
+        (slots, None),
+        ([slot["budget"] for slot in slots if "budget" in slot], ContextBudget),
+    ]
+    for entries, cls in sections:
+        table = config_module._slot_fields() if cls is None else config_module._fields(cls)
+        keys = list(table[0])
+        assert {key for entry in entries for key in entry} == set(keys), cls
+        for entry in entries:
+            assert list(entry) == [key for key in keys if key in entry], cls
 
 
 def test_snapshot_shares_nothing_with_the_config() -> None:
@@ -625,11 +669,12 @@ def test_snapshot_shares_nothing_with_the_config() -> None:
         {"budget": {"max_tokens": 1.5}},
         {"budget": {"compress_at": True}},
         {"max_turns": float("inf")},
+        {"budget": {"max_tokens": int("9" * 400)}},
     ],
     ids=[
         "max_turns", "critique_every", "strategy", "compress_at", "max_tokens", "not_an_int",
         "max_turns_bool", "critique_every_fraction", "max_tokens_fraction", "compress_at_bool",
-        "max_turns_inf",
+        "max_turns_inf", "max_tokens_overflow",
     ],
 )
 def test_invalid_slot_values_rejected_at_load(tmp_path, bad) -> None:
@@ -752,6 +797,22 @@ def test_null_output_dir_runs_under_runs(tmp_path, monkeypatch) -> None:
     assert [p.name for p in (tmp_path / "runs").iterdir() if p.name.startswith("n-")]
     assert sorted(p.name for p in manifests.iterdir()) == ["null_output_dir.yaml"]
     assert not (tmp_path / "None").exists()
+
+
+def test_limits_at_their_float_bounds_run_and_one_more_is_refused(tmp_path) -> None:
+    # research calls tools, so the engine rounds the milliseconds left to the deadline.
+    data = load_config(FIXTURES / "golden/research.yaml").to_dict()
+    data["experiment"].update(output_dir=str(tmp_path / "runs"), max_wall_seconds=10**305)
+    budget = data["playground"]["slots"][0]["budget"]
+    budget["max_tokens"] = int(sys.float_info.max)
+    record = run_experiment(from_dict(data))
+    assert record.status == "ok"
+    assert replay(record.trajectory_path).complete
+    for section, key in [(data["experiment"], "max_wall_seconds"), (budget, "max_tokens")]:
+        section[key] += 1
+        with pytest.raises(ValidationError, match=key):
+            from_dict(data)
+        section[key] -= 1
 
 
 def test_integral_float_seed_and_wall_limit_read_as_ints() -> None:
