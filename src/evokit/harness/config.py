@@ -27,14 +27,17 @@ A manifest, like a script, is read as strict UTF-8 with ``\r\n`` and a lone
 ``\r`` read as ``\n``; bytes that are not UTF-8 are a ParseError naming the
 first one's offset. A manifest is the JSON-shaped part of YAML: block or
 flow mappings and sequences of untagged scalars, in one document, so every
-JSON manifest is one. The data is built straight from ``_LOADER``'s parser
-events: each scalar gets the tag the loader's resolver picks and the value
-the loader's constructor builds (a null, bool or plain decimal int is built
-directly, as the constructor builds it), so it is exactly what ``yaml.load``
-returns for that document. An anchor, alias, explicit tag, ``<<`` or ``=``
-scalar, collection used as a key or second document is a ParseError naming
-its line, column and construct, and so is nesting deeper than
-``_MAX_DEPTH`` levels and a value the constructor cannot build.
+JSON manifest is one. The data is built straight from the parser events of
+``_loader()``, libyaml's safe loader when PyYAML has it: each scalar
+gets the tag the loader's resolver picks and the value the loader's
+constructor builds (a null, bool or plain decimal int is built directly, as
+the constructor builds it), so it is exactly what ``yaml.load`` returns for
+that document. An anchor, alias, explicit tag, ``<<`` or ``=`` scalar,
+collection used as a key or second document is a ParseError naming its
+line, column and construct, and so is nesting deeper than ``_MAX_DEPTH``
+levels and a value the constructor cannot build. PyYAML is imported at the
+first parse, so a process that loads no manifest (``evo replay``, a library
+run of a config built with ``from_dict``) never loads it.
 """
 
 from __future__ import annotations
@@ -48,14 +51,6 @@ from operator import attrgetter
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
-
-import yaml
-from yaml.events import (
-    DocumentEndEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, SequenceEndEvent,
-    SequenceStartEvent, StreamEndEvent,
-)
-from yaml.nodes import ScalarNode
-from yaml.reader import Reader, ReaderError
 
 from ..engine import AgentSpec
 from ..errors import EvokitError
@@ -71,10 +66,6 @@ from ..tools import BUILTIN_TOOL_NAMES, read_utf8
 DEFAULT_MAX_WALL_SECONDS = 86_400  # 24 h
 # A limit whose milliseconds stay a finite float: the engine rounds them with math.ceil.
 _MAX_WALL_SECONDS = 10**305
-# libyaml's safe loader when PyYAML was built with it, else the pure-Python
-# one. Both resolve tags and construct with the same Python classes, so they
-# build equal data; libyaml only parses faster.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # Manifests nest at most 5 levels. A document nested deeper is refused as its
 # events are read, before any code that recurses through the data (the
 # snapshot's deepcopy and json.dumps) could hit the recursion limit.
@@ -203,6 +194,8 @@ def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
         raise ParseError(
             f"{path}: manifest is not UTF-8 (byte {exc.start}: {exc.reason})"
         ) from exc
+    import yaml  # at the first parse: a process that loads no manifest never loads it
+
     try:
         data = _parse_yaml(text, path)
     except yaml.YAMLError as exc:
@@ -210,9 +203,21 @@ def load_config(path: str | Path, lenient: bool = False) -> ExperimentConfig:
     return from_dict(data, base_dir=os.path.dirname(path) or ".", lenient=lenient)
 
 
+@cache
+def _loader() -> type:
+    """libyaml's safe loader when PyYAML was built with it, else the pure-Python one.
+
+    Both resolve tags and construct with the same Python classes, so they
+    build equal data; libyaml only parses faster. Picked at the first parse.
+    """
+    import yaml
+
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _parse_yaml(text: str, source: str) -> Any:
-    """The data of the manifest ``text``, built from the events of ``_LOADER``'s parser."""
-    loader = _LOADER(text)
+    """The data of the manifest ``text``, built from the events of ``_loader()``'s parser."""
+    loader = _loader()(text)
     try:
         return _document(loader, source)
     finally:
@@ -252,6 +257,12 @@ def _document(loader: Any, source: str) -> Any:
     a scalar that cannot be built, or nesting past ``_MAX_DEPTH``. A syntax
     error is the parser's YAMLError.
     """
+    from yaml.events import (
+        DocumentEndEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, SequenceEndEvent,
+        SequenceStartEvent, StreamEndEvent,
+    )
+    from yaml.nodes import ScalarNode
+
     get_event, constructors = loader.get_event, loader.yaml_constructors
     bool_values = loader.bool_values
     resolvers, wildcard = _implicit_resolvers(type(loader))
@@ -337,8 +348,10 @@ def _error(source: str, event: Any, kind: str, problem: object) -> ParseError:
     )
 
 
-def _location(exc: yaml.YAMLError, text: str) -> str:
-    """Where in ``text`` a parse error is, as `` at line L, column C``, or ``""``."""
+def _location(exc: Exception, text: str) -> str:
+    """Where in ``text`` the YAMLError ``exc`` is, as `` at line L, column C``, or ``""``."""
+    from yaml.reader import Reader, ReaderError
+
     mark = getattr(exc, "problem_mark", None)
     if mark is not None:
         line, column = mark.line, mark.column

@@ -9,7 +9,6 @@ observations, mirroring the local tool executor.
 from __future__ import annotations
 
 import json
-import subprocess
 import threading
 from dataclasses import dataclass
 from typing import Any
@@ -101,6 +100,8 @@ class McpClient:
     def _rpc_stdio(self, request: dict[str, Any]) -> str:
         # One-shot line-delimited exchange: spawn, write one request line,
         # read one response line. Good enough for batch tooling servers.
+        import subprocess  # on the first stdio call: a run with no stdio endpoint never loads it
+
         try:
             proc = subprocess.run(
                 self.endpoint.endpoint,

@@ -11,9 +11,7 @@ import errno
 import os
 import queue
 import re
-import signal
 import stat
-import subprocess
 import threading
 import time
 from dataclasses import dataclass, field
@@ -423,6 +421,9 @@ def _confined(root: str, raw: Any) -> str:
 
 
 def _run_command(workspace: str | Path, args: dict[str, Any]) -> str:
+    import signal  # on the first command: a run that never execs loads neither
+    import subprocess
+
     # A session of its own makes the shell a process-group leader, so the
     # hard timeout kills the commands it started along with it.
     with subprocess.Popen(

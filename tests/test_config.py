@@ -91,18 +91,33 @@ LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else 
 MANIFESTS = sorted(FIXTURES.rglob("*.yaml"))
 
 
+def _use(monkeypatch, loader: type) -> None:
+    """Make every manifest parse in this test use ``loader``."""
+    monkeypatch.setattr(config_module, "_loader", lambda: loader)
+
+
 def _load_with(monkeypatch, loader: type, path) -> object:
     """``load_config(path)`` parsed by ``loader``: the config, or the error it raised."""
-    monkeypatch.setattr(config_module, "_LOADER", loader)
+    _use(monkeypatch, loader)
     try:
         return load_config(path)
     except (ParseError, ValidationError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_libyaml_loader_in_use_when_available() -> None:
+def test_libyaml_loader_in_use_when_available(monkeypatch) -> None:
+    # The loader a parse builds, not a module value set only once some test has parsed.
+    used = []
+    document = config_module._document
+
+    def spy(loader, source):
+        used.append(type(loader))
+        return document(loader, source)
+
+    monkeypatch.setattr(config_module, "_document", spy)
+    load_config(MIN)
     expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    assert config_module._LOADER is expected
+    assert len(used) == 1 and used[0] is expected
 
 
 @pytest.fixture
@@ -130,7 +145,7 @@ def test_loaders_build_equal_configs(monkeypatch, request, path) -> None:
 
 
 def test_pure_python_loader_without_libyaml(monkeypatch, tmp_path) -> None:
-    monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)
+    _use(monkeypatch, yaml.SafeLoader)
     for path in (FIXTURES / "golden").glob("*.yaml"):
         assert load_config(path).experiment.name
     path = tmp_path / "broken.yaml"
@@ -192,7 +207,7 @@ def test_disallowed_character_reports_location(
 ) -> None:
     path = tmp_path / "control.yaml"
     path.write_text(text, encoding="utf-8", newline="")
-    monkeypatch.setattr(config_module, "_LOADER", loader)
+    _use(monkeypatch, loader)
     with pytest.raises(ParseError, match=f"at {location}:"):
         load_config(path)
 
@@ -415,7 +430,7 @@ def _expected(name: str, loader: type) -> tuple:
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 @pytest.mark.parametrize("name", CORPUS)
 def test_event_builder_gives_what_yaml_load_gives(monkeypatch, loader, name) -> None:
-    monkeypatch.setattr(config_module, "_LOADER", loader)
+    _use(monkeypatch, loader)
     assert _outcome(config_module._parse_yaml, CORPUS[name], "m.yaml") == _expected(name, loader)
 
 
@@ -451,7 +466,7 @@ def test_fixture_manifests_never_reach_the_fallback(monkeypatch, json_manifest, 
 def test_unbuildable_value_is_a_parse_error_naming_its_line(
     monkeypatch, tmp_path, capsys, loader, value, prefix, where
 ) -> None:
-    monkeypatch.setattr(config_module, "_LOADER", loader)
+    _use(monkeypatch, loader)
     path = tmp_path / "bad.yaml"
     path.write_text(f"{prefix}experiment:\n  name: n\n  seed: {value}\n", encoding="utf-8")
     with pytest.raises(ParseError, match=where):
@@ -497,7 +512,7 @@ def test_deep_sequence_is_a_parse_error_in_a_subprocess(tmp_path, alias) -> None
 def test_deep_document_never_reaches_a_composer(
     monkeypatch, tmp_path, loader, text, error
 ) -> None:
-    monkeypatch.setattr(config_module, "_LOADER", loader)
+    _use(monkeypatch, loader)
     monkeypatch.setattr(yaml, "load", _no_fallback)
     path = tmp_path / "deep.yaml"
     path.write_text(text, encoding="utf-8")
@@ -509,7 +524,7 @@ def test_deep_document_never_reaches_a_composer(
 def test_nesting_up_to_the_limit_loads(monkeypatch) -> None:
     text = "a: " + "[" * 63 + "]" * 63 + "\n"
     for loader in LOADERS:
-        monkeypatch.setattr(config_module, "_LOADER", loader)
+        _use(monkeypatch, loader)
         assert config_module._parse_yaml(text, "m.yaml") == _oracle(text, loader)
 
 
