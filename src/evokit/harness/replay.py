@@ -7,9 +7,8 @@ summing to the run_end totals. A ``turn`` event lists its tool calls, and
 each ``observation`` answers one of them: same slot, agent and turn, after
 that turn event and before the conversation's next one. Deleting any line of
 a valid trajectory trips at least one check, and so does editing a seq, an
-action id, an observation's turn or a usage count. The ``tool_call`` lines
-of older files repeat what their turn lists, and replay skips them. It also
-reconstructs one dialogue transcript per (slot, agent) conversation.
+action id, an observation's turn or a usage count. It also reconstructs one
+dialogue transcript per (slot, agent) conversation.
 
 The file is read once, in binary, a line at a time, and each decoded event is
 dropped once it has been counted, so replay's memory grows with the
@@ -25,15 +24,14 @@ A line that is blank, not UTF-8 or not a JSON object raises
 TrajectoryCorrupt naming the line, as does one the decoder rejects for
 nesting past the recursion limit or for an integer of more than 4,300
 digits. So does a line whose ``seq`` is not an integer, whose ``kind`` is
-not one of ``EVENT_KINDS`` (or the older ``tool_call``), whose ``turn`` is
-neither an integer nor null, whose ``payload`` or ``usage`` is neither an
-object nor null, whose ``slot`` or ``agent`` is neither a string nor null,
-or whose usage ``prompt_tokens`` or ``completion_tokens`` is not an
-integer; so does a ``run_end`` whose ``usage_totals`` holds a count that
-is not an integer, a turn's ``tool_calls`` that is not an array of objects,
-and a call ``id`` or an observation's ``action_id`` that is an array or an
-object. JSON ``true`` and ``1.0`` are no integers here, although they
-compare equal to ``1``.
+not one of ``EVENT_KINDS``, whose ``turn`` is neither an integer nor null,
+whose ``payload`` or ``usage`` is neither an object nor null, whose
+``slot`` or ``agent`` is neither a string nor null, or whose usage
+``prompt_tokens`` or ``completion_tokens`` is not an integer; so does a
+``run_end`` whose ``usage_totals`` holds a count that is not an integer, a
+turn's ``tool_calls`` that is not an array of objects, and a call ``id`` or
+an observation's ``action_id`` that is an array or an object. JSON ``true``
+and ``1.0`` are no integers here, although they compare equal to ``1``.
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ VOLATILE_PAYLOAD_KEYS = ("duration_ms", "wall_seconds")
 # The scanner json.loads runs: called at index 0 it returns the value that
 # starts there and the index just past it, and decodes exactly as json.loads.
 _scan_once = json.JSONDecoder().scan_once
-# Every kind a line may have: the recorder's, and the tool_call of older files.
-_KINDS = frozenset((*EVENT_KINDS, "tool_call"))
+_KINDS = frozenset(EVENT_KINDS)
 _COUNTS = ("prompt_tokens", "completion_tokens")
 _NO_CALLS: dict[Any, int] = {}  # no turn yet: holds no id, never written
 # The kinds a transcript shows, each mapped to one string for every entry.

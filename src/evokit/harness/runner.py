@@ -24,14 +24,12 @@ from ..gateway import ConnectionPool, LlmGateway
 from ..mcp import McpClient, register_mcp_tools
 from ..playgrounds import CognitiveCache, PlaygroundResult, run_playground
 from ..skills import skill_tool
-from ..tools import LocalCorpusFetcher, ToolRegistry, install_builtin_tools
+from ..tools import WORKSPACE_TOOLS, LocalCorpusFetcher, ToolRegistry, install_builtin_tools
 from .config import ExperimentConfig
 from .recorder import TrajectoryRecorder, dump_utf8
 
 RECORD_FILENAME = "record.json"
 TRAJECTORY_FILENAME = "trajectory.jsonl"
-# The builtin tools that work in <run_dir>/workspace; a run without them has none.
-_WORKSPACE_TOOLS = frozenset({"exec", "file_read", "file_write"})
 
 
 @dataclass
@@ -81,7 +79,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     # Paths are joined as text: pathlib would intern the run id on every run.
     run_id, run_dir = _make_run_dir(config.experiment.output_dir, config.experiment.name)
     workspace = os.path.join(run_dir, "workspace")
-    if not _WORKSPACE_TOOLS.isdisjoint(config.tools.builtin):
+    if not WORKSPACE_TOOLS.isdisjoint(config.tools.builtin):
         os.mkdir(workspace)
     trajectory_path = os.path.join(run_dir, TRAJECTORY_FILENAME)
     started = time.monotonic()

@@ -15,10 +15,10 @@ from typing import Any
 
 from .errors import EvokitError
 from .gateway import ConnectionPool, post_json
-from .tools import InvalidDescriptor, ToolDescriptor, ToolRegistry
+from .tools import InvalidDescriptor, ToolDescriptor, ToolRegistry, run_shell
 
 MCP_TRANSPORTS = ("http", "stdio")
-MCP_TIMEOUT_S = 10.0  # per JSON-RPC request, either transport
+MCP_TIMEOUT_S = 10.0  # per JSON-RPC request, either transport; stdio kills its process group
 
 
 class McpTransportError(EvokitError):
@@ -100,23 +100,15 @@ class McpClient:
     def _rpc_stdio(self, request: dict[str, Any]) -> str:
         # One-shot line-delimited exchange: spawn, write one request line,
         # read one response line. Good enough for batch tooling servers.
-        import subprocess  # on the first stdio call: a run with no stdio endpoint never loads it
-
+        line = json.dumps(request) + "\n"
         try:
-            proc = subprocess.run(
-                self.endpoint.endpoint,
-                shell=True,
-                input=json.dumps(request) + "\n",
-                capture_output=True,
-                text=True,
-                timeout=MCP_TIMEOUT_S,
-            )
-        except (OSError, subprocess.SubprocessError) as exc:
+            _, stdout, _ = run_shell(self.endpoint.endpoint, MCP_TIMEOUT_S, stdin=line)
+        except OSError as exc:  # TimeoutError included
             raise McpTransportError(f"{self.endpoint.alias}: {exc}") from exc
-        line = proc.stdout.strip().splitlines()
-        if not line:
+        lines = stdout.strip().splitlines()
+        if not lines:
             raise McpTransportError(f"{self.endpoint.alias}: no response on stdout")
-        return line[0]
+        return lines[0]
 
     def list_tools(self) -> list[ToolDescriptor]:
         result = self._rpc("tools/list", {})

@@ -66,15 +66,12 @@ _BUILTIN_TOOLS = {
 }
 BUILTIN_TOOL_NAMES = tuple(_BUILTIN_TOOLS)
 
-# The corpus tools. Over a LocalCorpusFetcher, or with no fetcher, they run on
-# the caller's thread: the read opens without blocking and takes only a
-# regular file, so it cannot stall the loop and needs no worker or timeout.
-_INLINE_TOOLS = frozenset(("pdf_extract", "web_fetch", "web_search"))
+WORKSPACE_TOOLS = frozenset(("exec", "file_read", "file_write"))  # work in the run workspace
 
-# Hard ceiling for exec subprocesses so a worker abandoned by the registry-level
-# timeout cannot leave a child running forever: at this limit the command's
-# whole process group is killed.
-_EXEC_HARD_TIMEOUT_S = 600
+# The corpus tools. Over a LocalCorpusFetcher, or with no fetcher, they run on
+# the caller's thread: the read opens without blocking and takes only a regular
+# file, so it cannot stall the loop, and they ignore the call's timeout (``*_``).
+_INLINE_TOOLS = frozenset(("pdf_extract", "web_fetch", "web_search"))
 
 
 class DuplicateTool(EvokitError):
@@ -174,9 +171,9 @@ class ToolRegistry:
     Registration happens during single-threaded setup; invoke() is read-only
     with respect to the registry and safe to call concurrently.
 
-    A handler runs on a parked worker under the call's timeout, except the
-    corpus reads that ``install_builtin_tools`` marks inline (``_INLINE_TOOLS``),
-    which cannot block and run on the caller's thread.
+    A handler runs on a parked worker under the call's timeout, except the builtin
+    tools ``install_builtin_tools`` marks inline (``exec``, and the corpus reads, which
+    cannot block): they run on the caller's thread as ``handler(arguments, timeout_ms)``.
     """
 
     def __init__(self) -> None:
@@ -187,7 +184,7 @@ class ToolRegistry:
     def register_tool(self, descriptor: ToolDescriptor, handler: ToolHandler) -> None:
         self._register(descriptor, handler, inline=False)
 
-    def _register(self, descriptor: ToolDescriptor, handler: ToolHandler, inline: bool) -> None:
+    def _register(self, descriptor: ToolDescriptor, handler: Callable, inline: bool) -> None:
         with self._lock:
             if descriptor.name in self._tools:
                 raise DuplicateTool(f"tool already registered: {descriptor.name}")
@@ -214,10 +211,17 @@ class ToolRegistry:
 
         _, handler, inline = entry
         if inline:
-            status, content = _observed(*_run(handler, action.arguments))
+            result = _run(handler, action.arguments, timeout_ms)
         else:
-            status, content = _call_with_timeout(handler, action.arguments, timeout_ms)
-        return self._finish(action, t0, status, content)
+            # On a parked worker, so a stalled tool cannot stall the loop. A call
+            # that times out abandons its worker, which is parked again once the
+            # handler returns; the late result goes to an outbox nobody reads.
+            outbox = _dispatch(handler, action.arguments)
+            try:
+                result = outbox.get(timeout=max(timeout_ms, 1) / 1000.0)
+            except queue.Empty:
+                result = "failed", _TimedOut(timeout_ms)
+        return self._finish(action, t0, *_observed(*result))
 
     @staticmethod
     def _finish(
@@ -236,19 +240,25 @@ _idle_inboxes: list[queue.SimpleQueue] = []
 _idle_lock = threading.Lock()
 
 
-def _run(fn: Callable[[Any], Any], argument: Any) -> tuple[str, Any]:
-    """``("ok", fn(argument))``, or ``("failed", exc)`` when it raises an Exception.
+def _run(fn: Callable[..., Any], *args: Any) -> tuple[str, Any]:
+    """``("ok", fn(*args))``, or ``("failed", exc)`` when it raises an Exception.
 
     Any other BaseException propagates.
     """
     try:
-        return "ok", fn(argument)
+        return "ok", fn(*args)
     except Exception as exc:  # noqa: BLE001 — materialized in the pair
         return "failed", exc
 
 
+class _TimedOut(Exception):
+    """A call that passed its ``timeout_ms``, the one argument."""
+
+
 def _observed(status: str, value: Any) -> tuple[str, str]:
     """The status and observation text of a handler's ``_run`` result."""
+    if isinstance(value, _TimedOut):
+        return "timeout", f"tool timed out after {value.args[0]} ms"
     if status == "failed":
         return "failed", f"tool error: {value}"
     return "ok", value if isinstance(value, str) else str(value)
@@ -279,21 +289,6 @@ def _dispatch(fn: Callable[[Any], Any], argument: Any) -> queue.SimpleQueue:
     outbox: queue.SimpleQueue = queue.SimpleQueue()
     inbox.put((fn, argument, outbox))
     return outbox
-
-
-def _call_with_timeout(
-    handler: ToolHandler, arguments: dict[str, Any], timeout_ms: int
-) -> tuple[str, str]:
-    """Run a handler on a parked worker so a stalled tool cannot stall the loop.
-
-    A call that times out abandons its worker, which is parked again once the
-    handler returns; the late result goes to an outbox nobody reads.
-    """
-    try:
-        result = _dispatch(handler, arguments).get(timeout=max(timeout_ms, 1) / 1000.0)
-    except queue.Empty:
-        return "timeout", f"tool timed out after {timeout_ms} ms"
-    return _observed(*result)
 
 
 class ToolExecutionError(EvokitError):
@@ -420,30 +415,42 @@ def _confined(root: str, raw: Any) -> str:
     return candidate
 
 
-def _run_command(workspace: str | Path, args: dict[str, Any]) -> str:
-    import signal  # on the first command: a run that never execs loads neither
+def run_shell(cmd: str, limit_s: float, cwd: Any = None, stdin: str | None = None) -> tuple:
+    """``(returncode, stdout, stderr)`` of ``cmd``, run by /bin/sh in a session of its own.
+
+    Stdin is ``stdin``, or /dev/null. At ``limit_s`` the whole process group is killed
+    and TimeoutError raised; the pipes are closed undrained, as a ``setsid`` child may
+    hold them open.
+    """
+    import signal  # on the first command: a run that never starts one loads neither
     import subprocess
 
-    # A session of its own makes the shell a process-group leader, so the
-    # hard timeout kills the commands it started along with it.
     with subprocess.Popen(
-        str(args["cmd"]),
+        cmd,
         shell=True,
-        cwd=workspace,
+        cwd=cwd,
+        stdin=subprocess.DEVNULL if stdin is None else subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         start_new_session=True,
     ) as proc:
         try:
-            stdout, stderr = proc.communicate(timeout=_EXEC_HARD_TIMEOUT_S)
+            stdout, stderr = proc.communicate(stdin, timeout=limit_s)
         except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            raise ToolExecutionError(f"command killed after {_EXEC_HARD_TIMEOUT_S} s") from None
-    output = stdout + (stderr if stderr else "")
-    if proc.returncode != 0:
-        raise ToolExecutionError(f"command exited with {proc.returncode}: {output.strip()}")
+            os.killpg(proc.pid, signal.SIGKILL)  # the unreaped shell still holds its group id
+            raise TimeoutError(f"timed out after {limit_s} s") from None
+    return proc.returncode, stdout, stderr
+
+
+def _exec(workspace: str | Path, args: dict[str, Any], timeout_ms: int) -> str:
+    try:
+        returncode, stdout, stderr = run_shell(str(args["cmd"]), timeout_ms / 1000, workspace)
+    except TimeoutError:
+        raise _TimedOut(timeout_ms) from None
+    output = stdout + stderr
+    if returncode != 0:
+        raise ToolExecutionError(f"command exited with {returncode}: {output.strip()}")
     return output
 
 
@@ -461,12 +468,12 @@ def _file_write(root: str, args: dict[str, Any]) -> str:
     return f"wrote {len(content)} chars to {args['path']}"
 
 
-def _fetch(fetch: Callable[[str], str], args: dict[str, Any]) -> str:
+def _fetch(fetch: Callable[[str], str], args: dict[str, Any], *_: int) -> str:
     # pdf_extract is stubbed as text passthrough over the same backend as web_fetch.
     return fetch(str(args["url"]))
 
 
-def _search(search: Callable[[str], str], args: dict[str, Any]) -> str:
+def _search(search: Callable[[str], str], args: dict[str, Any], *_: int) -> str:
     return search(str(args["query"]))
 
 
@@ -479,9 +486,9 @@ def install_builtin_tools(
     """Build and register the built-in tools in ``names`` (all of them by default).
 
     File tools are confined to ``workspace``; exec runs a shell command in it
-    with a hard timeout; web_fetch/pdf_extract and web_search delegate to
-    ``fetcher.fetch`` and ``fetcher.search``, and without a fetcher they fail
-    with a "no retrieval backend" error observation. Over a
+    on the caller's thread (``run_shell``); web_fetch/pdf_extract and
+    web_search delegate to ``fetcher.fetch`` and ``fetcher.search``, and
+    without a fetcher they fail with a "no retrieval backend" error. Over a
     LocalCorpusFetcher or no fetcher, those three run on the caller's thread
     (``_INLINE_TOOLS``); any other fetcher may block, so they run on a worker.
     """
@@ -497,7 +504,7 @@ def install_builtin_tools(
         if name not in wanted:
             continue
         if name == "exec":
-            handler = partial(_run_command, workspace)
+            handler = partial(_exec, workspace)
         elif name == "file_read":
             handler = partial(_file_read, root)
         elif name == "file_write":
@@ -515,5 +522,5 @@ def install_builtin_tools(
         registry._register(
             ToolDescriptor(name, description, parameters),
             handler,
-            inline=inline and name in _INLINE_TOOLS,
+            inline=name == "exec" or (inline and name in _INLINE_TOOLS),
         )

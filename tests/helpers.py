@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 from evokit.engine import RunServices
@@ -86,3 +87,18 @@ def web_search_manifest(tmp_path: Path) -> Path:
     path = inputs / "parity.yaml"
     path.write_text(json.dumps(manifest), encoding="utf-8")  # JSON is YAML
     return path
+
+
+def gone_or_zombie(pid: int, within_s: float) -> bool:
+    """Whether process ``pid`` has ended (or is a zombie) within ``within_s`` seconds."""
+    deadline = time.monotonic() + within_s
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.02)

@@ -30,6 +30,7 @@ from evokit.gateway import (
     parse_script,
     scripted_step,
 )
+from evokit.tools import Action, ToolDescriptor, descriptor_wire_form
 from helpers import FIXTURES, scripted_gateway, write_script
 from stubs import DEFAULT_REPLY, ChatCompletionsStub
 
@@ -377,6 +378,63 @@ def test_http_provider_parses_tool_calls() -> None:
     assert response.finish == "tool_call"
     assert response.tool_calls[0].id == "call_9"
     assert response.tool_calls[0].arguments == {"query": "x"}
+
+
+def test_http_request_carries_tool_calls_results_and_descriptors() -> None:
+    search = Action("call-a", "web_search", {"query": "reefs", "limit": 2})
+    read = Action("call-b", "file_read", {})
+    messages = [
+        ChatMessage("system", "You are a test agent."),
+        ChatMessage("user", "Find two things."),
+        ChatMessage("assistant", "", tool_calls=(search, read)),
+        ChatMessage("tool", "found", tool_call_id="call-a"),
+        ChatMessage("tool", "tool error: 404", tool_call_id="call-b"),
+    ]
+    descriptors = [
+        ToolDescriptor("web_search", "Search.", {"type": "object", "properties": {}}),
+        ToolDescriptor(
+            "file_read",
+            "Read.",
+            {"type": "object", "properties": {"path": {"type": "string"}}, "required": ["path"]},
+        ),
+    ]
+    with ChatCompletionsStub() as stub:
+        _http_gateway(stub.url).complete("remote", messages, descriptors)
+    body = stub.requests[0]["body"]
+    assert body["messages"] == [
+        {"role": "system", "content": "You are a test agent."},
+        {"role": "user", "content": "Find two things."},
+        {
+            "role": "assistant",
+            "content": "",
+            "tool_calls": [
+                {
+                    "id": "call-a",
+                    "type": "function",
+                    "function": {
+                        "name": "web_search",
+                        "arguments": '{"limit": 2, "query": "reefs"}',
+                    },
+                },
+                {
+                    "id": "call-b",
+                    "type": "function",
+                    "function": {"name": "file_read", "arguments": "{}"},
+                },
+            ],
+        },
+        {"role": "tool", "content": "found", "tool_call_id": "call-a"},
+        {"role": "tool", "content": "tool error: 404", "tool_call_id": "call-b"},
+    ]
+    assert body["tools"] == [descriptor_wire_form(d) for d in descriptors]
+
+
+def test_http_reply_cut_at_its_length_finishes_length() -> None:
+    reply = {"choices": [{"message": {"content": "half an ans"}, "finish_reason": "length"}]}
+    with ChatCompletionsStub(reply=reply) as stub:
+        response = _http_gateway(stub.url).complete("remote", [ChatMessage("user", "hi")])
+    assert (response.content, response.finish) == ("half an ans", "length")
+    assert "tools" not in stub.requests[0]["body"]
 
 
 def test_http_provider_error_carries_status_and_body() -> None:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from evokit import mcp
 from evokit.cli import main
 from evokit.mcp import (
     McpClient,
@@ -12,6 +15,7 @@ from evokit.mcp import (
 )
 from evokit.mcp_stub import StubMcpServer, call_stub_tool
 from evokit.tools import Action, ToolRegistry, install_builtin_tools
+from helpers import gone_or_zombie
 from stubs import ChatCompletionsStub
 
 
@@ -149,3 +153,15 @@ def test_stdio_transport_one_shot() -> None:
     client = McpClient(McpEndpoint(alias="sio", endpoint=command, transport="stdio"))
     descriptors = client.list_tools()
     assert [d.name for d in descriptors] == ["t1"]
+
+
+def test_stdio_request_past_its_limit_kills_the_process_group(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(mcp, "MCP_TIMEOUT_S", 0.3)
+    pid_file = tmp_path / "pid"
+    command = f"sleep 30 & echo $! > {pid_file}; wait; echo '{{}}'"
+    client = McpClient(McpEndpoint(alias="slow", endpoint=command, transport="stdio"))
+    t0 = time.monotonic()
+    with pytest.raises(McpTransportError, match="^slow: timed out after 0.3 s$"):
+        client.list_tools()
+    assert time.monotonic() - t0 < 1.0
+    assert gone_or_zombie(int(pid_file.read_text()), within_s=1.0)

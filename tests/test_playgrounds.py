@@ -356,6 +356,22 @@ def test_fan_out_raises_the_first_error_in_input_order_after_all_calls() -> None
     assert sorted(finished) == [0, 3]
 
 
+def test_fan_out_raises_the_first_items_error_after_every_other_item_ends() -> None:
+    finished = []
+
+    def call(item: int) -> int:
+        if item in (0, 2):
+            raise KeyError(item)  # item 0 fails on the calling thread, at once
+        time.sleep(0.1)
+        finished.append(item)
+        return item
+
+    with pytest.raises(KeyError) as excinfo:
+        fan_out(call, [0, 1, 2, 3])
+    assert excinfo.value.args == (0,)
+    assert sorted(finished) == [1, 3]
+
+
 def test_playground_result_ok_requires_answer() -> None:
     with pytest.raises(ValueError):
         PlaygroundResult("", "ok")

@@ -578,26 +578,15 @@ def test_turn_with_two_calls_and_one_observation_deleted(tmp_path) -> None:
                                  "unpaired action call-0-1 in slot None (x3)"]
 
 
-def test_trajectory_with_tool_call_events_still_replays(tmp_path) -> None:
-    """Files written when each call was also its own ``tool_call`` event,
-    just before its observation, replay complete with the same transcripts."""
-    lines = _engine_lines(tmp_path, calls=2)
-    expected = replay(tmp_path / "engine.jsonl").transcripts
-    events: list[dict] = []
-    for event in map(json.loads, lines):
-        if event["kind"] == "tool_call":
-            continue
-        if event["kind"] == "turn":
-            listed = {call["id"]: call for call in event["payload"]["tool_calls"]}
-        elif event["kind"] == "observation":
-            call = listed[event["payload"]["action_id"]]
-            events.append(dict(event, kind="tool_call", payload=call))
-        events.append(event)
-    assert [e["kind"] for e in events[1:6]] == [
-        "turn", "tool_call", "observation", "tool_call", "observation"]
-    report = _replay_events(tmp_path, events)
-    assert (report.complete, report.violations) == (True, [])
-    assert report.transcripts == expected
+def test_trajectory_with_a_tool_call_event_is_corrupt(tmp_path) -> None:
+    """The recorder lists each call in its turn event only; a line of the
+    ``tool_call`` kind, which no recorder writes, is no event."""
+    events = [json.loads(line) for line in _engine_lines(tmp_path, calls=2)]
+    index = _observation_index(events, 1)
+    call = events[index - 1]["payload"]["tool_calls"][0]
+    events.insert(index, dict(events[index], kind="tool_call", payload=call))
+    with pytest.raises(TrajectoryCorrupt, match=f"^line {index + 1}: kind is not an event kind$"):
+        _replay_events(tmp_path, events)
 
 
 # Line edits that give a line a shape no recorder writes.

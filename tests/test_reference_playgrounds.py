@@ -234,6 +234,27 @@ def test_executor_failure_becomes_finding_and_loop_continues(tmp_path) -> None:
     assert result.rounds_used == 2
 
 
+def test_planner_error_after_a_finding_fails_the_run_with_the_findings(tmp_path) -> None:
+    def reply(body: dict) -> dict:
+        if "Findings so far" in body["messages"][-1]["content"]:
+            return {"choices": []}  # malformed, on the call and on its retry
+        return {"choices": [{"message": {"content": "Search for the Foo page."}}]}
+
+    with ChatCompletionsStub(reply=reply) as stub:
+        gateway = _pe_gateway(tmp_path)
+        gateway.register_profile(
+            ModelProfile("remote", "http-openai-compatible", "m", base_url=stub.url)
+        )
+        services = make_services(tmp_path, gateway)
+        slots = [_slot("planner", "planner", "remote"), _slot("executor", "executor", "executor")]
+        result = planner_executor("Find the year.", {}, slots, services)
+    assert len(stub.requests) == 3
+    assert (result.status, result.final_answer, result.rounds_used) == (
+        "failed", "fact-one: page says 1998.", 2
+    )
+    assert result.per_slot_outcomes["planner"].status == "error"
+
+
 def test_invalid_max_rounds(tmp_path) -> None:
     services = make_services(tmp_path, _pe_gateway(tmp_path))
     slots = [_slot("planner", "planner", "planner"), _slot("executor", "executor", "executor")]
@@ -288,6 +309,18 @@ def test_two_rounds_follow_score_argmax(tmp_path) -> None:
     result = draft_and_improve("Write a tagline.", {"max_rounds": 2}, _di_slots(), services)
     assert result.final_answer == "a2"
     assert result.rounds_used == 2
+
+
+def test_drafter_error_fails_the_run_before_any_improver(tmp_path) -> None:
+    gateway = _di_gateway(tmp_path)
+    gateway.register_profile(
+        ModelProfile("dead", "http-openai-compatible", "m", base_url="http://127.0.0.1:9")
+    )
+    services = make_services(tmp_path, gateway)
+    slots = [_slot("drafter", "drafter", "dead"), *_di_slots()[1:]]
+    result = draft_and_improve("Write a tagline.", {"max_rounds": 2}, slots, services)
+    assert (result.status, result.final_answer, result.rounds_used) == ("failed", "", 0)
+    assert {name: o.status for name, o in result.per_slot_outcomes.items()} == {"drafter": "error"}
 
 
 def test_unanswered_draft_makes_run_partial(tmp_path) -> None:

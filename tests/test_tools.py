@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import os
 import queue
 import random
 import re
 import socket
 import string
+import subprocess
 import sys
 import threading
 import time
@@ -31,7 +33,7 @@ from evokit.tools import (
     install_builtin_tools,
     truncate_output,
 )
-from helpers import make_services, scripted_gateway
+from helpers import gone_or_zombie, make_services, scripted_gateway
 
 
 def _descriptor(name: str) -> ToolDescriptor:
@@ -162,27 +164,55 @@ def test_exec_nonzero_exit_fails(registry) -> None:
     assert observation.is_error
 
 
-def _gone_or_zombie(pid: int) -> bool:
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return True
-    return stat.rsplit(")", 1)[1].split()[0] == "Z"
-
-
-def test_exec_hard_timeout_kills_the_whole_command(registry, tmp_path, monkeypatch) -> None:
-    monkeypatch.setattr(tools, "_EXEC_HARD_TIMEOUT_S", 0.3)
+def test_exec_timeout_kills_the_whole_command(registry, tmp_path) -> None:
+    t0 = time.monotonic()
     execution, observation = registry.invoke(
-        Action("a1", "exec", {"cmd": "sleep 30 & echo $! > pid; wait"})
+        Action("a1", "exec", {"cmd": "sleep 30 & echo $! > pid; wait"}), timeout_ms=300
     )
-    assert execution.status == "failed"
-    assert observation.is_error
-    assert "killed" in observation.content
-    pid = int((tmp_path / "workspace" / "pid").read_text())
-    deadline = time.monotonic() + 2.0
-    while not _gone_or_zombie(pid) and time.monotonic() < deadline:
-        time.sleep(0.02)
-    assert _gone_or_zombie(pid)
+    assert time.monotonic() - t0 < 1.0
+    assert execution.status == "timeout"
+    assert execution.duration_ms >= 300
+    assert observation.content == "tool timed out after 300 ms"
+    assert gone_or_zombie(int((tmp_path / "workspace" / "pid").read_text()), within_s=1.0)
+
+
+def test_exec_returns_at_its_limit_while_a_process_that_left_its_session_holds_the_pipes(
+    registry,
+) -> None:
+    # The shell has exited by the limit; the setsid grandchild keeps stdout open.
+    action = Action("a1", "exec", {"cmd": "setsid sleep 5 &"})
+    t0 = time.monotonic()
+    execution, _ = registry.invoke(action, timeout_ms=300)
+    assert time.monotonic() - t0 < 1.0
+    assert execution.status == "timeout"
+
+
+def test_exec_runs_on_the_callers_thread(registry, dispatches) -> None:
+    for cmd in ("echo hi", "false", "sleep 1"):
+        registry.invoke(Action("a1", "exec", {"cmd": cmd}), timeout_ms=50)
+    assert dispatches == []
+
+
+def test_exec_reads_no_stdin_of_the_agent(tmp_path) -> None:
+    # A fresh interpreter whose stdin is a pipe this test keeps open.
+    code = (
+        "import json, sys, time\n"
+        "from evokit.tools import Action, ToolRegistry, install_builtin_tools\n"
+        "registry = ToolRegistry()\n"
+        f"install_builtin_tools(registry, {str(tmp_path)!r}, names=['exec'])\n"
+        "t0 = time.monotonic()\n"
+        "execution, observation = registry.invoke(Action('a1', 'exec', {'cmd': 'cat'}), 1000)\n"
+        "print(json.dumps([execution.status, observation.content, time.monotonic() - t0]))"
+    )
+    src = Path(tools.__file__).resolve().parents[1]
+    with subprocess.Popen(
+        [sys.executable, "-c", code], stdin=subprocess.PIPE, stdout=subprocess.PIPE, cwd=src
+    ) as proc:
+        output = proc.stdout.read()
+        proc.stdin.close()
+    status, content, elapsed = json.loads(output)
+    assert (status, content) == ("ok", "")
+    assert elapsed < 0.5
 
 
 # -- worker threads -------------------------------------------------------------
@@ -659,10 +689,9 @@ def test_other_tools_dispatch_to_a_worker(tmp_path, dispatches) -> None:
     workspace = tmp_path / "ws"
     workspace.mkdir()
     reg = ToolRegistry()
-    install_builtin_tools(reg, workspace, names=["exec", "file_read", "file_write"])
+    install_builtin_tools(reg, workspace, names=["file_read", "file_write"])
     reg.register_tool(_descriptor("probe"), lambda args: "probed")
     calls = [
-        ("exec", {"cmd": "echo hi"}),
         ("file_write", {"path": "a.txt", "content": "x"}),
         ("file_read", {"path": "a.txt"}),
         ("probe", {}),
@@ -715,13 +744,14 @@ class _Answer:
         return "an answer"
 
 
-def _raise(args):
+# Each handler also takes the timeout an inline call is given.
+def _raise(args, *_):
     raise ValueError("bad input")
 
 
 @pytest.mark.parametrize(
     "handler",
-    [lambda args: "plain text", _raise, lambda args: 42, lambda args: _Answer()],
+    [lambda args, *_: "plain text", _raise, lambda args, *_: 42, lambda args, *_: _Answer()],
     ids=["ok", "error", "int", "object"],
 )
 def test_inline_and_worker_calls_give_equal_pairs(handler, dispatches) -> None:
@@ -737,7 +767,7 @@ def test_inline_and_worker_calls_give_equal_pairs(handler, dispatches) -> None:
 
 def test_inline_handler_exit_propagates(dispatches) -> None:
     reg = ToolRegistry()
-    reg._register(_descriptor("quit"), lambda args: sys.exit(3), inline=True)
+    reg._register(_descriptor("quit"), lambda args, *_: sys.exit(3), inline=True)
     with pytest.raises(SystemExit):
         reg.invoke(Action("a", "quit", {}))
     assert dispatches == []
